@@ -2,38 +2,19 @@
 
 Verbs: enumerate, fvector, hasse, verify, encode, varpi.  Families:
 perm (permutahedron, n forced to 1), biperm, assoc, biassoc, multipl.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error,
+3 internal error (an unexpected exception; never a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import traceback
 
-from . import leveled, multipli, posets, propterms, trees, zones
+from . import leveled, multipli, propterms, trees, zones
 
 DEFAULT_MAX = 8
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BIASSOC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Apply fn over items, threaded when BIASSOC_THREADS > 1; the
-    result order is always the input order."""
-    items = list(items)
-    k = _threads()
-    if k <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
 
 
 class UsageError(Exception):
@@ -190,6 +171,10 @@ def run(argv) -> int:
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 def _verify(args) -> int:

@@ -193,6 +193,9 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
     level functions commute.  Contraction morphisms are unique when they
     exist, so it suffices to check that the induced level map is well
     defined (single-valued per level) and monotone.
+
+    This is the reference order: bipermutahedron_poset builds the same
+    order from gap-code block merges, and the tests compare the two.
     """
     if (x1.m, x1.n) != (x2.m, x2.n):
         raise ValueError("pair shape mismatch")
@@ -217,25 +220,51 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
     return all(a <= b for a, b in zip(seq, seq[1:]))
 
 
-def _leq_matrix(elems) -> np.ndarray:
-    n = len(elems)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            leq[i, j] = pair_leq(a, b)
-    return leq
-
-
 @cache
 def bipermutahedron_poset(m: int, n: int):
     """Face poset of the bipermutahedron; graded by (m+n-2) - h."""
-    from . import posets
-
     if m + n < 2:
         raise ValueError("need m + n >= 2")
-    elems = enumerate_leveled_pairs(m, n)
-    keys = tuple(x.key() for x in elems)
-    return posets.FinitePoset(keys, _leq_matrix(elems))
+    return coarsening_poset(m, n, ComplementaryPair.key)
+
+
+def coarsening_poset(m: int, n: int, label):
+    """The face poset of a quotient of the (m, n) bipermutahedron.
+
+    Its elements are the distinct labels of the (m, n) pairs, sorted.
+    Its order is the image of the block-merge order: x <= y when
+    gamma_encode(y) arises from gamma_encode(x) by merging runs of
+    adjacent blocks (on pairs this is pair_leq).  FinitePoset checks
+    that the image is a partial order.
+    """
+    from . import posets
+
+    pairs = enumerate_leveled_pairs(m, n)
+    labels = [label(x) for x in pairs]
+    keys = tuple(sorted(set(labels)))
+    index = {k: i for i, k in enumerate(keys)}
+    blocks = [gamma_encode(x).blocks for x in pairs]
+    image = {b: index[lab] for b, lab in zip(blocks, labels)}
+    leq = np.zeros((len(keys), len(keys)), dtype=bool)
+    for b, lab in zip(blocks, labels):
+        i = index[lab]
+        for merged in _block_merges(b):
+            leq[i, image[merged]] = True
+    return posets.FinitePoset(keys, leq)
+
+
+def _block_merges(blocks):
+    """The 2^(h-1) block tuples made by merging runs of adjacent blocks
+    of an h-block tuple (h >= 1); the empty tuple merges to itself."""
+    if len(blocks) <= 1:
+        return [blocks]
+    us, ds = blocks[0]
+    out = []
+    for rest in _block_merges(blocks[1:]):
+        us2, ds2 = rest[0]
+        out.append(blocks[:1] + rest)
+        out.append(((tuple(sorted(us + us2)), tuple(sorted(ds + ds2))),) + rest[1:])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ import numpy as np
 from .trees import (
     LEAF,
     PlanarTree,
+    child_tuples,
     contraction_map,
-    enumerate_trees,
     is_ancestor,
     shape_text,
 )
@@ -298,47 +298,11 @@ def _white_parts(m: int) -> tuple:
 @cache
 def _black_parts(m: int) -> tuple:
     """Painted shapes with m leaves whose root edge is black."""
-    out = []
-    for w in _white_parts(m):
-        out.append(("!", (w,)))
-    if m >= 2:
-        for arity in range(2, m + 1):
-            for comp in _compositions(m, arity):
-                for combo in _product_black(comp):
-                    out.append((".", combo))
+    out = [("!", (w,)) for w in _white_parts(m)]
+    out.extend((".", c) for c in child_tuples(m, _black_parts))
     # application vertices with >= 2 inputs
-    for arity in range(2, m + 1):
-        for comp in _compositions(m, arity):
-            for combo in _product_white(comp):
-                out.append(("!", combo))
+    out.extend(("!", c) for c in child_tuples(m, _white_parts))
     return tuple(out)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _product_black(comp):
-    if not comp:
-        yield ()
-        return
-    for head in _black_parts(comp[0]):
-        for tail in _product_black(comp[1:]):
-            yield (head,) + tail
-
-
-def _product_white(comp):
-    if not comp:
-        yield ()
-        return
-    for head in _white_parts(comp[0]):
-        for tail in _product_white(comp[1:]):
-            yield (head,) + tail
 
 
 @cache
@@ -351,7 +315,11 @@ def enumerate_diaphragms(m: int) -> tuple:
 @cache
 def multiplihedron_poset(m: int):
     """Face poset of the multiplihedron on painted trees; the order is
-    transported through the diaphragm bijection."""
+    transported through the diaphragm bijection.
+
+    The order comes from diaphragm_leq, not from block merges, so that
+    prop_d_check compares two independently built posets.
+    """
     from . import posets
 
     if m < 1:

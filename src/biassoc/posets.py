@@ -138,35 +138,39 @@ def isomorphic(p: FinitePoset, q: FinitePoset):
     candidates = [
         [j for j in range(n) if sq[j] == sp[i]] for i in range(n)
     ]
-    order = sorted(range(n), key=lambda i: len(candidates[i]))
-    match = [-1] * n
+    order = np.array(
+        sorted(range(n), key=lambda i: len(candidates[i])), dtype=np.intp
+    )
+    match = np.full(n, -1)
     used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
+    # Depth-first search with an explicit stack: level k assigns element
+    # order[k], and tried[k] is how many of its candidates were tried.
+    tried = [0] * n
+    k = 0
+    while 0 <= k < n:
         i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for prev in order[:k]:
-                if p.leq[i, prev] != q.leq[j, match[prev]] or p.leq[
-                    prev, i
-                ] != q.leq[match[prev], j]:
-                    ok = False
-                    break
-            if ok:
+        if match[i] >= 0:
+            used[match[i]] = False
+            match[i] = -1
+        done = order[:k]
+        below, above, image = p.leq[done, i], p.leq[i, done], match[done]
+        for t in range(tried[k], len(candidates[i])):
+            j = candidates[i][t]
+            if (
+                not used[j]
+                and (q.leq[image, j] == below).all()
+                and (q.leq[j, image] == above).all()
+            ):
                 match[i] = j
                 used[j] = True
-                if extend(k + 1):
-                    return True
-                match[i] = -1
-                used[j] = False
-        return False
-
-    if not extend(0):
+                tried[k] = t + 1
+                k += 1
+                break
+        else:
+            tried[k] = 0
+            k -= 1
+    if k < 0:
         return None
-    perm = np.array(match)
-    assert (p.leq == q.leq[np.ix_(perm, perm)]).all()
+    # the permuted matrix, compared row by row to avoid an N x N copy
+    assert all((p.leq[i] == q.leq[match[i], match]).all() for i in range(n))
     return {p.elements[i]: q.elements[match[i]] for i in range(n)}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
 LEAF = "*"
 
@@ -220,13 +221,15 @@ def contract_edge(t: PlanarTree, edge) -> PlanarTree:
 def _shapes(m: int) -> tuple:
     if m == 1:
         return (LEAF,)
-    out = []
+    return tuple(sorted(child_tuples(m, _shapes), key=shape_text))
+
+
+def child_tuples(m: int, parts):
+    """Every tuple of >= 2 children with m leaves in total, where a
+    child with k leaves ranges over parts(k)."""
     for arity in range(2, m + 1):
         for comp in _compositions(m, arity):
-            for combo in _product_shapes(comp):
-                out.append(combo)
-    out.sort(key=shape_text)
-    return tuple(out)
+            yield from product(*map(parts, comp))
 
 
 def _compositions(total: int, parts: int):
@@ -237,15 +240,6 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _product_shapes(comp):
-    if not comp:
-        yield ()
-        return
-    for head in _shapes(comp[0]):
-        for tail in _product_shapes(comp[1:]):
-            yield (head,) + tail
 
 
 def enumerate_trees(m: int, orientation: str = "up") -> tuple:
@@ -326,7 +320,11 @@ def contraction_map(s1, s2):
 
 
 def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:
-    """True iff t2 arises from t1 by contracting internal edges."""
+    """True iff t2 arises from t1 by contracting internal edges.
+
+    This is the reference order: face_poset_associahedron builds the
+    same order from gap-code block merges, and the tests compare the two.
+    """
     if t1.orientation != t2.orientation:
         raise ValueError("orientation mismatch")
     if t1.leaves != t2.leaves:
@@ -335,22 +333,14 @@ def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:
 
 
 def face_poset_associahedron(m: int):
-    """Face poset of the associahedron on trees with m leaves.
+    """Face poset of the associahedron on trees with m leaves: the
+    image of the permutahedron order on the (m, 1) pairs under x -> x.up.
 
     Graded with dim(t) = m - 1 - #vertices; binary trees are the
     vertices and the corolla is the top cell.
     """
-    from . import posets
+    from .leveled import coarsening_poset
 
     if m < 2:
         raise ValueError("need m >= 2")
-    trees = enumerate_trees(m, "up")
-    keys = [t.text() for t in trees]
-    n = len(trees)
-    import numpy as np
-
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(trees):
-        for j, b in enumerate(trees):
-            leq[i, j] = contraction_map(a.shape, b.shape) is not None
-    return posets.FinitePoset(tuple(keys), leq)
+    return coarsening_poset(m, 1, lambda x: x.up.text())

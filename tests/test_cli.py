@@ -1,6 +1,13 @@
+import hashlib
 import json
+from pathlib import Path
 
-from biassoc import cli
+from biassoc import cli, multipli
+
+# sha256 of the stdout of `hasse`, `hasse --dot` and `fvector` for every
+# family and split with m + n <= 6, recorded before the face orders were
+# rebuilt from block merges
+GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 
 def run(capsys, *argv):
@@ -113,10 +120,18 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
-def test_parallel_map(monkeypatch):
-    monkeypatch.setenv("BIASSOC_THREADS", "4")
-    assert cli.parallel_map(lambda v: v * v, range(10)) == [
-        v * v for v in range(10)
-    ]
-    monkeypatch.setenv("BIASSOC_THREADS", "not-a-number")
-    assert cli.parallel_map(lambda v: -v, [3, 1]) == [-3, -1]
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def boom(m):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(multipli, "prop_d_check", boom)
+    code, out, err = run(capsys, "verify", "propd", "-m", "3")
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
+def test_poset_output_byte_identical(capsys):
+    for argv, digest in GOLDENS.items():
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -119,6 +119,17 @@ def test_pair_leq_matches_block_merge_oracle():
                 assert L.pair_leq(x1, x2) == (enc[x2.key()] in coars[x1.key()])
 
 
+def test_bipermutahedron_order_is_pair_leq():
+    # the block-merge builder against the reference order
+    for m, n in [(m, s - m) for s in range(2, 8) for m in range(1, s)]:
+        xs = L.enumerate_leveled_pairs(m, n)
+        p = L.bipermutahedron_poset(m, n)
+        assert p.elements == tuple(x.key() for x in xs)
+        for i, a in enumerate(xs):
+            for j, b in enumerate(xs):
+                assert p.leq[i, j] == L.pair_leq(a, b), (a.key(), b.key())
+
+
 def test_pair_leq_golden():
     lo = L.gamma_decode(OrderedBipartition.from_text("(3|2|1)"), 4, 1)
     hi = L.gamma_decode(OrderedBipartition.from_text("(3|12)"), 4, 1)

@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -119,3 +121,15 @@ def test_isomorphic_needs_backtracking():
     b = crown(tuple("uvwxyz"), [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)])
     w = isomorphic(a, b)
     assert w is not None
+
+
+def test_isomorphic_deeper_than_recursion_limit():
+    # the search must not use one stack frame per element
+    p, q = chain(300, "p"), chain(300, "q")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        w = isomorphic(p, q)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert w == {"p%d" % i: "q%d" % i for i in range(300)}

@@ -145,6 +145,17 @@ def test_tree_leq_matches_contraction_closure():
                 assert T.tree_leq(t, u) == (u.shape in reach)
 
 
+def test_associahedron_order_is_tree_leq():
+    # the block-merge image on the (m, 1) pairs against the reference order
+    for m in range(2, 8):
+        ts = T.enumerate_trees(m)
+        p = T.face_poset_associahedron(m)
+        assert p.elements == tuple(t.text() for t in ts)
+        for i, a in enumerate(ts):
+            for j, b in enumerate(ts):
+                assert p.leq[i, j] == T.tree_leq(a, b), (a.text(), b.text())
+
+
 def test_associahedron_fvectors():
     assert T.face_poset_associahedron(2).fvector() == (1,)
     assert T.face_poset_associahedron(3).fvector() == (2, 1)

@@ -27,7 +27,6 @@ STAIR = ZonePair(
 
 def test_staircase_type_and_closures():
     assert STAIR.type() == "DBDUBBUB"
-    assert Z.zone_type(STAIR) == "DBDUBBUB"
     assert STAIR.l == 8
     expected = {
         1: {1, 2},
@@ -99,6 +98,17 @@ def test_project_respects_order():
             for y in pairs:
                 if L.pair_leq(x, y):
                     assert Z.zone_leq(Z.project(x), Z.project(y))
+
+
+def test_biassociahedron_order_is_zone_leq():
+    # the image of the block-merge order against the reference order
+    for m, n in [(m, s - m) for s in range(2, 8) for m in range(1, s)]:
+        zs = Z.enumerate_zone_pairs(m, n)
+        p = Z.biassociahedron_poset(m, n)
+        assert p.elements == tuple(z.key() for z in zs)
+        for i, a in enumerate(zs):
+            for j, b in enumerate(zs):
+                assert p.leq[i, j] == Z.zone_leq(a, b), (a.key(), b.key())
 
 
 def test_zone_leq_shape_mismatch():
