@@ -117,12 +117,12 @@ def run(argv) -> int:
         if args.verb in ("enumerate", "fvector", "hasse", "verify"):
             if args.m is None:
                 raise UsageError("need -m")
-            if args.verb == "verify" and args.check == "propd":
-                eff_n = 2
-            elif getattr(args, "family", "") in ("assoc", "multipl"):
-                eff_n = 1
+            if args.verb == "verify" and args.check != "euler":
+                eff_n = 2 if args.check == "propd" else args.n
             else:
-                eff_n = args.n
+                if args.family == "perm":
+                    args.n = 1  # the permutahedron is the (m, 1) bipermutahedron
+                eff_n = 1 if args.family in ("assoc", "multipl") else args.n
             _check_size(args.m, eff_n, args.max_size)
 
         if args.verb == "enumerate":

@@ -392,7 +392,7 @@ def opet_iso_check(m: int, n: int) -> bool:
             return False
         psrc = bipermutahedron_poset(m, n)
         ptgt = bipermutahedron_poset(m + 1, n - 1)
-        perm = np.array([ptgt.elements.index(k) for k in keys])
+        perm = np.array([ptgt.index(k) for k in keys])
         if not (psrc.leq == ptgt.leq[np.ix_(perm, perm)]).all():
             return False
         m, n = m + 1, n - 1

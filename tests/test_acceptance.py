@@ -83,12 +83,12 @@ def test_criterion_04_fvectors():
 def test_criterion_05_multiplihedron_isomorphism():
     t0 = time.monotonic()
     ok = True
-    for m in (2, 3, 4):
+    for m in range(2, 7):
         witness = multipli.prop_d_check(m, return_witness=True)
         ok = ok and isinstance(witness, dict) and len(witness) == len(
             multipli.multiplihedron_poset(m)
         )
-    report(5, "step-one (m,2) poset = multiplihedron poset, m = 2,3,4", ok, t0, 120.0)
+    report(5, "step-one (m,2) poset = multiplihedron poset, m = 2..6", ok, t0, 120.0)
 
 
 def test_criterion_06_boundary_cases():

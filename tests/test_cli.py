@@ -71,6 +71,18 @@ def test_verify_commands(capsys):
     assert code == 0 and out.strip() == "euler biperm (3,1): 1"
 
 
+def test_perm_forces_one_down_leaf(capsys):
+    # the permutahedron is the (m, 1) bipermutahedron, whatever -n says
+    code, out, _ = run(capsys, "fvector", "--family", "perm", "-m", "3", "-n", "2")
+    assert code == 0 and out.strip() == "2 1"
+    code, out, _ = run(capsys, "verify", "euler", "--family", "perm", "-m", "3", "-n", "2")
+    assert code == 0 and out.strip() == "euler perm (3,1): 1"
+    code, out, _ = run(capsys, "enumerate", "--family", "perm", "-m", "3", "-n", "2")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, _, _ = run(capsys, "fvector", "--family", "perm", "-m", "7", "-n", "5")
+    assert code == 0
+
+
 def test_size_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--family", "biperm", "-m", "9", "-n", "1")
     assert code == 2 and "tractability" in err

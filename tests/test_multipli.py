@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from biassoc import multipli as M
@@ -139,6 +140,17 @@ def test_prop_d():
             assert biassoc.le(a, b) == multipl.le(witness[a], witness[b])
     with pytest.raises(ValueError):
         M.prop_d_check(1)
+
+
+def test_multiplihedron_order_is_all_pairs_diaphragm_leq():
+    # the order skips pairs of shapes without a contraction; the
+    # all-pairs loop it replaced is the reference
+    for m in range(1, 6):
+        p = M.multiplihedron_poset(m)
+        ds = M.enumerate_diaphragms(m)
+        idx = np.array([p.index(M.diaphragm_to_painted(d).key()) for d in ds])
+        full = np.array([[M.diaphragm_leq(a, b) for b in ds] for a in ds])
+        assert (p.leq[np.ix_(idx, idx)] == full).all()
 
 
 def test_diaphragm_leq_basics():

@@ -1,10 +1,13 @@
 import inspect
 import json
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from biassoc import leveled, multipli, trees, zones
 from biassoc.posets import FinitePoset, PosetError, isomorphic
 
 
@@ -40,6 +43,49 @@ def test_validation():
     intrans[0, 1] = intrans[1, 2] = True
     with pytest.raises(PosetError):
         FinitePoset(("a", "b", "c"), intrans)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, 2), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+)))
+def test_validation_is_the_matrix_product_test(case):
+    # a random reflexive antisymmetric relation: per pair i < j, none,
+    # i <= j or j <= i; it must be rejected exactly when the old
+    # all-pairs test (m @ m) & ~m finds a missing composite
+    n, choices = case
+    m = np.eye(n, dtype=bool)
+    for (i, j), c in zip(combinations(range(n), 2), choices):
+        if c == 1:
+            m[i, j] = True
+        elif c == 2:
+            m[j, i] = True
+    intransitive = ((m @ m) & ~m).any()
+    try:
+        FinitePoset(tuple("e%d" % i for i in range(n)), m)
+    except PosetError as exc:
+        assert intransitive and "transitive" in str(exc)
+    else:
+        assert not intransitive
+
+
+def _family_posets():
+    for m in range(1, 6):
+        for n in range(1, 7 - m):
+            if m + n >= 2:
+                yield leveled.bipermutahedron_poset(m, n)
+                yield zones.biassociahedron_poset(m, n)
+    for m in range(2, 6):
+        yield trees.face_poset_associahedron(m)
+    for m in range(1, 6):
+        yield multipli.multiplihedron_poset(m)
+
+
+def test_covers_match_matrix_product_oracle():
+    for p in _family_posets():
+        strict = p.leq & ~np.eye(len(p), dtype=bool)
+        cov = strict & ~(strict @ strict)
+        assert p.covers() == [(int(i), int(j)) for i, j in zip(*np.nonzero(cov))]
 
 
 def test_covers_and_ranks():
@@ -80,6 +126,9 @@ def test_json_and_dot():
 def test_le_accessor():
     p = diamond()
     assert p.le("s", "t") and not p.le("a", "b")
+    assert [p.index(k) for k in p.elements] == [0, 1, 2, 3]
+    with pytest.raises(KeyError):
+        p.index("x")
 
 
 def test_isomorphic_positive():
