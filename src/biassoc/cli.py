@@ -117,13 +117,12 @@ def run(argv) -> int:
         if args.verb in ("enumerate", "fvector", "hasse", "verify"):
             if args.m is None:
                 raise UsageError("need -m")
-            if args.verb == "verify" and args.check != "euler":
-                eff_n = 2 if args.check == "propd" else args.n
-            else:
-                if args.family == "perm":
-                    args.n = 1  # the permutahedron is the (m, 1) bipermutahedron
-                eff_n = 1 if args.family in ("assoc", "multipl") else args.n
-            _check_size(args.m, eff_n, args.max_size)
+            if args.verb == "verify" and args.check == "propd":
+                args.n = 2  # Prop D is about the (m, 2) pairs
+            elif args.verb != "verify" or args.check == "euler":
+                if args.family in ("perm", "assoc", "multipl"):
+                    args.n = 1  # one-legged families: the (m, 1) faces
+            _check_size(args.m, args.n, args.max_size)
 
         if args.verb == "enumerate":
             for line in _elements(args.family, args.m, args.n, args.format):
@@ -195,7 +194,7 @@ def _verify(args) -> int:
         print("thmc (%d,%d): FAILED" % (m, n))
         return 1
     if args.check == "propd":
-        ok = multipli.prop_d_check(m)
+        ok = multipli.prop_d_check(m) is not None
         print(
             "propd m=%d: %s"
             % (m, "posets isomorphic" if ok else "FAILED")

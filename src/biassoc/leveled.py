@@ -22,14 +22,14 @@ from itertools import combinations
 
 import numpy as np
 
+from . import posets
 from .trees import (
     LEAF,
     PlanarTree,
     contraction_map,
+    edge_values,
     enumerate_trees,
     is_ancestor,
-    leaf_count,
-    shape_from_text,
     shape_text,
     shape_vertices,
     subshape,
@@ -56,16 +56,10 @@ class ComplementaryPair:
         h = max(levels, default=0)
         if levels != set(range(1, h + 1)):
             raise ValueError("levels must be exactly 1..h with no gaps")
-        lu = dict(zip(uverts, self.up_levels))
-        ld = dict(zip(dverts, self.down_levels))
-        for p in uverts:
-            for q in uverts:
-                if is_ancestor(p, q) and lu[p] >= lu[q]:
-                    raise ValueError("up-tree levels must increase away from root")
-        for p in dverts:
-            for q in dverts:
-                if is_ancestor(p, q) and ld[p] <= ld[q]:
-                    raise ValueError("down-tree levels must decrease away from root")
+        if any(a >= b for a, b in edge_values(self.up, self.up_levels)):
+            raise ValueError("up-tree levels must increase away from root")
+        if any(a <= b for a, b in edge_values(self.down, self.down_levels)):
+            raise ValueError("down-tree levels must decrease away from root")
 
     @property
     def m(self) -> int:
@@ -78,12 +72,6 @@ class ComplementaryPair:
     @property
     def h(self) -> int:
         return max(self.up_levels + self.down_levels, default=0)
-
-    def up_level(self, path) -> int:
-        return self.up_levels[self.up.vertices().index(path)]
-
-    def down_level(self, path) -> int:
-        return self.down_levels[self.down.vertices().index(path)]
 
     def key(self) -> str:
         return "%s;%s;%s;%s" % (
@@ -237,8 +225,6 @@ def coarsening_poset(m: int, n: int, label):
     adjacent blocks (on pairs this is pair_leq).  FinitePoset checks
     that the image is a partial order.
     """
-    from . import posets
-
     pairs = enumerate_leveled_pairs(m, n)
     labels = [label(x) for x in pairs]
     keys = tuple(sorted(set(labels)))
@@ -380,20 +366,14 @@ def opet_step(x: ComplementaryPair) -> ComplementaryPair:
 
 def opet_iso_check(m: int, n: int) -> bool:
     """Verify that iterating opet_step gives an order isomorphism
-    from the (m, n) pairs onto the (m+n-1, 1) pairs."""
+    from the (m, n) pairs onto the (m+n-1, 1) pairs, one step at a time."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     while n >= 2:
-        src = enumerate_leveled_pairs(m, n)
-        tgt = enumerate_leveled_pairs(m + 1, n - 1)
-        images = [opet_step(x) for x in src]
-        keys = [y.key() for y in images]
-        if len(set(keys)) != len(src) or set(keys) != {y.key() for y in tgt}:
-            return False
-        psrc = bipermutahedron_poset(m, n)
-        ptgt = bipermutahedron_poset(m + 1, n - 1)
-        perm = np.array([ptgt.index(k) for k in keys])
-        if not (psrc.leq == ptgt.leq[np.ix_(perm, perm)]).all():
+        step = {x.key(): opet_step(x).key() for x in enumerate_leveled_pairs(m, n)}
+        if not posets.is_isomorphism(
+            bipermutahedron_poset(m, n), bipermutahedron_poset(m + 1, n - 1), step
+        ):
             return False
         m, n = m + 1, n - 1
     return True

@@ -18,15 +18,16 @@ from functools import cache
 
 import numpy as np
 
+from . import posets
 from .trees import (
     LEAF,
     PlanarTree,
     child_tuples,
     contraction_map,
-    is_ancestor,
+    edge_values,
     shape_text,
 )
-from .zones import ZonePair, enumerate_zone_pairs
+from .zones import ZonePair, biassociahedron_poset, enumerate_zone_pairs
 
 ABOVE = -1  # above the membrane (painted black; nearer the root)
 AT = 0
@@ -48,14 +49,11 @@ class DiaphragmTree:
             raise ValueError("zeta length mismatch")
         if any(v not in (ABOVE, AT, BELOW) for v in self.zeta):
             raise ValueError("bad zeta value")
-        marks = dict(zip(verts, self.zeta))
-        for p in verts:
-            for q in verts:
-                if is_ancestor(p, q):
-                    if marks[p] > marks[q]:
-                        raise ValueError("zeta must not decrease away from root")
-                    if marks[p] == AT and marks[q] == AT:
-                        raise ValueError("comparable vertices both on the membrane")
+        for a, b in edge_values(self.tree, self.zeta):
+            if a > b:
+                raise ValueError("zeta must not decrease away from root")
+            if a == b == AT:
+                raise ValueError("comparable vertices both on the membrane")
 
     @property
     def m(self) -> int:
@@ -320,8 +318,6 @@ def multiplihedron_poset(m: int):
     The order comes from diaphragm_leq, not from block merges, so that
     prop_d_check compares two independently built posets.
     """
-    from . import posets
-
     if m < 1:
         raise ValueError("need m >= 1")
     diaphragms = enumerate_diaphragms(m)
@@ -345,15 +341,16 @@ def multiplihedron_poset(m: int):
     return posets.FinitePoset(tuple(p.key() for p in painted), leq)
 
 
-def prop_d_check(m: int, return_witness=False):
-    """The biassociahedron with a 2-corolla down tree and the
-    multiplihedron have isomorphic face posets."""
-    from . import posets
-    from .zones import biassociahedron_poset
-
+def prop_d_check(m: int):
+    """The map z -> diaphragm_to_painted(zone_to_diaphragm(z)) as a key
+    dict if it is an order isomorphism from the biassociahedron with a
+    2-corolla down tree onto the multiplihedron, else None."""
     if m < 2:
         raise ValueError("need m >= 2")
-    witness = posets.isomorphic(biassociahedron_poset(m, 2), multiplihedron_poset(m))
-    if return_witness:
-        return witness
-    return witness is not None
+    f = {
+        z.key(): diaphragm_to_painted(zone_to_diaphragm(z)).key()
+        for z in enumerate_zone_pairs(m, 2)
+    }
+    if posets.is_isomorphism(biassociahedron_poset(m, 2), multiplihedron_poset(m), f):
+        return f
+    return None

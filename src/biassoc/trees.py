@@ -21,10 +21,6 @@ from itertools import product
 LEAF = "*"
 
 
-def is_vertex(shape) -> bool:
-    return isinstance(shape, tuple)
-
-
 def validate_shape(shape) -> None:
     if shape == LEAF:
         return
@@ -185,6 +181,16 @@ def vertex_order(t: PlanarTree) -> frozenset:
                 else:
                     pairs.add((v, u))
     return frozenset(pairs)
+
+
+def edge_values(t: PlanarTree, values) -> list:
+    """(parent value, child value) over the edges between vertices of
+    t, given one value per vertex in path order.  A monotone rule holds
+    on all ancestor pairs iff it holds on these; so does a ban on equal
+    values, since a comparable pair with equal monotone values forces
+    equality on the edge just above the lower vertex."""
+    by_path = dict(zip(t.vertices(), values))
+    return [(by_path[q[:-1]], v) for q, v in by_path.items() if q]
 
 
 def is_ancestor(p, q) -> bool:

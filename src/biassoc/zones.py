@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .leveled import ComplementaryPair, coarsening_poset, enumerate_leveled_pairs
-from .trees import PlanarTree, contraction_map, is_ancestor, shape_text
+from .trees import PlanarTree, contraction_map, edge_values, is_ancestor, shape_text
 
 
 @dataclass(frozen=True)
@@ -39,27 +39,17 @@ class ZonePair:
         l = max(zones, default=0)
         if zones != set(range(1, l + 1)):
             raise ValueError("zones must be exactly 1..l with no gaps")
-        zu = dict(zip(uverts, self.up_zones))
-        zd = dict(zip(dverts, self.down_zones))
-        barriers = {
-            i
-            for i in range(1, l + 1)
-            if i in set(self.up_zones) and i in set(self.down_zones)
-        }
-        for p in uverts:
-            for q in uverts:
-                if is_ancestor(p, q):
-                    if zu[p] > zu[q]:
-                        raise ValueError("up-tree zones must not decrease downward")
-                    if zu[p] == zu[q] and zu[p] in barriers:
-                        raise ValueError("comparable vertices share a barrier")
-        for p in dverts:
-            for q in dverts:
-                if is_ancestor(p, q):
-                    if zd[p] < zd[q]:
-                        raise ValueError("down-tree zones must not increase upward")
-                    if zd[p] == zd[q] and zd[p] in barriers:
-                        raise ValueError("comparable vertices share a barrier")
+        barriers = set(self.up_zones) & set(self.down_zones)
+        for a, b in edge_values(self.up, self.up_zones):
+            if a > b:
+                raise ValueError("up-tree zones must not decrease downward")
+            if a == b and a in barriers:
+                raise ValueError("comparable vertices share a barrier")
+        for a, b in edge_values(self.down, self.down_zones):
+            if a < b:
+                raise ValueError("down-tree zones must not increase upward")
+            if a == b and a in barriers:
+                raise ValueError("comparable vertices share a barrier")
         t = self.type()
         for a, b in zip(t, t[1:]):
             if a == b and a in "UD":

@@ -84,7 +84,7 @@ def test_criterion_05_multiplihedron_isomorphism():
     t0 = time.monotonic()
     ok = True
     for m in range(2, 7):
-        witness = multipli.prop_d_check(m, return_witness=True)
+        witness = multipli.prop_d_check(m)
         ok = ok and isinstance(witness, dict) and len(witness) == len(
             multipli.multiplihedron_poset(m)
         )

@@ -83,6 +83,15 @@ def test_perm_forces_one_down_leaf(capsys):
     assert code == 0
 
 
+def test_one_legged_families_force_one_down_leaf(capsys):
+    # assoc and multipl ignore -n, and the euler line says so
+    for family in ("assoc", "multipl"):
+        code, out, _ = run(
+            capsys, "verify", "euler", "--family", family, "-m", "4", "-n", "3"
+        )
+        assert code == 0 and out.strip() == "euler %s (4,1): 1" % family
+
+
 def test_size_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--family", "biperm", "-m", "9", "-n", "1")
     assert code == 2 and "tractability" in err

@@ -180,6 +180,22 @@ def test_opet_iso_small():
     assert L.opet_iso_check(1, 3)
 
 
+def test_opet_iso_rejects_broken_steps(monkeypatch):
+    # the check answers False, never raises, whatever the step does wrong
+    step = L.opet_step
+    targets = L.enumerate_leveled_pairs(3, 1)
+    bottom, top = targets[0].key(), targets[-1].key()
+    swap = {bottom: top, top: bottom}
+
+    def swapped(x):
+        y = step(x)
+        return ComplementaryPair.from_key(swap.get(y.key(), y.key()))
+
+    for broken in (lambda x: targets[0], lambda x: x, swapped):
+        monkeypatch.setattr(L, "opet_step", broken)
+        assert L.opet_iso_check(2, 2) is False
+
+
 # ---------------------------------------------------------------------------
 # ordered-bipartition codec
 

@@ -131,7 +131,7 @@ def test_rank_formula_and_cover_moves():
 def test_prop_d():
     for m in (2, 3, 4):
         assert M.prop_d_check(m)
-    witness = M.prop_d_check(3, return_witness=True)
+    witness = M.prop_d_check(3)
     assert isinstance(witness, dict) and len(witness) == 13
     biassoc = biassociahedron_poset(3, 2)
     multipl = M.multiplihedron_poset(3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biassoc import leveled, multipli, trees, zones
-from biassoc.posets import FinitePoset, PosetError, isomorphic
+from biassoc.posets import FinitePoset, PosetError, is_isomorphism, isomorphic
 
 
 def chain(n, prefix="c"):
@@ -182,3 +182,39 @@ def test_isomorphic_deeper_than_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert w == {"p%d" % i: "q%d" % i for i in range(300)}
+
+
+def test_is_isomorphism_checks_the_given_map():
+    p = diamond()
+    q = FinitePoset(("S", "A", "B", "T"), p.leq)
+    good = {"s": "S", "a": "A", "b": "B", "t": "T"}
+    assert is_isomorphism(p, q, good)
+    assert is_isomorphism(p, q, dict(good, a="B", b="A"))  # an automorphism
+    assert not is_isomorphism(p, q, dict(good, b="A"))  # not injective
+    anti = FinitePoset(("x", "y"), np.eye(2, dtype=bool))
+    assert not is_isomorphism(anti, anti, {"x": "x", "y": "x"})  # no covers to miss
+    assert not is_isomorphism(p, q, dict(good, b="X"))  # outside q
+    assert not is_isomorphism(p, q, dict(good, b=["B"]))  # not a key at all
+    assert not is_isomorphism(p, q, {"s": "S", "a": "A", "b": "B"})  # missing t
+    assert not is_isomorphism(p, q, dict(good, x="T"))  # extra key
+    # r is q without the cover A < T: the same bijection breaks one cover
+    leq = p.leq.copy()
+    leq[1, 3] = False
+    r = FinitePoset(("S", "A", "B", "T"), leq)
+    assert len(r.covers()) == len(p.covers()) - 1
+    assert not is_isomorphism(p, r, good)
+    assert not is_isomorphism(r, p, {v: k for k, v in good.items()})
+    assert not is_isomorphism(chain(3), chain(4), {"c%d" % i: "c%d" % i for i in range(3)})
+
+
+def test_is_isomorphism_agrees_with_search_on_prop_d():
+    for m in range(2, 6):
+        p = zones.biassociahedron_poset(m, 2)
+        q = multipli.multiplihedron_poset(m)
+        f = multipli.prop_d_check(m)
+        assert f is not None and isomorphic(p, q) is not None
+        assert is_isomorphism(p, q, f)
+        # swapping the images of a minimal and a maximal element breaks it
+        rank = p.ranks()
+        low, high = p.elements[rank.index(0)], p.elements[rank.index(max(rank))]
+        assert not is_isomorphism(p, q, dict(f, **{low: f[high], high: f[low]}))

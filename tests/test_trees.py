@@ -1,7 +1,12 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from biassoc import trees as T
+from biassoc.leveled import ComplementaryPair
+from biassoc.multipli import ABOVE, AT, BELOW, DiaphragmTree
+from biassoc.zones import ZonePair
 
 
 def binary_shapes(m):
@@ -182,3 +187,82 @@ def test_contraction_map_is_identity_on_equal():
     for t in T.enumerate_trees(4):
         cm = T.contraction_map(t.shape, t.shape)
         assert cm == {p: p for p in t.vertices()}
+
+
+# ---------------------------------------------------------------------------
+# label validation checks edges only; the reference is the rule on every
+# ancestor pair, over every labelling of every tree with <= 4 leaves
+
+SMALL = [t.shape for m in range(1, 5) for t in T.enumerate_trees(m)]
+
+
+def ancestor_pairs(shape):
+    vs = T.PlanarTree("up", shape).vertices()
+    return [(p, q) for p in vs for q in vs if len(p) < len(q) and q[: len(p)] == p]
+
+
+def accepts(cls, *args):
+    try:
+        cls(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def labelled_pairs():
+    """Every labelling by 1..V of the up and down trees, where one of them
+    has <= 4 leaves and the other <= 2, and V counts their vertices."""
+    for a in SMALL:
+        for b in (T.LEAF, (T.LEAF, T.LEAF)):
+            for us, ds in ((a, b), (b, a)):
+                up, down = T.PlanarTree("up", us), T.PlanarTree("down", ds)
+                nu, nd = len(up.vertices()), len(down.vertices())
+                for labels in product(range(1, nu + nd + 1), repeat=nu + nd):
+                    yield up, down, labels[:nu], labels[nu:]
+
+
+def gap_free(*labels):
+    used = set().union(*labels)
+    return used == set(range(1, len(used) + 1))
+
+
+def test_level_validation_is_the_all_pairs_rule():
+    for up, down, ul, dl in labelled_pairs():
+        lu = dict(zip(up.vertices(), ul))
+        ld = dict(zip(down.vertices(), dl))
+        rule = (
+            gap_free(ul, dl)
+            and all(lu[p] < lu[q] for p, q in ancestor_pairs(up.shape))
+            and all(ld[p] > ld[q] for p, q in ancestor_pairs(down.shape))
+        )
+        assert accepts(ComplementaryPair, up, down, ul, dl) == rule, (up, down, ul, dl)
+
+
+def test_zone_validation_is_the_all_pairs_rule():
+    for up, down, uz, dz in labelled_pairs():
+        zu = dict(zip(up.vertices(), uz))
+        zd = dict(zip(down.vertices(), dz))
+        barriers = set(uz) & set(dz)
+        kinds = ["B" if i in barriers else "U" if i in uz else "D"
+                 for i in range(1, max(uz + dz, default=0) + 1)]
+        rule = (
+            gap_free(uz, dz)
+            and all(zu[p] <= zu[q] and not (zu[p] == zu[q] and zu[p] in barriers)
+                    for p, q in ancestor_pairs(up.shape))
+            and all(zd[p] >= zd[q] and not (zd[p] == zd[q] and zd[p] in barriers)
+                    for p, q in ancestor_pairs(down.shape))
+            and not any(a == b != "B" for a, b in zip(kinds, kinds[1:]))
+        )
+        assert accepts(ZonePair, up, down, uz, dz) == rule, (up, down, uz, dz)
+
+
+def test_diaphragm_validation_is_the_all_pairs_rule():
+    for shape in SMALL:
+        tree = T.PlanarTree("up", shape)
+        for zeta in product((ABOVE, AT, BELOW), repeat=len(tree.vertices())):
+            marks = dict(zip(tree.vertices(), zeta))
+            rule = all(
+                marks[p] <= marks[q] and not marks[p] == marks[q] == AT
+                for p, q in ancestor_pairs(shape)
+            )
+            assert accepts(DiaphragmTree, tree, zeta) == rule, (shape, zeta)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from biassoc import leveled as L, zones as Z
-from biassoc.posets import isomorphic
+from biassoc.posets import is_isomorphism, isomorphic
 from biassoc.trees import PlanarTree, face_poset_associahedron
 from biassoc.zones import ZonePair
 
@@ -152,6 +152,17 @@ def test_boundary_isomorphisms():
             isomorphic(Z.biassociahedron_poset(1, m), face_poset_associahedron(m))
             is not None
         )
+
+
+def test_boundary_maps_are_isomorphisms():
+    # the explicit maps z -> z.up and z -> z.down, which the search
+    # above ignores
+    for m in range(2, 6):
+        assoc = face_poset_associahedron(m)
+        up = {z.key(): z.up.text() for z in Z.enumerate_zone_pairs(m, 1)}
+        down = {z.key(): z.down.text() for z in Z.enumerate_zone_pairs(1, m)}
+        assert is_isomorphism(Z.biassociahedron_poset(m, 1), assoc, up)
+        assert is_isomorphism(Z.biassociahedron_poset(1, m), assoc, down)
 
 
 def test_pi_section_roundtrip():
