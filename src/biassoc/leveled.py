@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-import numpy as np
-
 from . import posets
 from .trees import (
     LEAF,
@@ -231,12 +229,10 @@ def coarsening_poset(m: int, n: int, label):
     index = {k: i for i, k in enumerate(keys)}
     blocks = [gamma_encode(x).blocks for x in pairs]
     image = {b: index[lab] for b, lab in zip(blocks, labels)}
-    leq = np.zeros((len(keys), len(keys)), dtype=bool)
-    for b, lab in zip(blocks, labels):
-        i = index[lab]
-        for merged in _block_merges(b):
-            leq[i, image[merged]] = True
-    return posets.FinitePoset(keys, leq)
+    up = [[] for _ in keys]
+    for b in blocks:
+        up[image[b]].extend(image[merged] for merged in _block_merges(b))
+    return posets.FinitePoset(keys, up)
 
 
 def _block_merges(blocks):
@@ -423,8 +419,9 @@ class OrderedBipartition:
 
 
 def _labels_text(labels) -> str:
+    # a lone label above 9 takes a trailing comma: "11," is not 1, 1
     if any(x > 9 for x in labels):
-        return ",".join(map(str, labels))
+        return ",".join(map(str, labels)) + ("," if len(labels) == 1 else "")
     return "".join(map(str, labels))
 
 
@@ -433,7 +430,7 @@ def _labels_parse(s: str) -> tuple:
     if not s:
         return ()
     if "," in s:
-        return tuple(int(x) for x in s.split(","))
+        return tuple(int(x) for x in s.removesuffix(",").split(","))
     return tuple(int(c) for c in s)
 
 

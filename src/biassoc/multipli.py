@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from . import posets
 from .trees import (
     LEAF,
@@ -325,20 +323,20 @@ def multiplihedron_poset(m: int):
     order = sorted(range(len(painted)), key=lambda i: painted[i].key())
     diaphragms = [diaphragms[i] for i in order]
     painted = [painted[i] for i in order]
-    size = len(painted)
     by_shape = {}
     for i, d in enumerate(diaphragms):
         by_shape.setdefault(d.tree.shape, []).append(i)
     # diaphragm_leq is False whenever the shapes admit no contraction,
     # so only pairs of contraction-related shapes are compared
-    leq = np.zeros((size, size), dtype=bool)
+    up = [[] for _ in painted]
     for s1, group1 in by_shape.items():
         for s2, group2 in by_shape.items():
             if contraction_map(s1, s2) is not None:
                 for i in group1:
-                    for j in group2:
-                        leq[i, j] = diaphragm_leq(diaphragms[i], diaphragms[j])
-    return posets.FinitePoset(tuple(p.key() for p in painted), leq)
+                    up[i].extend(
+                        j for j in group2 if diaphragm_leq(diaphragms[i], diaphragms[j])
+                    )
+    return posets.FinitePoset(tuple(p.key() for p in painted), up)
 
 
 def prop_d_check(m: int):

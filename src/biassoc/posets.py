@@ -1,13 +1,13 @@
 """Generic finite poset services.
 
 A FinitePoset stores an ordered tuple of opaque canonical string keys
-together with a boolean leq matrix; the matrix is validated to be
-reflexive, antisymmetric and transitive on construction.  Validation
-and covers work row by row on up-sets, with no N x N matrix product:
-the relation is transitive iff the up-sets of the elements above x lie
-inside the up-set of x, and y covers x iff no third element of the
-up-set of x lies below y.  With P comparable pairs this costs O(P N)
-and O(sum of squared up-set sizes) instead of O(N^3).
+together with the order as up-sets: up[i] is the frozenset of indices j
+with e_i <= e_j, i included.  The producers emit the order this way, so
+nothing of size N x N is built.  Construction validates the relation in
+one pass of set operations: with `above` the union of up[k] - {k} over
+the k in up[i] - {i}, the relation is transitive iff `above` lies inside
+up[i] for every i, and the covers of i are up[i] - above - {i}.  The
+covers are stored; ranks are a longest-chain pass over them.
 
 Isomorphisms are checked through explicit maps with is_isomorphism;
 the generic search `isomorphic` is a reference only the tests call.
@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class PosetError(ValueError):
     pass
@@ -27,27 +25,38 @@ class PosetError(ValueError):
 
 @dataclass(frozen=True)
 class FinitePoset:
+    """up[i]: the indices j with elements[i] <= elements[j], i included."""
+
     elements: tuple
-    leq: np.ndarray = field(compare=False)
+    up: tuple = field(compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
+    _covers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.elements)
         index = {key: i for i, key in enumerate(self.elements)}
         if len(index) != n:
             raise PosetError("duplicate element keys")
-        m = np.asarray(self.leq, dtype=bool)
-        if m.shape != (n, n):
-            raise PosetError("leq matrix shape mismatch")
-        if not m.diagonal().all():
+        if len(self.up) != n:
+            raise PosetError("up-set count mismatch")
+        up = tuple(map(frozenset, self.up))
+        # exact int type: a dense boolean row would read as the set {0, 1}
+        valid = frozenset(range(n))
+        if not all(u <= valid and all(type(j) is int for j in u) for u in up):
+            raise PosetError("up-set entry is not an element index")
+        if not all(i in u for i, u in enumerate(up)):
             raise PosetError("relation is not reflexive")
-        if any(m[np.flatnonzero(m[i]), i].sum() != 1 for i in range(n)):
+        if any(i in up[k] for i, u in enumerate(up) for k in u if k != i):
             raise PosetError("relation is not antisymmetric")
-        # row i of (m @ m) & ~m, without the N x N product
-        if any((m[np.flatnonzero(m[i])].any(axis=0) & ~m[i]).any() for i in range(n)):
-            raise PosetError("relation is not transitive")
-        object.__setattr__(self, "leq", m)
+        covers = []
+        for i, u in enumerate(up):
+            above = set().union(*(up[k] - {k} for k in u if k != i))
+            if not above <= u:
+                raise PosetError("relation is not transitive")
+            covers.append(tuple(sorted(u - above - {i})))
+        object.__setattr__(self, "up", up)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_covers", tuple(covers))
 
     def __len__(self):
         return len(self.elements)
@@ -56,28 +65,23 @@ class FinitePoset:
         return self._index[key]
 
     def le(self, a, b) -> bool:
-        return bool(self.leq[self.index(a), self.index(b)])
+        return self.index(b) in self.up[self.index(a)]
 
     def covers(self):
         """Cover pairs (i, j) of element indices with e_i covered by e_j,
         in row-major order."""
-        out = []
-        for i in range(len(self)):
-            up = np.flatnonzero(self.leq[i])
-            # j in up covers i iff [i, j] = {i, j}
-            between = self.leq[np.ix_(up, up)].sum(axis=0)
-            out.extend((i, int(j)) for j in up[between == 2])
-        return out
+        return [(i, j) for i, row in enumerate(self._covers) for j in row]
 
     def ranks(self):
         """Longest-chain rank of every element (minimal elements get 0)."""
-        n = len(self)
-        strict = self.leq & ~np.eye(n, dtype=bool)
-        rank = [0] * n
-        order = sorted(range(n), key=lambda i: int(strict[:, i].sum()))
-        for i in order:
-            below = np.nonzero(strict[:, i])[0]
-            rank[i] = 1 + max((rank[int(j)] for j in below), default=-1)
+        rank = [0] * len(self)
+        # e_i < e_j makes up[j] a proper subset of up[i], so decreasing
+        # up-set size is a linear extension
+        for i in sorted(range(len(self)), key=lambda i: -len(self.up[i])):
+            r = rank[i] + 1
+            for j in self._covers[i]:
+                if rank[j] < r:
+                    rank[j] = r
         return rank
 
     def fvector(self):
@@ -141,19 +145,21 @@ def _signatures(p: FinitePoset):
     """Iteratively refined invariants pruning the reference search
     `isomorphic`; only the tests call it."""
     n = len(p)
-    strict = p.leq & ~np.eye(n, dtype=bool)
+    strict_up = [u - {i} for i, u in enumerate(p.up)]
+    strict_down = [[] for _ in range(n)]
+    for i, u in enumerate(strict_up):
+        for j in u:
+            strict_down[j].append(i)
     rank = p.ranks()
-    up = strict.sum(axis=1)
-    down = strict.sum(axis=0)
-    sig = [(rank[i], int(up[i]), int(down[i])) for i in range(n)]
+    sig = [(rank[i], len(strict_up[i]), len(strict_down[i])) for i in range(n)]
     for _ in range(3):
         codes = {s: c for c, s in enumerate(sorted(set(sig)))}
         coded = [codes[s] for s in sig]
         sig = [
             (
                 sig[i],
-                tuple(sorted(coded[j] for j in np.nonzero(strict[i])[0])),
-                tuple(sorted(coded[j] for j in np.nonzero(strict[:, i])[0])),
+                tuple(sorted(coded[j] for j in strict_up[i])),
+                tuple(sorted(coded[j] for j in strict_down[i])),
             )
             for i in range(n)
         ]
@@ -174,10 +180,8 @@ def isomorphic(p: FinitePoset, q: FinitePoset):
     candidates = [
         [j for j in range(n) if sq[j] == sp[i]] for i in range(n)
     ]
-    order = np.array(
-        sorted(range(n), key=lambda i: len(candidates[i])), dtype=np.intp
-    )
-    match = np.full(n, -1)
+    order = sorted(range(n), key=lambda i: len(candidates[i]))
+    match = [-1] * n
     used = [False] * n
     # Depth-first search with an explicit stack: level k assigns element
     # order[k], and tried[k] is how many of its candidates were tried.
@@ -188,14 +192,13 @@ def isomorphic(p: FinitePoset, q: FinitePoset):
         if match[i] >= 0:
             used[match[i]] = False
             match[i] = -1
-        done = order[:k]
-        below, above, image = p.leq[done, i], p.leq[i, done], match[done]
+        # (image, below, above) per element d already assigned
+        done = [(match[d], i in p.up[d], d in p.up[i]) for d in order[:k]]
         for t in range(tried[k], len(candidates[i])):
             j = candidates[i][t]
-            if (
-                not used[j]
-                and (q.leq[image, j] == below).all()
-                and (q.leq[j, image] == above).all()
+            if not used[j] and all(
+                (j in q.up[e]) == below and (e in q.up[j]) == above
+                for e, below, above in done
             ):
                 match[i] = j
                 used[j] = True

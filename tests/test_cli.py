@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from biassoc import cli, multipli
@@ -115,6 +118,14 @@ def test_encode_decode(capsys):
     )
     assert code == 0
     assert out.strip() == "((* * (* *)) (* (* *) *));*;1,3,4,2,4;"
+    # a single label above 9 must not read back as its digits
+    up = "(* * * * * * * * * * (* *))"
+    code, out, _ = run(capsys, "encode", "--gamma", "--up", up, "--up-levels", "1,2")
+    assert code == 0 and out.strip() == "(1,2,3,4,5,6,7,8,9,10|11,)"
+    code, out, _ = run(
+        capsys, "encode", "--gamma", "--decode", out.strip(), "-m", "12"
+    )
+    assert code == 0 and out.strip() == up + ";*;1,2;"
 
 
 def test_varpi_command(capsys):
@@ -156,3 +167,22 @@ def test_poset_output_byte_identical(capsys):
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_library_imports_no_numpy():
+    # the library needs no third-party package; numpy is for the tests only
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from biassoc import cli\n"
+        "code = cli.run(['fvector', '--family', 'biassoc', '-m', '3', '-n', '2'])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["6 6 1", "False"]

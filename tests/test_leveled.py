@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from biassoc import leveled as L
 from biassoc.leveled import ComplementaryPair, OrderedBipartition
@@ -127,7 +127,7 @@ def test_bipermutahedron_order_is_pair_leq():
         assert p.elements == tuple(x.key() for x in xs)
         for i, a in enumerate(xs):
             for j, b in enumerate(xs):
-                assert p.leq[i, j] == L.pair_leq(a, b), (a.key(), b.key())
+                assert (j in p.up[i]) == L.pair_leq(a, b), (a.key(), b.key())
 
 
 def test_pair_leq_golden():
@@ -237,6 +237,25 @@ def test_bipartition_text_forms():
         OrderedBipartition((((), ()),))
     with pytest.raises(ValueError):
         OrderedBipartition((((2, 1), ()),))
+
+
+@given(st.permutations(range(1, 14)), st.sets(st.integers(1, 12)), st.integers(1, 14))
+@example(list(range(1, 14)), set(range(1, 13)), 14)  # every label alone
+@example(list(range(1, 14)), set(range(1, 13)), 10)  # 10..13 alone, down side
+@example(list(range(1, 12)) + [12, 13], {9, 10}, 14)  # (123456789|10,|11,12,13)
+def test_bipartition_text_roundtrip(perm, cuts, split):
+    # an ordered partition of 1..13: blocks end at the cut positions, and
+    # labels >= split sit on the down side
+    bounds = [0, *sorted(cuts), 13]
+    blocks = []
+    for a, b in zip(bounds, bounds[1:]):
+        labels = sorted(perm[a:b])
+        blocks.append((
+            tuple(x for x in labels if x < split),
+            tuple(x for x in labels if x >= split),
+        ))
+    b = OrderedBipartition(tuple(blocks))
+    assert OrderedBipartition.from_text(b.text()) == b
 
 
 @given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 10**6))

@@ -11,9 +11,14 @@ from biassoc import leveled, multipli, trees, zones
 from biassoc.posets import FinitePoset, PosetError, is_isomorphism, isomorphic
 
 
+def from_matrix(keys, leq):
+    """The poset whose up-sets are the rows of a dense boolean matrix."""
+    return FinitePoset(keys, [np.flatnonzero(row).tolist() for row in leq])
+
+
 def chain(n, prefix="c"):
     leq = np.triu(np.ones((n, n), dtype=bool))
-    return FinitePoset(tuple("%s%d" % (prefix, i) for i in range(n)), leq)
+    return from_matrix(tuple("%s%d" % (prefix, i) for i in range(n)), leq)
 
 
 def diamond():
@@ -26,23 +31,38 @@ def diamond():
     leq = np.eye(4, dtype=bool)
     for i, j in [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]:
         leq[i, j] = True
-    return FinitePoset(keys, leq)
+    return from_matrix(keys, leq)
 
 
 def test_validation():
-    with pytest.raises(PosetError):
-        FinitePoset(("a", "a"), np.eye(2, dtype=bool))
+    with pytest.raises(PosetError, match="duplicate"):
+        from_matrix(("a", "a"), np.eye(2, dtype=bool))
     bad = np.eye(2, dtype=bool)
     bad[0, 0] = False
-    with pytest.raises(PosetError):
-        FinitePoset(("a", "b"), bad)
+    with pytest.raises(PosetError, match="reflexive"):
+        from_matrix(("a", "b"), bad)
     sym = np.ones((2, 2), dtype=bool)
-    with pytest.raises(PosetError):
-        FinitePoset(("a", "b"), sym)
+    with pytest.raises(PosetError, match="antisymmetric"):
+        from_matrix(("a", "b"), sym)
     intrans = np.eye(3, dtype=bool)
     intrans[0, 1] = intrans[1, 2] = True
-    with pytest.raises(PosetError):
-        FinitePoset(("a", "b", "c"), intrans)
+    with pytest.raises(PosetError, match="transitive"):
+        from_matrix(("a", "b", "c"), intrans)
+    with pytest.raises(PosetError, match="count"):  # wrong length
+        FinitePoset(("a", "b"), [{0}])
+    with pytest.raises(PosetError, match="index"):  # out of range
+        FinitePoset(("a", "b"), [{0, 2}, {1}])
+    with pytest.raises(PosetError, match="index"):
+        FinitePoset(("a", "b"), [{0, -1}, {1}])
+    with pytest.raises(PosetError, match="index"):  # not an int
+        FinitePoset(("a", "b"), [{0, 1.0}, {1}])
+    # a bool, or a dense matrix row passed by mistake, is not read as {0, 1}
+    with pytest.raises(PosetError, match="index"):
+        FinitePoset(("a", "b"), [{True}, {1}])
+    with pytest.raises(PosetError, match="index"):
+        FinitePoset(("a", "b"), [[True, True], [False, True]])
+    with pytest.raises(PosetError, match="index"):
+        FinitePoset(("a", "b"), np.eye(2, dtype=bool))
 
 
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
@@ -62,7 +82,7 @@ def test_validation_is_the_matrix_product_test(case):
             m[j, i] = True
     intransitive = ((m @ m) & ~m).any()
     try:
-        FinitePoset(tuple("e%d" % i for i in range(n)), m)
+        from_matrix(tuple("e%d" % i for i in range(n)), m)
     except PosetError as exc:
         assert intransitive and "transitive" in str(exc)
     else:
@@ -83,7 +103,10 @@ def _family_posets():
 
 def test_covers_match_matrix_product_oracle():
     for p in _family_posets():
-        strict = p.leq & ~np.eye(len(p), dtype=bool)
+        leq = np.zeros((len(p), len(p)), dtype=bool)
+        for i, u in enumerate(p.up):
+            leq[i, list(u)] = True
+        strict = leq & ~np.eye(len(p), dtype=bool)
         cov = strict & ~(strict @ strict)
         assert p.covers() == [(int(i), int(j)) for i, j in zip(*np.nonzero(cov))]
 
@@ -107,7 +130,7 @@ def test_non_graded_euler_raises():
     leq = np.eye(5, dtype=bool)
     for i, j in [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3), (1, 3), (0, 4), (4, 3)]:
         leq[i, j] = True
-    p = FinitePoset(keys, leq)
+    p = from_matrix(keys, leq)
     assert not p.is_graded()
     with pytest.raises(PosetError):
         p.euler()
@@ -133,7 +156,7 @@ def test_le_accessor():
 
 def test_isomorphic_positive():
     p = diamond()
-    q = FinitePoset(
+    q = from_matrix(
         ("T", "B", "L", "R"),
         np.array(
             [
@@ -154,7 +177,7 @@ def test_isomorphic_positive():
 def test_isomorphic_negative():
     assert isomorphic(chain(3), chain(4)) is None
     # same size, different shape
-    anti = FinitePoset(("a", "b", "c"), np.eye(3, dtype=bool))
+    anti = from_matrix(("a", "b", "c"), np.eye(3, dtype=bool))
     assert isomorphic(chain(3), anti) is None
 
 
@@ -164,7 +187,7 @@ def test_isomorphic_needs_backtracking():
         leq = np.eye(6, dtype=bool)
         for i, j in edges:
             leq[i, j] = True
-        return FinitePoset(names, leq)
+        return from_matrix(names, leq)
 
     a = crown(tuple("abcdef"), [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)])
     b = crown(tuple("uvwxyz"), [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)])
@@ -186,21 +209,21 @@ def test_isomorphic_deeper_than_recursion_limit():
 
 def test_is_isomorphism_checks_the_given_map():
     p = diamond()
-    q = FinitePoset(("S", "A", "B", "T"), p.leq)
+    q = FinitePoset(("S", "A", "B", "T"), p.up)
     good = {"s": "S", "a": "A", "b": "B", "t": "T"}
     assert is_isomorphism(p, q, good)
     assert is_isomorphism(p, q, dict(good, a="B", b="A"))  # an automorphism
     assert not is_isomorphism(p, q, dict(good, b="A"))  # not injective
-    anti = FinitePoset(("x", "y"), np.eye(2, dtype=bool))
+    anti = from_matrix(("x", "y"), np.eye(2, dtype=bool))
     assert not is_isomorphism(anti, anti, {"x": "x", "y": "x"})  # no covers to miss
     assert not is_isomorphism(p, q, dict(good, b="X"))  # outside q
     assert not is_isomorphism(p, q, dict(good, b=["B"]))  # not a key at all
     assert not is_isomorphism(p, q, {"s": "S", "a": "A", "b": "B"})  # missing t
     assert not is_isomorphism(p, q, dict(good, x="T"))  # extra key
     # r is q without the cover A < T: the same bijection breaks one cover
-    leq = p.leq.copy()
-    leq[1, 3] = False
-    r = FinitePoset(("S", "A", "B", "T"), leq)
+    up = list(p.up)
+    up[1] = up[1] - {3}
+    r = FinitePoset(("S", "A", "B", "T"), up)
     assert len(r.covers()) == len(p.covers()) - 1
     assert not is_isomorphism(p, r, good)
     assert not is_isomorphism(r, p, {v: k for k, v in good.items()})
