@@ -191,7 +191,12 @@ def _verify(args) -> int:
         if ok:
             print("thmc (%d,%d): %d classes, kernels agree" % (m, n, classes))
             return 0
-        print("thmc (%d,%d): FAILED" % (m, n))
+        k1, k2, shared = propterms.theorem_c_witness(m, n)
+        other = "zones" if shared == "term" else "terms"
+        print(
+            "thmc (%d,%d): FAILED: %s and %s have equal %ss but different %s"
+            % (m, n, k1, k2, shared, other)
+        )
         return 1
     if args.check == "propd":
         ok = multipli.prop_d_check(m) is not None

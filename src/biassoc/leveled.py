@@ -439,27 +439,24 @@ def tau(p: OrderedBipartition) -> OrderedBipartition:
     return OrderedBipartition(tuple(reversed(p.blocks)))
 
 
-def _gap_levels_up(shape, levels):
-    """Level of the lowest vertex merging leaf i and leaf i+1, per gap."""
-    lu = dict(zip(shape_vertices(shape), levels))
-    paths = _leaf_paths(shape)
+@cache
+def _gap_vertices(shape) -> tuple:
+    """Per leaf gap, the index in vertex path order of the lowest
+    vertex merging leaf i and leaf i+1."""
+    index = {p: v for v, p in enumerate(shape_vertices(shape))}
     out = []
-    for i in range(len(paths) - 1):
-        a, b = paths[i], paths[i + 1]
-        k = 0
-        while k < min(len(a), len(b)) and a[k] == b[k]:
-            k += 1
-        out.append(lu[a[:k]])
-    return out
 
+    def walk(s, path):
+        # the gaps between consecutive children of a vertex merge there
+        for i, child in enumerate(s):
+            if i:
+                out.append(index[path])
+            if child != LEAF:
+                walk(child, path + (i,))
 
-def _leaf_paths(shape):
-    if shape == LEAF:
-        return [()]
-    out = []
-    for i, child in enumerate(shape):
-        out.extend((i,) + p for p in _leaf_paths(child))
-    return out
+    if shape != LEAF:
+        walk(shape, ())
+    return tuple(out)
 
 
 def gamma_encode(x: ComplementaryPair) -> OrderedBipartition:
@@ -471,12 +468,10 @@ def gamma_encode(x: ComplementaryPair) -> OrderedBipartition:
     """
     ublocks = {j: [] for j in range(1, x.h + 1)}
     dblocks = {j: [] for j in range(1, x.h + 1)}
-    for i, lvl in enumerate(_gap_levels_up(x.up.shape, x.up_levels), start=1):
-        ublocks[lvl].append(i)
-    for i, lvl in enumerate(
-        _gap_levels_up(x.down.shape, x.down_levels), start=x.m
-    ):
-        dblocks[lvl].append(i)
+    for i, v in enumerate(_gap_vertices(x.up.shape), start=1):
+        ublocks[x.up_levels[v]].append(i)
+    for i, v in enumerate(_gap_vertices(x.down.shape), start=x.m):
+        dblocks[x.down_levels[v]].append(i)
     return OrderedBipartition(
         tuple(
             (tuple(ublocks[j]), tuple(dblocks[j])) for j in range(1, x.h + 1)

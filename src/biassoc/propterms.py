@@ -12,6 +12,18 @@ block-interleaving permutations sigma(l, k), fractions, the embeddings
 of plain trees, the map from complementary pairs to terms, a canonical
 form giving decidable term equality, and the partition comparison
 between terms and zone pairs.
+
+Generators and the unit are validated when they are built.  Composites
+of valid terms (``vcompose``, ``hcompose``, ``permute_outputs`` and so
+``fraction``) are valid by construction: they check only their arities
+and permutations and skip the full validation.  ``varpi`` validates
+its result once, so every term it returns is fully checked.
+
+Two results are memoized for the life of the process: the expression
+of each restricted piece of a pair (``restrict`` yields the same
+sub-pairs for many pairs), and the term of each sub-expression.  The
+expression and term of the pair passed to ``varpi`` are not cached,
+since a caller visits each pair once.
 """
 
 from __future__ import annotations
@@ -90,6 +102,14 @@ class PropTerm:
         return (self.n, self.m)
 
 
+def _trusted(m, n, verts, ins, outs) -> PropTerm:
+    """A term assembled from valid terms by a validity-preserving
+    operation, built without running the full validation."""
+    t = object.__new__(PropTerm)
+    t.__dict__.update(m=m, n=n, verts=verts, ins=ins, outs=outs)
+    return t
+
+
 def unit() -> PropTerm:
     """The unit e: one input leg wired straight to one output leg."""
     return PropTerm(1, 1, (), (), ((("g", 0)),))
@@ -130,7 +150,7 @@ def vcompose(f: PropTerm, g: PropTerm) -> PropTerm:
         tuple(resolve(s) for s in srcs) for srcs in f.ins
     )
     outs = tuple(resolve(s) for s in f.outs)
-    return PropTerm(g.m, f.n, g.verts + f.verts, ins, outs)
+    return _trusted(g.m, f.n, g.verts + f.verts, ins, outs)
 
 
 def hcompose(f: PropTerm, g: PropTerm) -> PropTerm:
@@ -143,7 +163,7 @@ def hcompose(f: PropTerm, g: PropTerm) -> PropTerm:
     outs = tuple(f.outs) + tuple(
         _offset_src(s, voff, goff) for s in g.outs
     )
-    return PropTerm(f.m + g.m, f.n + g.n, f.verts + g.verts, ins, outs)
+    return _trusted(f.m + g.m, f.n + g.n, f.verts + g.verts, ins, outs)
 
 
 def hfold(terms) -> PropTerm:
@@ -181,11 +201,13 @@ def sigma(l: int, k: int) -> BlockPermutation:
 def permute_outputs(t: PropTerm, perm) -> PropTerm:
     """Rewire so that old output strand i becomes new output perm(i)
     (1-based); permutations never appear as vertices."""
-    outs = list(t.outs)
+    images = [perm(i) for i in range(1, t.n + 1)]
+    if sorted(images) != list(range(1, t.n + 1)):
+        raise ValueError("not a permutation of the %d outputs" % t.n)
     new_outs = [None] * t.n
-    for i in range(1, t.n + 1):
-        new_outs[perm(i) - 1] = outs[i - 1]
-    return PropTerm(t.m, t.n, t.verts, t.ins, tuple(new_outs))
+    for src, j in zip(t.outs, images):
+        new_outs[j - 1] = src
+    return _trusted(t.m, t.n, t.verts, t.ins, tuple(new_outs))
 
 
 def fraction(bs, as_) -> PropTerm:
@@ -308,22 +330,21 @@ class Expr:
     biarity: tuple = ()  # (b, a) for generators
 
     def to_term(self) -> PropTerm:
+        """The denoted term; the terms of sub-expressions are memoized."""
         if self.op == "gen":
             return generator(*self.biarity)
         if self.op == "unit":
             return unit()
         if self.op == "v":
-            out = self.args[0].to_term()
+            out = _term(self.args[0])
             for e in self.args[1:]:
-                out = vcompose(out, e.to_term())
+                out = vcompose(out, _term(e))
             return out
         if self.op == "h":
-            return hfold(e.to_term() for e in self.args)
+            return hfold(_term(e) for e in self.args)
         if self.op == "frac":
             nums, dens = self.args
-            return fraction(
-                [e.to_term() for e in nums], [e.to_term() for e in dens]
-            )
+            return fraction([_term(e) for e in nums], [_term(e) for e in dens])
         raise ValueError(self.op)
 
     def is_identity(self) -> bool:
@@ -375,6 +396,11 @@ class Expr:
                 " ".join(e.text() for e in dens),
             )
         raise ValueError(self.op)
+
+
+@cache
+def _term(e: Expr) -> PropTerm:
+    return e.to_term()
 
 
 def egen(b, a):
@@ -563,14 +589,20 @@ def varpi_expr(x: ComplementaryPair) -> Expr:
         sub = frozenset(
             q for q in x.up.vertices() if q[: len(p)] == p
         )
-        dens.append(varpi_expr(restrict(x, sub, droot_corolla)))
+        dens.append(_piece_expr(restrict(x, sub, droot_corolla)))
     nums = []
     for j in range(b):
         dsub = frozenset(
             q for q in x.down.vertices() if len(q) > 0 and q[0] == j
         )
-        nums.append(varpi_expr(restrict(x, top, dsub)))
+        nums.append(_piece_expr(restrict(x, top, dsub)))
     return efrac(nums, dens)
+
+
+@cache
+def _piece_expr(x: ComplementaryPair) -> Expr:
+    """varpi_expr of a restricted piece; pieces recur across pairs."""
+    return varpi_expr(x)
 
 
 def _hanging_positions(shape, top):
@@ -594,7 +626,9 @@ def _hanging_positions(shape, top):
 
 
 def varpi(x: ComplementaryPair) -> PropTerm:
-    return varpi_expr(x).to_term()
+    """The term of a pair, fully validated."""
+    t = varpi_expr(x).to_term()
+    return PropTerm(t.m, t.n, t.verts, t.ins, t.outs)
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +638,28 @@ def varpi(x: ComplementaryPair) -> PropTerm:
 def theorem_c_check(m: int, n: int) -> bool:
     """The term of a pair determines, and is determined by, its zone
     projection: the two induced partitions of the pairs coincide."""
+    return theorem_c_witness(m, n) is None
+
+
+def theorem_c_witness(m: int, n: int):
+    """None when the term and zone partitions of the (m, n) pairs
+    coincide, else a counterexample (key1, key2, shared): two pair keys
+    whose terms are equal and zones differ (shared == "term"), or whose
+    zones are equal and terms differ (shared == "zone")."""
     from .leveled import enumerate_leveled_pairs
     from .zones import project
 
+    # the partitions coincide iff term key <-> zone key is a bijection
     by_term = {}
     by_zone = {}
     for x in enumerate_leveled_pairs(m, n):
         k = x.key()
-        by_term.setdefault(term_key(varpi(x)), set()).add(k)
-        by_zone.setdefault(project(x).key(), set()).add(k)
-    return sorted(by_term.values(), key=sorted) == sorted(
-        by_zone.values(), key=sorted
-    )
+        t = term_key(varpi(x))
+        z = project(x).key()
+        k1, z1 = by_term.setdefault(t, (k, z))
+        if z1 != z:
+            return k1, k, "term"
+        k1, t1 = by_zone.setdefault(z, (k, t))
+        if t1 != t:
+            return k1, k, "zone"
+    return None

@@ -59,6 +59,7 @@ def subshape(shape, path):
     return shape
 
 
+@cache
 def shape_text(shape) -> str:
     if shape == LEAF:
         return LEAF

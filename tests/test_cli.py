@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from biassoc import cli, multipli
+from biassoc import cli, multipli, propterms, zones
+from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs
 
 # sha256 of the stdout of `hasse`, `hasse --dot` and `fvector` for every
 # family and split with m + n <= 6, recorded before the face orders were
@@ -160,6 +163,48 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "propd", "-m", "3")
     assert code == 3 and out == ""
     assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
+def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
+    pairs = enumerate_leveled_pairs(3, 2)
+    project, term_key = zones.project, propterms.term_key
+
+    def term(x):
+        return term_key(propterms.varpi(x))
+
+    # merge two zone classes: the witness has equal zones, different terms
+    z1, z2 = sorted({project(x).key() for x in pairs})[:2]
+
+    def merged_project(x):
+        k = project(x).key()
+        return SimpleNamespace(key=lambda: z1 if k == z2 else k)
+
+    monkeypatch.setattr(zones, "project", merged_project)
+    code, out, _ = run(capsys, "verify", "thmc", "-m", "3", "-n", "2")
+    assert code == 1
+    k1, k2 = re.fullmatch(
+        r"thmc \(3,2\): FAILED: (.+) and (.+) have equal zones but "
+        r"different terms\n", out
+    ).groups()
+    x1, x2 = ComplementaryPair.from_key(k1), ComplementaryPair.from_key(k2)
+    assert {project(x1).key(), project(x2).key()} == {z1, z2}
+    assert term(x1) != term(x2)
+    monkeypatch.undo()
+
+    # merge two term classes: the witness has equal terms, different zones
+    t1, t2 = sorted({term(x) for x in pairs})[:2]
+    monkeypatch.setattr(
+        propterms, "term_key", lambda t: t1 if term_key(t) == t2 else term_key(t)
+    )
+    code, out, _ = run(capsys, "verify", "thmc", "-m", "3", "-n", "2")
+    assert code == 1
+    k1, k2 = re.fullmatch(
+        r"thmc \(3,2\): FAILED: (.+) and (.+) have equal terms but "
+        r"different zones\n", out
+    ).groups()
+    x1, x2 = ComplementaryPair.from_key(k1), ComplementaryPair.from_key(k2)
+    assert {term_key(propterms.varpi(x)) for x in (x1, x2)} == {t1, t2}
+    assert project(x1).key() != project(x2).key()
 
 
 def test_poset_output_byte_identical(capsys):

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from biassoc import leveled as L
 from biassoc.leveled import ComplementaryPair, OrderedBipartition
-from biassoc.trees import PlanarTree
+from biassoc.trees import PlanarTree, enumerate_trees
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +219,29 @@ def test_gamma_roundtrip_exhaustive():
     for m, n in [(2, 3), (4, 1), (5, 1), (3, 2), (2, 2), (1, 4)]:
         for x in L.enumerate_leveled_pairs(m, n):
             assert L.gamma_decode(L.gamma_encode(x), m, n) == x
+
+
+def test_gap_vertices_are_leaf_meets():
+    # the cached per-shape gap vertices against the meet of the paths of
+    # leaves i and i+1, computed here from the shape
+    def leaf_paths(shape, path=()):
+        if shape == "*":
+            return [path]
+        return [q for i, c in enumerate(shape) for q in leaf_paths(c, path + (i,))]
+
+    def meet(a, b):
+        k = 0
+        while a[k] == b[k]:
+            k += 1
+        return a[:k]
+
+    for m in range(1, 7):
+        for t in enumerate_trees(m):
+            paths = leaf_paths(t.shape)
+            verts = t.vertices()
+            assert L._gap_vertices(t.shape) == tuple(
+                verts.index(meet(a, b)) for a, b in zip(paths, paths[1:])
+            )
 
 
 def test_gamma_decode_rejects_bad_labels():

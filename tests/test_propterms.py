@@ -1,4 +1,6 @@
+import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -188,6 +190,93 @@ def test_fraction_nesting_identities():
         assert P.term_eq(lhs, rhs)
 
 
+def test_permute_outputs_rejects_non_permutations():
+    for perm in (lambda i: 1, lambda i: i - 1, lambda i: i + 1):
+        with pytest.raises(ValueError, match="not a permutation"):
+            P.permute_outputs(x21(), perm)
+
+
+# ---------------------------------------------------------------------------
+# trusted composites
+
+
+def checked(op):
+    """op, with every result rebuilt through the validating constructor."""
+
+    def run(*args):
+        t = op(*args)
+        assert P.PropTerm(t.m, t.n, t.verts, t.ins, t.outs) == t
+        return t
+
+    return run
+
+
+def rand_term_with_outputs(rng: random.Random, n: int) -> P.PropTerm:
+    c = rand_term_with_inputs(rng, rng.randint(1, 3))
+    return c if c.n == n else P.vcompose(P.generator(n, c.n), c)
+
+
+def rand_chain_step(rng: random.Random, t: P.PropTerm) -> P.PropTerm:
+    op = rng.choice(("above", "below", "left", "right", "permute", "fraction"))
+    if op == "above":
+        return P.vcompose(rand_term_with_inputs(rng, t.n), t)
+    if op == "below":
+        return P.vcompose(t, rand_term_with_outputs(rng, t.m))
+    if op == "left":
+        return P.hcompose(rand_term_with_inputs(rng, rng.randint(1, 2)), t)
+    if op == "right":
+        return P.hcompose(t, rand_term_with_inputs(rng, rng.randint(1, 2)))
+    if op == "permute":
+        images = list(range(1, t.n + 1))
+        rng.shuffle(images)
+        return P.permute_outputs(t, lambda i: images[i - 1])
+    # t is one denominator of a fraction with k = t.n
+    l = rng.randint(1, 3)
+    dens = [rand_term_with_outputs(rng, t.n) for _ in range(l - 1)]
+    dens.insert(rng.randint(0, l - 1), t)
+    nums = [rand_term_with_inputs(rng, l) for _ in range(t.n)]
+    return P.fraction(nums, dens)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_trusted_composites_are_valid(seed, steps):
+    # every composite, inside the helpers and fraction too, is rebuilt
+    # through the validating constructor
+    rng = random.Random(seed)
+    with mock.patch.multiple(
+        P,
+        vcompose=checked(P.vcompose),
+        hcompose=checked(P.hcompose),
+        permute_outputs=checked(P.permute_outputs),
+        fraction=checked(P.fraction),
+    ):
+        t = rand_term_with_inputs(rng, rng.randint(1, 3))
+        for _ in range(steps):
+            if t.n > 6 or t.m > 6:
+                break
+            t = rand_chain_step(rng, t)
+
+
+def test_varpi_validates_its_result(monkeypatch):
+    # a trusted composite that sends one wire twice is caught by varpi
+    stacked = ComplementaryPair(
+        PlanarTree.from_text("(* *)", "up"),
+        PlanarTree.from_text("(* *)", "down"),
+        (2,),
+        (1,),
+    )
+    vcompose = P.vcompose
+
+    def broken(f, g):
+        t = vcompose(f, g)
+        return P._trusted(t.m, t.n, t.verts, t.ins, (t.outs[0],) * t.n)
+
+    monkeypatch.setattr(P, "vcompose", broken)
+    assert P.varpi_expr(stacked).to_term().outs == (("v", 1, 0),) * 2
+    with pytest.raises(ValueError, match="wired twice"):
+        P.varpi(stacked)
+
+
 # ---------------------------------------------------------------------------
 # canonical form and equality
 
@@ -337,3 +426,48 @@ def test_varpi_specialness_by_root_order():
 def test_theorem_c_small():
     for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2)]:
         assert P.theorem_c_check(m, n)
+
+
+# sha256 of the sorted "pair key<TAB>term key" lines over every pair with
+# m + n <= 7 (3,685 pairs), recorded before pieces were memoized and
+# composites trusted
+TERM_KEYS_SHA256 = "373011c5391664f783d7e94ad3879fa9841721466ca1394ec1844e7365174cbd"
+
+
+def test_term_keys_golden():
+    rows = sorted(
+        "%s\t%s\n" % (x.key(), P.term_key(P.varpi(x)))
+        for s in range(2, 8)
+        for m in range(1, s)
+        for x in enumerate_leveled_pairs(m, s - m)
+    )
+    assert len(rows) == 3685
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == TERM_KEYS_SHA256
+
+
+def test_theorem_c_builds_each_piece_once(monkeypatch):
+    # cold, varpi_expr runs once per pair and once per distinct restricted
+    # piece, and the full validation at most twice per pair
+    P._piece_expr.cache_clear()
+    P._term.cache_clear()
+    exprs = validations = 0
+    varpi_expr = P.varpi_expr
+    validate = P.PropTerm.__post_init__
+
+    def counted_expr(x):
+        nonlocal exprs
+        exprs += 1
+        return varpi_expr(x)
+
+    def counted_validate(self):
+        nonlocal validations
+        validations += 1
+        validate(self)
+
+    monkeypatch.setattr(P, "varpi_expr", counted_expr)
+    monkeypatch.setattr(P.PropTerm, "__post_init__", counted_validate)
+    assert P.theorem_c_check(4, 3)
+    pairs = len(enumerate_leveled_pairs(4, 3))
+    assert pairs == 541
+    assert exprs == pairs + P._piece_expr.cache_info().misses
+    assert pairs <= validations <= 2 * pairs
