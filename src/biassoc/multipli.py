@@ -8,6 +8,9 @@ the 2-corolla.  Painting everything above the membrane black and
 inserting an "application" vertex wherever the membrane crosses an
 edge turns a diaphragm into a painted tree, the classical indexing of
 multiplihedron faces.
+
+The multiplihedron face poset is built from painted trees generated by
+their vertex rules, ordered by diaphragm_leq, without zone pairs.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from . import posets
 from .trees import (
     LEAF,
     PlanarTree,
+    _shapes,
     child_tuples,
+    coarser_shapes,
     contraction_map,
     edge_values,
-    shape_text,
 )
 from .zones import ZonePair, biassociahedron_poset, enumerate_zone_pairs
 
@@ -281,7 +285,6 @@ def enumerate_painted(m: int) -> tuple:
 @cache
 def _white_parts(m: int) -> tuple:
     """Plain all-white shapes with m leaves (the exceptional one included)."""
-    from .trees import _shapes
 
     def tag(shape):
         if shape == LEAF:
@@ -303,6 +306,9 @@ def _black_parts(m: int) -> tuple:
 
 @cache
 def enumerate_diaphragms(m: int) -> tuple:
+    """The diaphragms with m leaves, read off the zone pairs with the
+    2-corolla as down tree.  Production no longer calls this: it is the
+    zone-side reference that the tests compare enumerate_painted with."""
     return tuple(
         zone_to_diaphragm(z) for z in enumerate_zone_pairs(m, 2)
     )
@@ -310,39 +316,37 @@ def enumerate_diaphragms(m: int) -> tuple:
 
 @cache
 def multiplihedron_poset(m: int):
-    """Face poset of the multiplihedron on painted trees; the order is
-    transported through the diaphragm bijection.
+    """Face poset of the multiplihedron on the painted trees of
+    enumerate_painted, ordered by diaphragm_leq on their diaphragms.
 
-    The order comes from diaphragm_leq, not from block merges, so that
-    prop_d_check compares two independently built posets.
+    Neither the elements nor the order come from zone pairs or block
+    merges, so prop_d_check compares two independently built posets.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    diaphragms = enumerate_diaphragms(m)
-    painted = [diaphragm_to_painted(d) for d in diaphragms]
-    order = sorted(range(len(painted)), key=lambda i: painted[i].key())
-    diaphragms = [diaphragms[i] for i in order]
-    painted = [painted[i] for i in order]
+    painted = enumerate_painted(m)
+    diaphragms = [painted_to_diaphragm(p) for p in painted]
     by_shape = {}
-    for i, d in enumerate(diaphragms):
-        by_shape.setdefault(d.tree.shape, []).append(i)
-    # diaphragm_leq is False whenever the shapes admit no contraction,
-    # so only pairs of contraction-related shapes are compared
-    up = [[] for _ in painted]
-    for s1, group1 in by_shape.items():
-        for s2, group2 in by_shape.items():
-            if contraction_map(s1, s2) is not None:
-                for i in group1:
-                    up[i].extend(
-                        j for j in group2 if diaphragm_leq(diaphragms[i], diaphragms[j])
-                    )
+    for j, d in enumerate(diaphragms):
+        by_shape.setdefault(d.tree.shape, []).append(j)
+    # diaphragm_leq needs a contraction, so only coarser shapes can be above
+    up = [
+        [j for s in coarser_shapes(d.tree.shape) for j in by_shape[s]
+         if diaphragm_leq(d, diaphragms[j])]
+        for d in diaphragms
+    ]
     return posets.FinitePoset(tuple(p.key() for p in painted), up)
 
 
 def prop_d_check(m: int):
     """The map z -> diaphragm_to_painted(zone_to_diaphragm(z)) as a key
     dict if it is an order isomorphism from the biassociahedron with a
-    2-corolla down tree onto the multiplihedron, else None."""
+    2-corolla down tree onto the multiplihedron, else None.
+
+    The two sides share neither elements nor order: the biassociahedron
+    is the block-merge image of the (m, 2) pairs, and the multiplihedron
+    is built from painted trees under diaphragm_leq.
+    """
     if m < 2:
         raise ValueError("need m >= 2")
     f = {

@@ -8,7 +8,8 @@ are the mirror image (root at the bottom); the encoding is identical.
 
 Vertices are addressed by root-to-vertex paths of child indices
 (tuples of ints), iterated in lexicographic (= depth-first preorder)
-order everywhere.
+order everywhere.  A vertex is also named by its leaf interval; the
+associahedron face poset orders trees by edge contraction.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+
+from . import posets
 
 LEAF = "*"
 
@@ -257,80 +260,61 @@ def enumerate_trees(m: int, orientation: str = "up") -> tuple:
 
 
 @cache
+def leaf_intervals(shape) -> tuple:
+    """The leaf interval (start, end) of each vertex, in path order.
+    Every vertex has >= 2 children, so its interval names it, and
+    contracting an edge drops the interval of the deeper vertex."""
+    if shape == LEAF:
+        return ()
+    out = [(0, leaf_count(shape))]
+    start = 0
+    for child in shape:
+        out.extend((start + a, start + b) for a, b in leaf_intervals(child))
+        start += leaf_count(child)
+    return tuple(out)
+
+
+@cache
 def contraction_map(s1, s2):
     """The unique contraction morphism between shapes, if one exists.
 
     Returns a dict sending each vertex path of s1 to a vertex path of s2
     such that contracting the fibers of the map turns s1 into s2, or
-    None when s1 does not refine s2.  Such a map is unique because the
-    image vertex of any s1-vertex is forced by leaf intervals.
+    None when s1 does not refine s2.  s1 refines s2 iff every leaf
+    interval of s2 is one of s1; a vertex of s1 then goes to the
+    smallest s2 vertex whose interval contains its own.
     """
     if leaf_count(s1) != leaf_count(s2):
         return None
-    if s2 == LEAF:
-        return {} if s1 == LEAF else None
-    if s1 == LEAF:
+    iv1, iv2 = leaf_intervals(s1), leaf_intervals(s2)
+    if not set(iv2) <= set(iv1):
         return None
+    paths2 = shape_vertices(s2)
+    # the s2 intervals containing a given one form a chain, and path
+    # order lists it from the root down, so the last one is the smallest
+    return {
+        p: [q for q, (c, d) in zip(paths2, iv2) if c <= a and b <= d][-1]
+        for p, (a, b) in zip(shape_vertices(s1), iv1)
+    }
 
-    # leaf intervals (start offsets) of s2's root children
-    bounds = [0]
-    for child in s2:
-        bounds.append(bounds[-1] + leaf_count(child))
 
-    def interval_of(start, width):
-        """Index of the s2 root-child interval containing [start, start+width),
-        or None if it straddles a boundary."""
-        for j in range(len(s2)):
-            if bounds[j] <= start and start + width <= bounds[j + 1]:
-                return j
-        return None
-
-    hanging = [[] for _ in s2]  # per interval: (path, shape, start)
-    ok = True
-
-    def walk(path, shape, start):
-        # `shape` is a fiber vertex over s2's root; route its children.
-        nonlocal ok
-        offset = start
-        for i, child in enumerate(shape):
-            width = leaf_count(child)
-            j = interval_of(offset, width)
-            if j is not None:
-                hanging[j].append((path + (i,), child, offset))
-            elif child == LEAF:
-                ok = False
-            else:
-                walk(path + (i,), child, offset)
-            offset += width
-
-    walk((), s1, 0)
-    if not ok:
-        return None
-
-    mapping = {}
-    fiber_paths = set(shape_vertices(s1))
-    for j, items in enumerate(hanging):
-        if len(items) != 1:
-            return None
-        path, shape, start = items[0]
-        if start != bounds[j] or leaf_count(shape) != bounds[j + 1] - bounds[j]:
-            return None
-        sub = contraction_map(shape, s2[j])
-        if sub is None:
-            return None
-        for p, q in sub.items():
-            mapping[path + p] = (j,) + q
-        fiber_paths -= {path + p for p in shape_vertices(shape)}
-    for p in fiber_paths:
-        mapping[p] = ()
-    return mapping
+@cache
+def coarser_shapes(shape) -> frozenset:
+    """`shape` and every shape reached from it by contracting internal
+    edges: its up-set in the associahedron."""
+    t = PlanarTree("up", shape)
+    out = {shape}
+    for p in t.vertices()[1:]:  # the non-root vertices name the internal edges
+        out |= coarser_shapes(contract_edge(t, p).shape)
+    return frozenset(out)
 
 
 def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:
     """True iff t2 arises from t1 by contracting internal edges.
 
     This is the reference order: face_poset_associahedron builds the
-    same order from gap-code block merges, and the tests compare the two.
+    same order as the closure of single edge contractions
+    (coarser_shapes), and the tests compare the two.
     """
     if t1.orientation != t2.orientation:
         raise ValueError("orientation mismatch")
@@ -340,14 +324,17 @@ def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:
 
 
 def face_poset_associahedron(m: int):
-    """Face poset of the associahedron on trees with m leaves: the
-    image of the permutahedron order on the (m, 1) pairs under x -> x.up.
+    """Face poset of the associahedron on trees with m leaves, ordered
+    by edge contraction: the up-set of a tree is coarser_shapes.
 
     Graded with dim(t) = m - 1 - #vertices; binary trees are the
     vertices and the corolla is the top cell.
     """
-    from .leveled import coarsening_poset
-
     if m < 2:
         raise ValueError("need m >= 2")
-    return coarsening_poset(m, 1, lambda x: x.up.text())
+    shapes = _shapes(m)
+    index = {s: i for i, s in enumerate(shapes)}
+    return posets.FinitePoset(
+        tuple(map(shape_text, shapes)),
+        [[index[c] for c in coarser_shapes(s)] for s in shapes],
+    )

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from biassoc import leveled as L
 from biassoc import multipli as M
+from biassoc import trees as T
 from biassoc.multipli import ABOVE, AT, BELOW, DiaphragmTree, PaintedTree
 from biassoc.trees import PlanarTree, contraction_map
 from biassoc.zones import biassociahedron_poset, enumerate_zone_pairs
@@ -102,6 +104,41 @@ def plain_count(shape) -> int:
     return (kind == ".") + sum(plain_count(c) for c in children)
 
 
+def multiplihedron_vertex_counts(top):
+    # M = A + M^2 with A = x + A^2 (binary trees): a painted binary tree
+    # is a plain binary tree under a painted root edge, or a painted
+    # root with two painted subtrees
+    a, mm = [0] * (top + 1), [0] * (top + 1)
+    for k in range(1, top + 1):
+        a[k] = (k == 1) + sum(a[i] * a[k - i] for i in range(1, k))
+        mm[k] = a[k] + sum(mm[i] * mm[k - i] for i in range(1, k))
+    return mm[1:]
+
+
+def test_multiplihedron_vertex_counts():
+    counts = multiplihedron_vertex_counts(7)
+    assert counts == [1, 2, 6, 21, 80, 322, 1348]
+    for m in range(1, 7):
+        assert M.multiplihedron_poset(m).fvector()[0] == counts[m - 1]
+    # the vertices are the painted trees with m - 1 plain vertices
+    assert sum(plain_count(p.shape) == 6 for p in M.enumerate_painted(7)) == counts[6]
+
+
+def test_tree_families_build_without_pairs_or_zones(monkeypatch):
+    # cold caches, and every route through leveled or zone pairs raises
+    def refuse(*args):
+        raise AssertionError("built from leveled or zone pairs")
+
+    for fn in (M.multiplihedron_poset, M.enumerate_painted, M._black_parts,
+               M._white_parts, T._shapes, T.coarser_shapes, T.contraction_map):
+        fn.cache_clear()
+    monkeypatch.setattr(M, "enumerate_zone_pairs", refuse)
+    monkeypatch.setattr(M, "enumerate_diaphragms", refuse)
+    monkeypatch.setattr(L, "enumerate_leveled_pairs", refuse)
+    assert T.face_poset_associahedron(5).fvector() == (14, 21, 9, 1)
+    assert M.multiplihedron_poset(4).fvector() == (21, 32, 13, 1)
+
+
 def test_rank_formula_and_cover_moves():
     # dimension of the face of a painted tree: (m - 1) minus the number
     # of plain (non-application) vertices; every cover removes exactly
@@ -142,8 +179,9 @@ def test_prop_d():
 
 
 def test_multiplihedron_order_is_all_pairs_diaphragm_leq():
-    # the order skips pairs of shapes without a contraction; the
-    # all-pairs loop it replaced is the reference
+    # the poset is built on painted trees and compares each only with
+    # the coarser shapes; the reference is diaphragm_leq on every pair
+    # of the zone-side diaphragms
     for m in range(1, 6):
         p = M.multiplihedron_poset(m)
         ds = M.enumerate_diaphragms(m)

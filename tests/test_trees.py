@@ -1,10 +1,11 @@
+import hashlib
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from biassoc import trees as T
-from biassoc.leveled import ComplementaryPair
+from biassoc.leveled import ComplementaryPair, coarsening_poset
 from biassoc.multipli import ABOVE, AT, BELOW, DiaphragmTree
 from biassoc.zones import ZonePair
 
@@ -151,7 +152,7 @@ def test_tree_leq_matches_contraction_closure():
 
 
 def test_associahedron_order_is_tree_leq():
-    # the block-merge image on the (m, 1) pairs against the reference order
+    # the contraction closure (coarser_shapes) against the reference order
     for m in range(2, 8):
         ts = T.enumerate_trees(m)
         p = T.face_poset_associahedron(m)
@@ -159,6 +160,15 @@ def test_associahedron_order_is_tree_leq():
         for i, a in enumerate(ts):
             for j, b in enumerate(ts):
                 assert (j in p.up[i]) == T.tree_leq(a, b), (a.text(), b.text())
+
+
+def test_associahedron_is_the_block_merge_image():
+    # the image of the (m, 1) pair order under x -> x.up stays an oracle
+    for m in range(2, 8):
+        p = T.face_poset_associahedron(m)
+        q = coarsening_poset(m, 1, lambda x: x.up.text())
+        assert p.elements == q.elements
+        assert p.up == q.up
 
 
 def test_associahedron_fvectors():
@@ -187,6 +197,35 @@ def test_contraction_map_is_identity_on_equal():
     for t in T.enumerate_trees(4):
         cm = T.contraction_map(t.shape, t.shape)
         assert cm == {p: p for p in t.vertices()}
+
+
+# recorded with the earlier leaf-routing implementation of contraction_map
+CONTRACTION_MAPS_SHA256 = "ea54711c0cc0933df425dfddebe78aab6bca942917f4061c74cdd6ae634b9163"
+
+
+def test_contraction_map_golden():
+    # every ordered pair of shapes with <= 6 leaves, leaf counts unequal too
+    shapes = [t.shape for m in range(1, 7) for t in T.enumerate_trees(m)]
+    rows = []
+    for a in shapes:
+        for b in shapes:
+            cm = T.contraction_map(a, b)
+            row = (T.shape_text(a), T.shape_text(b), None if cm is None else sorted(cm.items()))
+            rows.append(row)
+    digest = hashlib.sha256("".join(repr(r) + "\n" for r in sorted(rows)).encode())
+    assert digest.hexdigest() == CONTRACTION_MAPS_SHA256
+
+
+def test_contraction_map_merges_the_contracted_edge():
+    # contracting the edge above p sends p and its parent to one vertex
+    # and keeps every other vertex apart
+    for m in range(1, 7):
+        for t in T.enumerate_trees(m):
+            for p in t.vertices()[1:]:
+                cm = T.contraction_map(t.shape, T.contract_edge(t, p).shape)
+                assert cm[p] == cm[p[:-1]]
+                rest = [cm[q] for q in t.vertices() if q != p]
+                assert len(set(rest)) == len(rest)
 
 
 # ---------------------------------------------------------------------------
