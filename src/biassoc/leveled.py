@@ -27,7 +27,6 @@ from .trees import (
     contraction_map,
     edge_values,
     enumerate_trees,
-    is_ancestor,
     shape_text,
     shape_vertices,
     subshape,
@@ -508,6 +507,8 @@ def _decode_tree(gap_level, pick):
 
 def gamma_decode(b: OrderedBipartition, m: int, n: int) -> ComplementaryPair:
     """Inverse of gamma_encode."""
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
     useen, dseen = [], []
     for us, ds in b.blocks:
         useen.extend(us)
@@ -533,68 +534,3 @@ def gamma_decode(b: OrderedBipartition, m: int, n: int) -> ComplementaryPair:
         tuple(ulev[p] for p in up.vertices()),
         tuple(dlev[p] for p in down.vertices()),
     )
-
-
-# ---------------------------------------------------------------------------
-# restriction
-
-
-def restrict(x: ComplementaryPair, sub_up, sub_down) -> ComplementaryPair:
-    """Restrict a pair to connected vertex subsets of U and D.
-
-    Each subset must be a connected piece of its tree (empty = the
-    exceptional tree); excluded branches become leaves.  The level
-    function is the restriction of x's levels followed by gap-free
-    renumbering.
-    """
-    sub_up = frozenset(tuple(p) for p in sub_up)
-    sub_down = frozenset(tuple(p) for p in sub_down)
-    ushape, ulev = _induced(x.up.shape, dict(zip(x.up.vertices(), x.up_levels)), sub_up)
-    dshape, dlev = _induced(
-        x.down.shape, dict(zip(x.down.vertices(), x.down_levels)), sub_down
-    )
-    used = sorted(set(ulev.values()) | set(dlev.values()))
-    renum = {lvl: i + 1 for i, lvl in enumerate(used)}
-    up = PlanarTree("up", ushape)
-    down = PlanarTree("down", dshape)
-    return ComplementaryPair(
-        up,
-        down,
-        tuple(renum[ulev[p]] for p in up.vertices()),
-        tuple(renum[dlev[p]] for p in down.vertices()),
-    )
-
-
-def _induced(shape, levels, vset):
-    """Shape and path->level map of the connected piece spanned by vset."""
-    if not vset:
-        return LEAF, {}
-    all_verts = set(shape_vertices(shape))
-    if not vset <= all_verts:
-        raise ValueError("not a vertex subset")
-    top = min(vset, key=len)
-    for p in vset:
-        if p != top and not is_ancestor(top, p):
-            raise ValueError("subtree is not connected")
-        # every vertex strictly between top and p must belong
-        q = p[:-1]
-        while len(q) >= len(top):
-            if q in all_verts and q not in vset:
-                raise ValueError("subtree is not connected")
-            if q == top:
-                break
-            q = q[:-1]
-
-    out_levels = {}
-
-    def build(p, out_path):
-        sub = subshape(shape, p)
-        if sub == LEAF or p not in vset:
-            return LEAF
-        out_levels[out_path] = levels[p]
-        return tuple(
-            build(p + (i,), out_path + (i,)) for i in range(len(sub))
-        )
-
-    new_shape = build(top, ())
-    return new_shape, out_levels

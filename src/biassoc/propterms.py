@@ -19,20 +19,25 @@ of valid terms (``vcompose``, ``hcompose``, ``permute_outputs`` and so
 and permutations and skip the full validation.  ``varpi`` validates
 its result once, so every term it returns is fully checked.
 
+A pair whose down root lies below its up root maps to a fraction.  Its
+pieces are cut from the pair at the down root's level: the part of the
+up tree above that level paired with each branch of the down tree, and
+each subtree hanging below it paired with the down root's corolla.
+
 Two results are memoized for the life of the process: the expression
-of each restricted piece of a pair (``restrict`` yields the same
-sub-pairs for many pairs), and the term of each sub-expression.  The
-expression and term of the pair passed to ``varpi`` are not cached,
-since a caller visits each pair once.
+of each piece (many pairs share pieces), and the term of each
+sub-expression.  The expression and term of the pair passed to
+``varpi`` are not cached, since a caller visits each pair once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 
-from .leveled import ComplementaryPair, restrict
-from .trees import LEAF, shape_vertices, subshape
+from .leveled import ComplementaryPair
+from .trees import LEAF, PlanarTree, shape_vertices, subshape
 
 # sources are ("g", i) for global input leg i, or ("v", vi, port)
 
@@ -525,8 +530,6 @@ def _iota_down_expr(shape) -> Expr:
 def iota_embed(t, side=None) -> PropTerm:
     """Embed a plain tree as a term; up trees map their vertices to
     single-output generators, down trees to single-input ones."""
-    from .trees import PlanarTree
-
     if isinstance(t, PlanarTree):
         shape = t.shape
         side = side or t.orientation
@@ -554,9 +557,10 @@ def varpi_expr(x: ComplementaryPair) -> Expr:
       the term is the vertical composite.
     * roots level-equal: both roots fuse into one generator x[b,a]
       framed by the embedded branch forests.
-    * D's root strictly below U's root: the fraction of the restricted
-      pieces -- numerators pair the top part of U with each branch of
-      D, denominators pair each hanging subtree of U with D's root
+    * D's root strictly below U's root: the fraction of the pieces cut
+      at D's root level -- numerators pair the top part of U (the
+      vertices above that level) with each branch of D, denominators
+      pair each subtree hanging off the top part with D's root
       corolla.
     """
     ushape = x.up.shape
@@ -565,8 +569,8 @@ def varpi_expr(x: ComplementaryPair) -> Expr:
         return _iota_up_expr(ushape)
     if ushape == LEAF:
         return _iota_down_expr(dshape)
-    root_u = x.up_levels[x.up.vertices().index(())]
-    root_d = x.down_levels[x.down.vertices().index(())]
+    root_u = x.up_levels[0]
+    root_d = x.down_levels[0]
     if root_d < root_u:
         return ev(_iota_down_expr(dshape), _iota_up_expr(ushape))
     if root_d == root_u:
@@ -575,54 +579,61 @@ def varpi_expr(x: ComplementaryPair) -> Expr:
         ups = [_iota_up_expr(c) for c in ushape]
         downs = [_iota_down_expr(c) for c in dshape]
         return ev(eh(*downs), egen(b, a), eh(*ups))
-    # D's root hangs below U's root
-    b = len(dshape)
-    top = frozenset(
-        p
-        for p, lvl in zip(x.up.vertices(), x.up_levels)
-        if lvl < root_d
+    # D's root hangs below U's root: cut U at D's root level
+    top, top_levels, hanging = _cut(ushape, x.up_levels, (), lambda lvl: lvl < root_d)
+    corolla = (LEAF,) * len(dshape)
+    dens = [
+        _piece(*_cut(ushape, x.up_levels, p)[:2], corolla, (root_d,))
+        for p in hanging
+    ]
+    nums = [
+        _piece(top, top_levels, *_cut(dshape, x.down_levels, (j,))[:2])
+        for j in range(len(dshape))
+    ]
+    return efrac(map(_piece_expr, nums), map(_piece_expr, dens))
+
+
+def _cut(shape, levels, path, keep=lambda lvl: True):
+    """The piece of a tree that grows down from the vertex at `path`
+    through the vertices whose level passes `keep`.
+
+    `levels` holds one level per vertex of `shape` in path order.
+    Returns the piece's shape, its levels in path order, and the paths
+    cut off it (vertices failing `keep`, and leaves) from left to right.
+    """
+    piece_levels = []
+    cut_off = []
+    # path order is sorted order, and a subtree's vertices are consecutive
+    pos = bisect_left(shape_vertices(shape), path)
+
+    def walk(sub, p):
+        nonlocal pos
+        if sub == LEAF or not keep(levels[pos]):
+            cut_off.append(p)
+            pos += len(shape_vertices(sub))
+            return LEAF
+        piece_levels.append(levels[pos])
+        pos += 1
+        return tuple(walk(c, p + (i,)) for i, c in enumerate(sub))
+
+    return walk(subshape(shape, path), path), tuple(piece_levels), cut_off
+
+
+def _piece(up, up_levels, down, down_levels) -> ComplementaryPair:
+    """The pair of two cut pieces, its levels renumbered without gaps."""
+    renum = {lvl: i for i, lvl in enumerate(sorted({*up_levels, *down_levels}), 1)}
+    return ComplementaryPair(
+        PlanarTree("up", up),
+        PlanarTree("down", down),
+        tuple(renum[lvl] for lvl in up_levels),
+        tuple(renum[lvl] for lvl in down_levels),
     )
-    hang_roots = _hanging_positions(ushape, top)
-    droot_corolla = frozenset({()})
-    dens = []
-    for p in hang_roots:
-        sub = frozenset(
-            q for q in x.up.vertices() if q[: len(p)] == p
-        )
-        dens.append(_piece_expr(restrict(x, sub, droot_corolla)))
-    nums = []
-    for j in range(b):
-        dsub = frozenset(
-            q for q in x.down.vertices() if len(q) > 0 and q[0] == j
-        )
-        nums.append(_piece_expr(restrict(x, top, dsub)))
-    return efrac(nums, dens)
 
 
 @cache
 def _piece_expr(x: ComplementaryPair) -> Expr:
-    """varpi_expr of a restricted piece; pieces recur across pairs."""
+    """varpi_expr of a cut piece; pieces recur across pairs."""
     return varpi_expr(x)
-
-
-def _hanging_positions(shape, top):
-    """Leaf slots of the top piece `top` of a shape, left to right.
-
-    Returns the paths where subtrees (or bare leaves) hang off the
-    piece; each corresponds to one denominator of the fraction.
-    """
-    out = []
-
-    def walk(p):
-        if p in top:
-            sub = subshape(shape, p)
-            for i in range(len(sub)):
-                walk(p + (i,))
-        else:
-            out.append(p)
-
-    walk(())
-    return out
 
 
 def varpi(x: ComplementaryPair) -> PropTerm:

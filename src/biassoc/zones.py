@@ -69,16 +69,7 @@ class ZonePair:
 
     def type(self) -> str:
         """Per-zone classification: U, D, or B (meets both trees)."""
-        uset, dset = set(self.up_zones), set(self.down_zones)
-        out = []
-        for i in range(1, self.l + 1):
-            if i in uset and i in dset:
-                out.append("B")
-            elif i in uset:
-                out.append("U")
-            else:
-                out.append("D")
-        return "".join(out)
+        return _kinds(self.up_zones, self.down_zones, self.l)
 
     def key(self) -> str:
         return "%s;%s;%s;%s" % (
@@ -104,6 +95,15 @@ class ZonePair:
         )
 
 
+def _kinds(up_values, down_values, count) -> str:
+    """Per level or zone 1..count: B when both trees meet it, U when
+    only the up tree does, D otherwise."""
+    uset, dset = set(up_values), set(down_values)
+    return "".join(
+        ("B" if i in dset else "U") if i in uset else "D" for i in range(1, count + 1)
+    )
+
+
 def closure(zp: ZonePair, i: int) -> frozenset:
     """A barrier is its own closure; a zone also absorbs adjacent barriers."""
     t = zp.type()
@@ -122,20 +122,10 @@ def closure(zp: ZonePair, i: int) -> frozenset:
 def project(x: ComplementaryPair) -> ZonePair:
     """Collapse maximal runs of adjacent up-only levels and of adjacent
     down-only levels into single zones."""
-    useen = set(x.up_levels)
-    dseen = set(x.down_levels)
-    kinds = []
-    for i in range(1, x.h + 1):
-        if i in useen and i in dseen:
-            kinds.append("B")
-        elif i in useen:
-            kinds.append("U")
-        else:
-            kinds.append("D")
     zone_of = {}
     zone = 0
     prev = None
-    for i, kind in enumerate(kinds, start=1):
+    for i, kind in enumerate(_kinds(x.up_levels, x.down_levels, x.h), start=1):
         if kind == "B" or kind != prev:
             zone += 1
         zone_of[i] = zone

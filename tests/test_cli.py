@@ -153,6 +153,10 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "encode", "--gamma", "--decode", "(bad)", "-m", "3")
     assert code == 2
+    code, _, err = run(
+        capsys, "encode", "--gamma", "--decode", "(1/)", "-m", "2", "-n", "0"
+    )
+    assert code == 2 and "need m, n >= 1" in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -175,6 +175,23 @@ def test_opet_step_preserves_height_and_sizes():
             assert y.h == x.h
 
 
+def test_opet_step_moves_gap_m_to_the_up_side():
+    # in the gap code the leaf shift relabels nothing: down gap m, the one
+    # between the first two down leaves, becomes the last up gap
+    count = 0
+    for s in range(3, 8):
+        for m in range(1, s - 1):
+            for x in L.enumerate_leveled_pairs(m, s - m):
+                blocks = tuple(
+                    (us + (m,), ds[1:]) if ds[:1] == (m,) else (us, ds)
+                    for us, ds in L.gamma_encode(x).blocks
+                )
+                shifted = L.gamma_decode(OrderedBipartition(blocks), m + 1, s - m - 1)
+                assert shifted == L.opet_step(x)
+                count += 1
+    assert count == 3051
+
+
 def test_opet_iso_small():
     assert L.opet_iso_check(2, 2)
     assert L.opet_iso_check(1, 3)
@@ -247,6 +264,11 @@ def test_gap_vertices_are_leaf_meets():
 def test_gamma_decode_rejects_bad_labels():
     with pytest.raises(ValueError):
         L.gamma_decode(OrderedBipartition.from_text("(3|2|1)"), 5, 1)
+    # (/0) matches (m, n) = (0, 2) gap for gap, and (1/) matches (2, 0)
+    with pytest.raises(ValueError, match="need m, n >= 1"):
+        L.gamma_decode(OrderedBipartition.from_text("(/0)"), 0, 2)
+    with pytest.raises(ValueError, match="need m, n >= 1"):
+        L.gamma_decode(OrderedBipartition.from_text("(1/)"), 2, 0)
 
 
 def test_bipartition_text_forms():
@@ -287,28 +309,3 @@ def test_tau_is_an_involution(m, n, pick):
     b = L.gamma_encode(pairs[pick % len(pairs)])
     assert L.tau(L.tau(b)) == b
     assert OrderedBipartition.from_text(b.text()) == b
-
-
-# ---------------------------------------------------------------------------
-# restriction
-
-
-def test_restrict_basics():
-    x = ComplementaryPair(
-        PlanarTree.from_text("((* *) (* *))", "up"),
-        PlanarTree.from_text("(* *)", "down"),
-        (1, 3, 4),
-        (2,),
-    )
-    whole = L.restrict(x, [(), (0,), (1,)], [()])
-    assert whole == x
-    left = L.restrict(x, [(0,)], [])
-    assert left.key() == "(* *);*;1;"
-    nothing = L.restrict(x, [], [])
-    assert nothing.up.exceptional and nothing.down.exceptional and nothing.h == 0
-    top = L.restrict(x, [()], [()])
-    assert top.key() == "(* *);(* *);1;2"
-    with pytest.raises(ValueError):  # disconnected subset
-        L.restrict(x, [(0,), (1,)], [])
-    with pytest.raises(ValueError):  # not a vertex
-        L.restrict(x, [(0, 0)], [])

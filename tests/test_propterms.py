@@ -445,8 +445,26 @@ def test_term_keys_golden():
     assert hashlib.sha256("".join(rows).encode()).hexdigest() == TERM_KEYS_SHA256
 
 
+# sha256 of the sorted "pair key<TAB>expression<TAB>simplified expression"
+# lines over the same 3,685 pairs, recorded while fraction pieces were
+# still built by general vertex-subset restriction
+EXPRESSIONS_SHA256 = "6addd621b82d88cfc7dc6e47dc7b779325658863f5b73ebcc6070e75cdea1c8e"
+
+
+def test_expressions_golden():
+    rows = []
+    for s in range(2, 8):
+        for m in range(1, s):
+            for x in enumerate_leveled_pairs(m, s - m):
+                e = P.varpi_expr(x)
+                rows.append("%s\t%s\t%s\n" % (x.key(), e.text(), e.simplify().text()))
+    rows.sort()
+    assert len(rows) == 3685
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == EXPRESSIONS_SHA256
+
+
 def test_theorem_c_builds_each_piece_once(monkeypatch):
-    # cold, varpi_expr runs once per pair and once per distinct restricted
+    # cold, varpi_expr runs once per pair and once per distinct cut
     # piece, and the full validation at most twice per pair
     P._piece_expr.cache_clear()
     P._term.cache_clear()
