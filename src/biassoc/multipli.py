@@ -10,14 +10,16 @@ edge turns a diaphragm into a painted tree, the classical indexing of
 multiplihedron faces.
 
 The multiplihedron face poset is built from painted trees generated by
-their vertex rules, ordered by diaphragm_leq, without zone pairs.
+their vertex rules, without zone pairs.  Its order is diaphragm_leq,
+decided by one bitmask test per candidate pair (see
+multiplihedron_poset); diaphragm_leq itself is the reference.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from . import posets
 from .trees import (
@@ -28,6 +30,7 @@ from .trees import (
     coarser_shapes,
     contraction_map,
     edge_values,
+    shape_vertices,
 )
 from .zones import ZonePair, biassociahedron_poset, enumerate_zone_pairs
 
@@ -159,6 +162,12 @@ class PaintedTree:
         return _painted_leaves(self.shape)
 
     def text(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # kept with the tree: enumerate_painted sorts by it and the
+        # poset's element keys reuse it
         return _painted_text(self.shape)
 
     @classmethod
@@ -258,10 +267,7 @@ def painted_to_diaphragm(p: PaintedTree) -> DiaphragmTree:
         kind, children = shape
         if kind == "!":
             if len(children) == 1:
-                sub = strip(children[0], path, BELOW)
-                if sub == LEAF:
-                    return LEAF
-                return sub
+                return strip(children[0], path, BELOW)
             zeta[path] = AT
             return tuple(strip(c, path + (i,), BELOW) for i, c in enumerate(children))
         zeta[path] = side
@@ -278,8 +284,7 @@ def enumerate_painted(m: int) -> tuple:
     vertex-type rules (independent of the zone enumeration)."""
     if m < 1:
         raise ValueError("need m >= 1")
-    out = sorted(_black_parts(m), key=_painted_text)
-    return tuple(PaintedTree(s) for s in out)
+    return tuple(sorted(map(PaintedTree, _black_parts(m)), key=PaintedTree.text))
 
 
 @cache
@@ -314,10 +319,48 @@ def enumerate_diaphragms(m: int) -> tuple:
     )
 
 
+def _mark_mask(zeta) -> int:
+    """Bit q for an ABOVE mark at vertex q, bit q + k for a BELOW mark,
+    where k is the number of vertices."""
+    k = len(zeta)
+    mask = 0
+    for q, z in enumerate(zeta):
+        if z == ABOVE:
+            mask |= 1 << q
+        elif z == BELOW:
+            mask |= 1 << (q + k)
+    return mask
+
+
+def _image_positions(s1, s2) -> tuple:
+    """The path-order position in s2 of the contraction image of each
+    vertex of s1 (s2 must be in coarser_shapes(s1))."""
+    index = {q: i for i, q in enumerate(shape_vertices(s2))}
+    return tuple(index[q] for q in contraction_map(s1, s2).values())
+
+
+def _forbidden(zeta1, positions, k) -> int:
+    """The marks of s2 that d1 rules out, as bits of _mark_mask: the
+    image of a vertex p may carry zeta1[p] or AT, so it may not be
+    ABOVE unless zeta1[p] is, nor BELOW unless zeta1[p] is."""
+    forbid = 0
+    for q, z in zip(positions, zeta1):
+        if z != ABOVE:
+            forbid |= 1 << q
+        if z != BELOW:
+            forbid |= 1 << (q + k)
+    return forbid
+
+
 @cache
 def multiplihedron_poset(m: int):
     """Face poset of the multiplihedron on the painted trees of
     enumerate_painted, ordered by diaphragm_leq on their diaphragms.
+
+    diaphragm_leq needs a contraction, so the candidates above d1 are
+    the diaphragms on coarser_shapes(s1).  For each candidate shape s2
+    the marks d1 allows at the images of its vertices form one bitmask
+    of forbidden marks, and d1 <= d2 iff d2's mark mask misses it.
 
     Neither the elements nor the order come from zone pairs or block
     merges, so prop_d_check compares two independently built posets.
@@ -325,16 +368,18 @@ def multiplihedron_poset(m: int):
     if m < 1:
         raise ValueError("need m >= 1")
     painted = enumerate_painted(m)
-    diaphragms = [painted_to_diaphragm(p) for p in painted]
     by_shape = {}
-    for j, d in enumerate(diaphragms):
-        by_shape.setdefault(d.tree.shape, []).append(j)
-    # diaphragm_leq needs a contraction, so only coarser shapes can be above
-    up = [
-        [j for s in coarser_shapes(d.tree.shape) for j in by_shape[s]
-         if diaphragm_leq(d, diaphragms[j])]
-        for d in diaphragms
-    ]
+    for i, p in enumerate(painted):
+        d = painted_to_diaphragm(p)
+        by_shape.setdefault(d.tree.shape, []).append((i, d.zeta, _mark_mask(d.zeta)))
+    up = [[] for _ in painted]
+    for s1, members in by_shape.items():
+        for s2 in coarser_shapes(s1):
+            pos = _image_positions(s1, s2)
+            k = len(shape_vertices(s2))
+            for i, zeta, _ in members:
+                forbid = _forbidden(zeta, pos, k)
+                up[i].extend(j for j, _, mask in by_shape[s2] if not mask & forbid)
     return posets.FinitePoset(tuple(p.key() for p in painted), up)
 
 

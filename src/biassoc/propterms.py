@@ -25,9 +25,11 @@ up tree above that level paired with each branch of the down tree, and
 each subtree hanging below it paired with the down root's corolla.
 
 Two results are memoized for the life of the process: the expression
-of each piece (many pairs share pieces), and the term of each
-sub-expression.  The expression and term of the pair passed to
-``varpi`` are not cached, since a caller visits each pair once.
+of each piece (many pairs share pieces), keyed on its shapes and
+renumbered levels so that a piece seen before is not rebuilt, and the
+term of each sub-expression.  The expression and term of the pair
+passed to ``varpi`` are not cached, since a caller visits each pair
+once.
 """
 
 from __future__ import annotations
@@ -590,7 +592,7 @@ def varpi_expr(x: ComplementaryPair) -> Expr:
         _piece(top, top_levels, *_cut(dshape, x.down_levels, (j,))[:2])
         for j in range(len(dshape))
     ]
-    return efrac(map(_piece_expr, nums), map(_piece_expr, dens))
+    return efrac(nums, dens)
 
 
 def _cut(shape, levels, path, keep=lambda lvl: True):
@@ -619,21 +621,27 @@ def _cut(shape, levels, path, keep=lambda lvl: True):
     return walk(subshape(shape, path), path), tuple(piece_levels), cut_off
 
 
-def _piece(up, up_levels, down, down_levels) -> ComplementaryPair:
-    """The pair of two cut pieces, its levels renumbered without gaps."""
+def _piece(up, up_levels, down, down_levels) -> Expr:
+    """varpi_expr of the pair of two cut pieces, its levels renumbered
+    without gaps."""
     renum = {lvl: i for i, lvl in enumerate(sorted({*up_levels, *down_levels}), 1)}
-    return ComplementaryPair(
-        PlanarTree("up", up),
-        PlanarTree("down", down),
+    return _piece_expr(
+        up,
         tuple(renum[lvl] for lvl in up_levels),
+        down,
         tuple(renum[lvl] for lvl in down_levels),
     )
 
 
 @cache
-def _piece_expr(x: ComplementaryPair) -> Expr:
-    """varpi_expr of a cut piece; pieces recur across pairs."""
-    return varpi_expr(x)
+def _piece_expr(up, up_levels, down, down_levels) -> Expr:
+    """varpi_expr of the pair of two renumbered cut pieces; pieces
+    recur across pairs, so the pair is built and validated only on a
+    cache miss."""
+    pair = ComplementaryPair(
+        PlanarTree("up", up), PlanarTree("down", down), up_levels, down_levels
+    )
+    return varpi_expr(pair)
 
 
 def varpi(x: ComplementaryPair) -> PropTerm:

@@ -12,7 +12,9 @@ from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs
 
 # sha256 of the stdout of `hasse`, `hasse --dot` and `fvector` for every
 # family and split with m + n <= 6, recorded before the face orders were
-# rebuilt from block merges
+# rebuilt from block merges, and of `hasse` and `hasse --dot` for the
+# multiplihedron at m = 6 and `hasse` at m = 7, recorded before its order
+# became the fiber-mask test
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 

@@ -191,6 +191,50 @@ def test_multiplihedron_order_is_all_pairs_diaphragm_leq():
                 assert p.le(x, y) == M.diaphragm_leq(a, b), (x, y)
 
 
+def test_multiplihedron_up_sets_match_shape_closure_reference():
+    # the previous builder, kept as the reference for the fiber masks:
+    # diaphragm_leq against every diaphragm on a coarser shape
+    m = 6
+    p = M.multiplihedron_poset(m)
+    ds = [M.painted_to_diaphragm(q) for q in M.enumerate_painted(m)]
+    by_shape = {}
+    for j, d in enumerate(ds):
+        by_shape.setdefault(d.tree.shape, []).append(j)
+    up = [
+        frozenset(j for s in T.coarser_shapes(d.tree.shape) for j in by_shape[s]
+                  if M.diaphragm_leq(d, ds[j]))
+        for d in ds
+    ]
+    assert sum(map(len, up)) == 32881
+    assert p.up == tuple(up)
+
+
+def test_multiplihedron_fiber_marks():
+    # contracting ((* *) *) to the corolla sends both vertices to its
+    # one vertex, so the image's mark must suit the whole fiber
+    p = M.multiplihedron_poset(3)
+    tree = PlanarTree.from_text("((* *) *)", "up")
+    corolla = PlanarTree.from_text("(* * *)", "up")
+
+    def key(t, *zeta):
+        return M.diaphragm_to_painted(DiaphragmTree(t, zeta)).key()
+
+    def above(*zeta):
+        return {mark for mark in (ABOVE, AT, BELOW)
+                if p.le(key(tree, *zeta), key(corolla, mark))}
+
+    assert above(ABOVE, BELOW) == {AT}  # only the membrane takes both
+    assert above(ABOVE, ABOVE) == {ABOVE, AT}
+    assert above(BELOW, BELOW) == {BELOW, AT}
+    assert above(AT, BELOW) == above(ABOVE, AT) == {AT}
+    for zeta in ((ABOVE, BELOW), (ABOVE, ABOVE), (BELOW, BELOW), (AT, BELOW)):
+        d = DiaphragmTree(tree, zeta)
+        for mark in (ABOVE, AT, BELOW):
+            assert M.diaphragm_leq(d, DiaphragmTree(corolla, (mark,))) == (
+                mark in above(*zeta)
+            )
+
+
 def test_diaphragm_leq_basics():
     tree = PlanarTree.from_text("((* *) *)", "up")
     lo = DiaphragmTree(tree, (ABOVE, BELOW))

@@ -465,17 +465,24 @@ def test_expressions_golden():
 
 def test_theorem_c_builds_each_piece_once(monkeypatch):
     # cold, varpi_expr runs once per pair and once per distinct cut
-    # piece, and the full validation at most twice per pair
+    # piece, a piece's pair is built only on a cache miss, and the full
+    # validation runs at most twice per pair
     P._piece_expr.cache_clear()
     P._term.cache_clear()
-    exprs = validations = 0
+    exprs = validations = pieces = 0
     varpi_expr = P.varpi_expr
     validate = P.PropTerm.__post_init__
+    pair = P.ComplementaryPair
 
     def counted_expr(x):
         nonlocal exprs
         exprs += 1
         return varpi_expr(x)
+
+    def counted_pair(*args):
+        nonlocal pieces
+        pieces += 1
+        return pair(*args)
 
     def counted_validate(self):
         nonlocal validations
@@ -483,9 +490,12 @@ def test_theorem_c_builds_each_piece_once(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(P, "varpi_expr", counted_expr)
+    monkeypatch.setattr(P, "ComplementaryPair", counted_pair)
     monkeypatch.setattr(P.PropTerm, "__post_init__", counted_validate)
     assert P.theorem_c_check(4, 3)
     pairs = len(enumerate_leveled_pairs(4, 3))
     assert pairs == 541
-    assert exprs == pairs + P._piece_expr.cache_info().misses
+    misses = P._piece_expr.cache_info().misses
+    assert exprs == pairs + misses
+    assert pieces == misses < P._piece_expr.cache_info().hits
     assert pairs <= validations <= 2 * pairs
