@@ -10,8 +10,8 @@ edge turns a diaphragm into a painted tree, the classical indexing of
 multiplihedron faces.
 
 The multiplihedron face poset is built from painted trees generated by
-their vertex rules, without zone pairs.  Its order is diaphragm_leq,
-decided by one bitmask test per candidate pair (see
+their vertex rules, without zone pairs.  Its covers, the diaphragm_leq
+pairs one rank apart, cost one bitmask test per candidate pair (see
 multiplihedron_poset); diaphragm_leq itself is the reference.
 """
 
@@ -82,24 +82,6 @@ def zone_to_diaphragm(z: ZonePair) -> DiaphragmTree:
         for zz in z.up_zones
     )
     return DiaphragmTree(z.up, zeta)
-
-
-def diaphragm_to_zone(d: DiaphragmTree) -> ZonePair:
-    """Inverse of zone_to_diaphragm."""
-    down = PlanarTree("down", (LEAF, LEAF))
-    kinds = []
-    if ABOVE in d.zeta:
-        kinds.append(ABOVE)
-    kinds.append(AT)
-    if BELOW in d.zeta:
-        kinds.append(BELOW)
-    zone_of = {k: i + 1 for i, k in enumerate(kinds)}
-    return ZonePair(
-        d.tree,
-        down,
-        tuple(zone_of[v] for v in d.zeta),
-        (zone_of[AT],),
-    )
 
 
 def diaphragm_leq(d1: DiaphragmTree, d2: DiaphragmTree) -> bool:
@@ -352,15 +334,23 @@ def _forbidden(zeta1, positions, k) -> int:
     return forbid
 
 
+def _rank(m: int, zeta) -> int:
+    """The dimension of a diaphragm's face: (m - 1) minus the number of
+    its vertices off the membrane."""
+    return m - 1 - sum(z != AT for z in zeta)
+
+
 @cache
 def multiplihedron_poset(m: int):
     """Face poset of the multiplihedron on the painted trees of
     enumerate_painted, ordered by diaphragm_leq on their diaphragms.
 
+    The relation is the covers, the pairs d1 <= d2 one rank apart.
     diaphragm_leq needs a contraction, so the candidates above d1 are
-    the diaphragms on coarser_shapes(s1).  For each candidate shape s2
-    the marks d1 allows at the images of its vertices form one bitmask
-    of forbidden marks, and d1 <= d2 iff d2's mark mask misses it.
+    the diaphragms of the next rank on coarser_shapes(s1).  For each
+    candidate shape s2 the marks d1 allows at the images of its
+    vertices form one bitmask of forbidden marks, and d1 <= d2 iff
+    d2's mark mask misses it.
 
     Neither the elements nor the order come from zone pairs or block
     merges, so prop_d_check compares two independently built posets.
@@ -368,19 +358,26 @@ def multiplihedron_poset(m: int):
     if m < 1:
         raise ValueError("need m >= 1")
     painted = enumerate_painted(m)
-    by_shape = {}
+    by_class = {}  # (shape, rank) -> [(index, zeta, mark mask)]
     for i, p in enumerate(painted):
         d = painted_to_diaphragm(p)
-        by_shape.setdefault(d.tree.shape, []).append((i, d.zeta, _mark_mask(d.zeta)))
-    up = [[] for _ in painted]
-    for s1, members in by_shape.items():
-        for s2 in coarser_shapes(s1):
-            pos = _image_positions(s1, s2)
-            k = len(shape_vertices(s2))
-            for i, zeta, _ in members:
-                forbid = _forbidden(zeta, pos, k)
-                up[i].extend(j for j, _, mask in by_shape[s2] if not mask & forbid)
-    return posets.FinitePoset(tuple(p.key() for p in painted), up)
+        by_class.setdefault((d.tree.shape, _rank(m, d.zeta)), []).append(
+            (i, d.zeta, _mark_mask(d.zeta))
+        )
+
+    def covers():
+        for (s1, r), members in by_class.items():
+            for s2 in coarser_shapes(s1):
+                above = by_class.get((s2, r + 1))
+                if not above:
+                    continue
+                pos = _image_positions(s1, s2)
+                k = len(shape_vertices(s2))
+                for i, zeta, _ in members:
+                    forbid = _forbidden(zeta, pos, k)
+                    yield from ((i, j) for j, _, mask in above if not mask & forbid)
+
+    return posets.FinitePoset(tuple(p.key() for p in painted), covers())
 
 
 def prop_d_check(m: int):

@@ -1,13 +1,13 @@
-"""Generic finite poset services.
+"""Generic finite posets.
 
-A FinitePoset stores an ordered tuple of opaque canonical string keys
-together with the order as up-sets: up[i] is the frozenset of indices j
-with e_i <= e_j, i included.  The producers emit the order this way, so
-nothing of size N x N is built.  Construction validates the relation in
-one pass of set operations: with `above` the union of up[k] - {k} over
-the k in up[i] - {i}, the relation is transitive iff `above` lies inside
-up[i] for every i, and the covers of i are up[i] - above - {i}.  The
-covers are stored; ranks are a longest-chain pass over them.
+A FinitePoset is an ordered tuple of opaque canonical string keys and a
+relation: index pairs (i, j) read as e_i <= e_j, whose reflexive-
+transitive closure is the order.  The families pass their one-step
+moves, so nothing the size of the whole order is built.  Construction
+ranks the elements by longest chains in one Kahn pass, which rejects a
+cycle, and keeps as covers the edges that raise the rank by exactly 1
+and the other edges with no detour (no longer path to their head).
+Only the covers and the ranks are stored; gradedness is not assumed.
 
 Isomorphisms are checked through explicit maps with is_isomorphism;
 the generic search `isomorphic` is a reference only the tests call.
@@ -16,7 +16,7 @@ the generic search `isomorphic` is a reference only the tests call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 
 class PosetError(ValueError):
@@ -25,47 +25,56 @@ class PosetError(ValueError):
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """up[i]: the indices j with elements[i] <= elements[j], i included."""
+    """relation: index pairs (i, j) with elements[i] <= elements[j]."""
 
     elements: tuple
-    up: tuple = field(compare=False)
+    relation: InitVar[object]
     _index: dict = field(init=False, repr=False, compare=False)
     _covers: tuple = field(init=False, repr=False, compare=False)
+    _ranks: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, relation):
         n = len(self.elements)
         index = {key: i for i, key in enumerate(self.elements)}
         if len(index) != n:
             raise PosetError("duplicate element keys")
-        if len(self.up) != n:
-            raise PosetError("up-set count mismatch")
-        up = tuple(map(frozenset, self.up))
-        # exact int type: a dense boolean row would read as the set {0, 1}
-        valid = frozenset(range(n))
-        if not all(u <= valid and all(type(j) is int for j in u) for u in up):
-            raise PosetError("up-set entry is not an element index")
-        if not all(i in u for i, u in enumerate(up)):
-            raise PosetError("relation is not reflexive")
-        if any(i in up[k] for i, u in enumerate(up) for k in u if k != i):
+        succ = [[] for _ in range(n)]
+        indegree = [0] * n
+        for i, j in relation:
+            # exact int type: a bool or a float is not an index
+            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+                raise PosetError("relation entry is not an element index")
+            if i != j:
+                succ[i].append(j)
+                indegree[j] += 1
+        rank = [0] * n
+        ready = [i for i in range(n) if not indegree[i]]
+        for i in ready:  # Kahn's pass; `ready` grows while it is read
+            r = rank[i] + 1
+            for j in succ[i]:
+                if rank[j] < r:
+                    rank[j] = r
+                indegree[j] -= 1
+                if not indegree[j]:
+                    ready.append(j)
+        if len(ready) != n:
             raise PosetError("relation is not antisymmetric")
-        covers = []
-        for i, u in enumerate(up):
-            above = set().union(*(up[k] - {k} for k in u if k != i))
-            if not above <= u:
-                raise PosetError("relation is not transitive")
-            covers.append(tuple(sorted(u - above - {i})))
-        object.__setattr__(self, "up", up)
+        covers = tuple(
+            tuple(sorted({
+                j for j in row
+                if rank[j] == rank[i] + 1 or not _has_detour(succ, rank, i, j)
+            }))
+            for i, row in enumerate(succ)
+        )
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_covers", tuple(covers))
+        object.__setattr__(self, "_covers", covers)
+        object.__setattr__(self, "_ranks", tuple(rank))
 
     def __len__(self):
         return len(self.elements)
 
     def index(self, key) -> int:
         return self._index[key]
-
-    def le(self, a, b) -> bool:
-        return self.index(b) in self.up[self.index(a)]
 
     def covers(self):
         """Cover pairs (i, j) of element indices with e_i covered by e_j,
@@ -74,15 +83,7 @@ class FinitePoset:
 
     def ranks(self):
         """Longest-chain rank of every element (minimal elements get 0)."""
-        rank = [0] * len(self)
-        # e_i < e_j makes up[j] a proper subset of up[i], so decreasing
-        # up-set size is a linear extension
-        for i in sorted(range(len(self)), key=lambda i: -len(self.up[i])):
-            r = rank[i] + 1
-            for j in self._covers[i]:
-                if rank[j] < r:
-                    rank[j] = r
-        return rank
+        return list(self._ranks)
 
     def fvector(self):
         rank = self.ranks()
@@ -125,6 +126,21 @@ class FinitePoset:
         )
 
 
+def _has_detour(succ, rank, i, j) -> bool:
+    """True iff a path of two or more steps leads from i to j; all its
+    inner elements rank below j."""
+    seen = {k for k in succ[i] if k != j and rank[k] < rank[j]}
+    stack = list(seen)
+    while stack:
+        k = stack.pop()
+        if j in succ[k]:
+            return True
+        new = {l for l in succ[k] if rank[l] < rank[j]} - seen
+        seen |= new
+        stack.extend(new)
+    return False
+
+
 def is_isomorphism(p: FinitePoset, q: FinitePoset, f: dict) -> bool:
     """True iff the key map f is a bijection from p.elements onto
     q.elements carrying the covers of p exactly onto those of q, that
@@ -143,38 +159,40 @@ def is_isomorphism(p: FinitePoset, q: FinitePoset, f: dict) -> bool:
 
 def _signatures(p: FinitePoset):
     """Iteratively refined invariants pruning the reference search
-    `isomorphic`; only the tests call it."""
+    `isomorphic`, and per element the sets of the elements covering it
+    and of those it covers; only the tests call it."""
     n = len(p)
-    strict_up = [u - {i} for i, u in enumerate(p.up)]
-    strict_down = [[] for _ in range(n)]
-    for i, u in enumerate(strict_up):
-        for j in u:
-            strict_down[j].append(i)
+    up = [set(row) for row in p._covers]
+    down = [set() for _ in range(n)]
+    for i, j in p.covers():
+        down[j].add(i)
     rank = p.ranks()
-    sig = [(rank[i], len(strict_up[i]), len(strict_down[i])) for i in range(n)]
+    sig = [(rank[i], len(up[i]), len(down[i])) for i in range(n)]
     for _ in range(3):
         codes = {s: c for c, s in enumerate(sorted(set(sig)))}
         coded = [codes[s] for s in sig]
         sig = [
             (
                 sig[i],
-                tuple(sorted(coded[j] for j in strict_up[i])),
-                tuple(sorted(coded[j] for j in strict_down[i])),
+                tuple(sorted(coded[j] for j in up[i])),
+                tuple(sorted(coded[j] for j in down[i])),
             )
             for i in range(n)
         ]
-    return sig
+    return sig, up, down
 
 
 def isomorphic(p: FinitePoset, q: FinitePoset):
     """An order-preserving bijection p -> q as a key dict, or None.
 
     A generic backtracking search, kept as the reference that the tests
-    compare the explicit maps with; no production code calls it."""
+    compare the explicit maps with; no production code calls it.  It
+    matches covers both ways, which makes the bijection an isomorphism
+    of the orders they generate."""
     n = len(p)
     if n != len(q):
         return None
-    sp, sq = _signatures(p), _signatures(q)
+    (sp, pup, pdown), (sq, qup, qdown) = _signatures(p), _signatures(q)
     if sorted(sp) != sorted(sq):
         return None
     candidates = [
@@ -192,12 +210,12 @@ def isomorphic(p: FinitePoset, q: FinitePoset):
         if match[i] >= 0:
             used[match[i]] = False
             match[i] = -1
-        # (image, below, above) per element d already assigned
-        done = [(match[d], i in p.up[d], d in p.up[i]) for d in order[:k]]
+        # (image, d below i, d above i) per element d already assigned
+        done = [(match[d], d in pdown[i], d in pup[i]) for d in order[:k]]
         for t in range(tried[k], len(candidates[i])):
             j = candidates[i][t]
             if not used[j] and all(
-                (j in q.up[e]) == below and (e in q.up[j]) == above
+                (e in qdown[j]) == below and (e in qup[j]) == above
                 for e, below, above in done
             ):
                 match[i] = j

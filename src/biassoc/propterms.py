@@ -430,83 +430,6 @@ def efrac(nums, dens):
     return Expr("frac", (tuple(nums), tuple(dens)))
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse the term text format: x[b,a], e, V(f,g), H(f,g),
-    F{ B1 B2 / A1 A2 }."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def eat(tok):
-        nonlocal pos
-        if peek() != tok:
-            raise ValueError("expected %r, got %r" % (tok, peek()))
-        pos += 1
-
-    def parse():
-        nonlocal pos
-        tok = peek()
-        if tok == "e":
-            pos += 1
-            return eunit()
-        if tok == "x":
-            pos += 1
-            eat("[")
-            b = int(tokens[pos]); pos += 1
-            eat(",")
-            a = int(tokens[pos]); pos += 1
-            eat("]")
-            return egen(b, a)
-        if tok in ("V", "H"):
-            pos += 1
-            eat("(")
-            args = [parse()]
-            while peek() == ",":
-                eat(",")
-                args.append(parse())
-            eat(")")
-            return Expr("v" if tok == "V" else "h", tuple(args))
-        if tok == "F":
-            pos += 1
-            eat("{")
-            nums = []
-            while peek() != "/":
-                nums.append(parse())
-            eat("/")
-            dens = []
-            while peek() != "}":
-                dens.append(parse())
-            eat("}")
-            return efrac(nums, dens)
-        raise ValueError("unexpected token %r" % tok)
-
-    result = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing garbage in term text")
-    return result
-
-
-def _tokenize(text: str):
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tree embeddings and the map from pairs to terms
 

@@ -298,14 +298,21 @@ def contraction_map(s1, s2):
     }
 
 
+def edge_contractions(shape) -> tuple:
+    """The shapes made from `shape` by contracting one internal edge:
+    its one-step moves in the associahedron."""
+    t = PlanarTree("up", shape)
+    # the non-root vertices name the internal edges
+    return tuple(contract_edge(t, p).shape for p in t.vertices()[1:])
+
+
 @cache
 def coarser_shapes(shape) -> frozenset:
     """`shape` and every shape reached from it by contracting internal
     edges: its up-set in the associahedron."""
-    t = PlanarTree("up", shape)
     out = {shape}
-    for p in t.vertices()[1:]:  # the non-root vertices name the internal edges
-        out |= coarser_shapes(contract_edge(t, p).shape)
+    for c in edge_contractions(shape):
+        out |= coarser_shapes(c)
     return frozenset(out)
 
 
@@ -314,7 +321,7 @@ def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:
 
     This is the reference order: face_poset_associahedron builds the
     same order as the closure of single edge contractions
-    (coarser_shapes), and the tests compare the two.
+    (edge_contractions), and the tests compare the two.
     """
     if t1.orientation != t2.orientation:
         raise ValueError("orientation mismatch")
@@ -325,7 +332,7 @@ def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:
 
 def face_poset_associahedron(m: int):
     """Face poset of the associahedron on trees with m leaves, ordered
-    by edge contraction: the up-set of a tree is coarser_shapes.
+    by edge contraction: the relation is edge_contractions.
 
     Graded with dim(t) = m - 1 - #vertices; binary trees are the
     vertices and the corolla is the top cell.
@@ -336,5 +343,5 @@ def face_poset_associahedron(m: int):
     index = {s: i for i, s in enumerate(shapes)}
     return posets.FinitePoset(
         tuple(map(shape_text, shapes)),
-        [[index[c] for c in coarser_shapes(s)] for s in shapes],
+        ((index[s], index[c]) for s in shapes for c in edge_contractions(s)),
     )

@@ -172,15 +172,22 @@ def zone_leq(z1: ZonePair, z2: ZonePair) -> bool:
     return True
 
 
-@cache
+@cache  # a cache over _zone_classes, kept for callers of cache_clear()
 def enumerate_zone_pairs(m: int, n: int) -> tuple:
     """The zone pairs with the given leaf counts, realized as the image
     of the canonical projection over all complementary pairs."""
-    seen = {}
-    for x in enumerate_leveled_pairs(m, n):
-        z = project(x)
-        seen.setdefault(z.key(), z)
-    return tuple(seen[k] for k in sorted(seen))
+    return _zone_classes(m, n)[0]
+
+
+@cache
+def _zone_classes(m: int, n: int) -> tuple:
+    """The zone pairs, sorted by key, and the projection of each (m, n)
+    pair as one of those objects: one project call per pair."""
+    found = {}
+    projections = tuple(
+        found.setdefault(z.key(), z) for z in map(project, enumerate_leveled_pairs(m, n))
+    )
+    return tuple(found[k] for k in sorted(found)), projections
 
 
 @cache
@@ -189,7 +196,11 @@ def biassociahedron_poset(m: int, n: int):
     bipermutahedron order under project."""
     if m + n < 2:
         raise ValueError("need m + n >= 2")
-    return coarsening_poset(m, n, lambda x: project(x).key())
+    zps, projections = _zone_classes(m, n)
+    index = {id(z): i for i, z in enumerate(zps)}  # one object per zone pair
+    return coarsening_poset(
+        m, n, tuple(z.key() for z in zps), [index[id(z)] for z in projections]
+    )
 
 
 def pi_section(z: ZonePair) -> ComplementaryPair:

@@ -1,0 +1,220 @@
+"""Code only the tests call.
+
+The library stores a face poset as its covers and ranks, built from
+one-step moves.  These helpers rebuild whole orders the slow way: the
+closure of the stored covers, and the full up-set builders the library
+used before (all block merges, the coarser_shapes closure, and the
+shape closure times the fiber masks), so the tests can compare them
+with the reference orders pair_leq, zone_leq, tree_leq and
+diaphragm_leq.  The inverses of zone_to_diaphragm and of Expr.text
+are here too: the library never needs them.
+"""
+
+from biassoc import leveled as L
+from biassoc import multipli as M
+from biassoc import propterms as P
+from biassoc import trees as T
+from biassoc import zones as Z
+
+
+def closure(p):
+    """The reflexive-transitive closure of p.covers(): per element, the
+    frozenset of the indices above it, itself included."""
+    above = [[] for _ in range(len(p))]
+    for i, j in p.covers():
+        above[i].append(j)
+    up = [None] * len(p)
+
+    def visit(i):  # recursion depth is the length of a chain
+        if up[i] is None:
+            up[i] = frozenset([i]).union(*map(visit, above[i]))
+        return up[i]
+
+    return [visit(i) for i in range(len(p))]
+
+
+def leq(p):
+    """e_a <= e_b on keys, read off closure(p)."""
+    up = closure(p)
+    return lambda a, b: p.index(b) in up[p.index(a)]
+
+
+def is_transitive(up) -> bool:
+    return all(up[j] <= u for u in up for j in u)
+
+
+def up_set_ranks(up):
+    """Longest-chain ranks of an order given as up-sets."""
+    rank = [0] * len(up)
+    # e_i < e_j makes up[j] a proper subset of up[i], so decreasing
+    # up-set size is a linear extension
+    for i in sorted(range(len(up)), key=lambda i: -len(up[i])):
+        for j in up[i]:
+            if j != i and rank[j] <= rank[i]:
+                rank[j] = rank[i] + 1
+    return rank
+
+
+def block_merges(blocks):
+    """The 2^(h-1) block tuples made by merging runs of adjacent blocks
+    of an h-block tuple (h >= 1); the empty tuple merges to itself."""
+    if len(blocks) <= 1:
+        return [blocks]
+    us, ds = blocks[0]
+    out = []
+    for rest in block_merges(blocks[1:]):
+        us2, ds2 = rest[0]
+        out.append(blocks[:1] + rest)
+        out.append(((tuple(sorted(us + us2)), tuple(sorted(ds + ds2))),) + rest[1:])
+    return out
+
+
+def block_merge_up_sets(m, n, label):
+    """(sorted labels, up-sets): the image under `label` of the whole
+    block-merge order on the (m, n) pairs."""
+    pairs = L.enumerate_leveled_pairs(m, n)
+    labels = [label(x) for x in pairs]
+    keys = tuple(sorted(set(labels)))
+    index = {k: i for i, k in enumerate(keys)}
+    blocks = [L.gamma_encode(x).blocks for x in pairs]
+    image = {b: index[lab] for b, lab in zip(blocks, labels)}
+    up = [set() for _ in keys]
+    for b in blocks:
+        up[image[b]].update(image[merged] for merged in block_merges(b))
+    return keys, [frozenset(u) for u in up]
+
+
+def bipermutahedron_up_sets(m, n):
+    return block_merge_up_sets(m, n, L.ComplementaryPair.key)
+
+
+def biassociahedron_up_sets(m, n):
+    return block_merge_up_sets(m, n, lambda x: Z.project(x).key())
+
+
+def associahedron_up_sets(m):
+    """(keys, up-sets) of the associahedron from the coarser_shapes closure."""
+    shapes = T._shapes(m)
+    index = {s: i for i, s in enumerate(shapes)}
+    return (
+        tuple(map(T.shape_text, shapes)),
+        [frozenset(index[c] for c in T.coarser_shapes(s)) for s in shapes],
+    )
+
+
+def multiplihedron_up_sets(m):
+    """(keys, up-sets) of the multiplihedron: every diaphragm on a coarser
+    shape whose mark mask misses the marks d1 forbids."""
+    painted = M.enumerate_painted(m)
+    by_shape = {}
+    for i, p in enumerate(painted):
+        d = M.painted_to_diaphragm(p)
+        by_shape.setdefault(d.tree.shape, []).append((i, d.zeta, M._mark_mask(d.zeta)))
+    up = [set() for _ in painted]
+    for s1, members in by_shape.items():
+        for s2 in T.coarser_shapes(s1):
+            pos = M._image_positions(s1, s2)
+            k = len(T.shape_vertices(s2))
+            for i, zeta, _ in members:
+                forbid = M._forbidden(zeta, pos, k)
+                up[i].update(j for j, _, mask in by_shape[s2] if not mask & forbid)
+    return tuple(p.key() for p in painted), [frozenset(u) for u in up]
+
+
+# ---------------------------------------------------------------------------
+# inverses of library maps that only the tests need
+
+
+def diaphragm_to_zone(d: M.DiaphragmTree) -> Z.ZonePair:
+    """Inverse of multipli.zone_to_diaphragm."""
+    down = T.PlanarTree("down", (T.LEAF, T.LEAF))
+    kinds = []
+    if M.ABOVE in d.zeta:
+        kinds.append(M.ABOVE)
+    kinds.append(M.AT)
+    if M.BELOW in d.zeta:
+        kinds.append(M.BELOW)
+    zone_of = {k: i + 1 for i, k in enumerate(kinds)}
+    return Z.ZonePair(
+        d.tree,
+        down,
+        tuple(zone_of[v] for v in d.zeta),
+        (zone_of[M.AT],),
+    )
+
+
+def parse_expr(text: str) -> P.Expr:
+    """Parse the term text format: x[b,a], e, V(f,g), H(f,g),
+    F{ B1 B2 / A1 A2 }."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def eat(tok):
+        nonlocal pos
+        if peek() != tok:
+            raise ValueError("expected %r, got %r" % (tok, peek()))
+        pos += 1
+
+    def parse():
+        nonlocal pos
+        tok = peek()
+        if tok == "e":
+            pos += 1
+            return P.eunit()
+        if tok == "x":
+            pos += 1
+            eat("[")
+            b = int(tokens[pos]); pos += 1
+            eat(",")
+            a = int(tokens[pos]); pos += 1
+            eat("]")
+            return P.egen(b, a)
+        if tok in ("V", "H"):
+            pos += 1
+            eat("(")
+            args = [parse()]
+            while peek() == ",":
+                eat(",")
+                args.append(parse())
+            eat(")")
+            return P.Expr("v" if tok == "V" else "h", tuple(args))
+        if tok == "F":
+            pos += 1
+            eat("{")
+            nums = []
+            while peek() != "/":
+                nums.append(parse())
+            eat("/")
+            dens = []
+            while peek() != "}":
+                dens.append(parse())
+            eat("}")
+            return P.efrac(nums, dens)
+        raise ValueError("unexpected token %r" % tok)
+
+    result = parse()
+    if pos != len(tokens):
+        raise ValueError("trailing garbage in term text")
+    return result
+
+
+def _tokenize(text: str):
+    out = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            out.append(text[i:j])
+            i = j
+        else:
+            out.append(c)
+            i += 1
+    return out

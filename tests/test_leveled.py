@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from biassoc import leveled as L
 from biassoc.leveled import ComplementaryPair, OrderedBipartition
 from biassoc.trees import PlanarTree, enumerate_trees
+from oracles import bipermutahedron_up_sets, closure
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +121,16 @@ def test_pair_leq_matches_block_merge_oracle():
 
 
 def test_bipermutahedron_order_is_pair_leq():
-    # the block-merge builder against the reference order
+    # the closure of the adjacent merges against the reference order
     for m, n in [(m, s - m) for s in range(2, 8) for m in range(1, s)]:
         xs = L.enumerate_leveled_pairs(m, n)
         p = L.bipermutahedron_poset(m, n)
         assert p.elements == tuple(x.key() for x in xs)
+        up = closure(p)
         for i, a in enumerate(xs):
             for j, b in enumerate(xs):
-                assert (j in p.up[i]) == L.pair_leq(a, b), (a.key(), b.key())
+                assert (j in up[i]) == L.pair_leq(a, b), (a.key(), b.key())
+        assert up == bipermutahedron_up_sets(m, n)[1]
 
 
 def test_pair_leq_golden():

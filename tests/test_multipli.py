@@ -5,9 +5,11 @@ import pytest
 from biassoc import leveled as L
 from biassoc import multipli as M
 from biassoc import trees as T
+from biassoc import zones as Z
 from biassoc.multipli import ABOVE, AT, BELOW, DiaphragmTree, PaintedTree
 from biassoc.trees import PlanarTree, contraction_map
 from biassoc.zones import biassociahedron_poset, enumerate_zone_pairs
+from oracles import closure, diaphragm_to_zone, leq, multiplihedron_up_sets, up_set_ranks
 
 
 def test_painted_counts_and_goldens():
@@ -60,7 +62,7 @@ def test_zone_diaphragm_roundtrip():
     for m in range(1, 5):
         for z in enumerate_zone_pairs(m, 2):
             d = M.zone_to_diaphragm(z)
-            assert M.diaphragm_to_zone(d) == z
+            assert diaphragm_to_zone(d) == z
     with pytest.raises(ValueError):
         M.zone_to_diaphragm(enumerate_zone_pairs(2, 3)[0])
 
@@ -171,11 +173,24 @@ def test_prop_d():
     assert isinstance(witness, dict) and len(witness) == 13
     biassoc = biassociahedron_poset(3, 2)
     multipl = M.multiplihedron_poset(3)
+    le_biassoc, le_multipl = leq(biassoc), leq(multipl)
     for a in biassoc.elements:
         for b in biassoc.elements:
-            assert biassoc.le(a, b) == multipl.le(witness[a], witness[b])
+            assert le_biassoc(a, b) == le_multipl(witness[a], witness[b])
     with pytest.raises(ValueError):
         M.prop_d_check(1)
+
+
+def test_prop_d_projects_each_pair_once(monkeypatch):
+    # cold caches: the biassociahedron's elements and relation and the
+    # map's zone pairs all come from one projection per (5, 2) pair
+    for fn in (Z._zone_classes, Z.biassociahedron_poset, M.multiplihedron_poset):
+        fn.cache_clear()
+    calls = []
+    project = Z.project
+    monkeypatch.setattr(Z, "project", lambda x: calls.append(x) or project(x))
+    assert M.prop_d_check(5) is not None
+    assert len(calls) == len(L.enumerate_leveled_pairs(5, 2))
 
 
 def test_multiplihedron_order_is_all_pairs_diaphragm_leq():
@@ -184,16 +199,18 @@ def test_multiplihedron_order_is_all_pairs_diaphragm_leq():
     # of the zone-side diaphragms
     for m in range(1, 6):
         p = M.multiplihedron_poset(m)
+        le = leq(p)
         ds = M.enumerate_diaphragms(m)
         keys = [M.diaphragm_to_painted(d).key() for d in ds]
         for a, x in zip(ds, keys):
             for b, y in zip(ds, keys):
-                assert p.le(x, y) == M.diaphragm_leq(a, b), (x, y)
+                assert le(x, y) == M.diaphragm_leq(a, b), (x, y)
 
 
 def test_multiplihedron_up_sets_match_shape_closure_reference():
-    # the previous builder, kept as the reference for the fiber masks:
-    # diaphragm_leq against every diaphragm on a coarser shape
+    # diaphragm_leq against every diaphragm on a coarser shape, the
+    # shape closure times the fiber masks, and the closure of the
+    # covers one rank apart that the library builds
     m = 6
     p = M.multiplihedron_poset(m)
     ds = [M.painted_to_diaphragm(q) for q in M.enumerate_painted(m)]
@@ -206,13 +223,26 @@ def test_multiplihedron_up_sets_match_shape_closure_reference():
         for d in ds
     ]
     assert sum(map(len, up)) == 32881
-    assert p.up == tuple(up)
+    assert multiplihedron_up_sets(m) == (p.elements, up)
+    assert closure(p) == up
+
+
+def test_multiplihedron_rank_formula_is_the_longest_chain_rank():
+    # the library picks cover candidates by the rank (m - 1) - #(vertices
+    # off the membrane); it must be the longest-chain rank of the
+    # reference order, the shape closure times the fiber masks
+    for m in range(1, 8):
+        keys, up = multiplihedron_up_sets(m)
+        rank = up_set_ranks(up)
+        for q, r in zip(M.enumerate_painted(m), rank):
+            assert M._rank(m, M.painted_to_diaphragm(q).zeta) == r, q.key()
+        assert M.multiplihedron_poset(m).ranks() == rank
 
 
 def test_multiplihedron_fiber_marks():
     # contracting ((* *) *) to the corolla sends both vertices to its
     # one vertex, so the image's mark must suit the whole fiber
-    p = M.multiplihedron_poset(3)
+    le = leq(M.multiplihedron_poset(3))
     tree = PlanarTree.from_text("((* *) *)", "up")
     corolla = PlanarTree.from_text("(* * *)", "up")
 
@@ -221,7 +251,7 @@ def test_multiplihedron_fiber_marks():
 
     def above(*zeta):
         return {mark for mark in (ABOVE, AT, BELOW)
-                if p.le(key(tree, *zeta), key(corolla, mark))}
+                if le(key(tree, *zeta), key(corolla, mark))}
 
     assert above(ABOVE, BELOW) == {AT}  # only the membrane takes both
     assert above(ABOVE, ABOVE) == {ABOVE, AT}

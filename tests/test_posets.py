@@ -1,7 +1,6 @@
 import inspect
 import json
 import sys
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,16 +8,23 @@ from hypothesis import given, strategies as st
 
 from biassoc import leveled, multipli, trees, zones
 from biassoc.posets import FinitePoset, PosetError, is_isomorphism, isomorphic
+from oracles import (
+    associahedron_up_sets,
+    biassociahedron_up_sets,
+    bipermutahedron_up_sets,
+    multiplihedron_up_sets,
+)
 
 
 def from_matrix(keys, leq):
-    """The poset whose up-sets are the rows of a dense boolean matrix."""
-    return FinitePoset(keys, [np.flatnonzero(row).tolist() for row in leq])
+    """The poset whose relation is the nonzero entries of a boolean matrix."""
+    return FinitePoset(keys, [(int(i), int(j)) for i, j in zip(*np.nonzero(leq))])
 
 
 def chain(n, prefix="c"):
-    leq = np.triu(np.ones((n, n), dtype=bool))
-    return from_matrix(tuple("%s%d" % (prefix, i) for i in range(n)), leq)
+    return FinitePoset(
+        tuple("%s%d" % (prefix, i) for i in range(n)), [(i, i + 1) for i in range(n - 1)]
+    )
 
 
 def diamond():
@@ -27,84 +33,101 @@ def diamond():
     # a   b
     #  \ /
     #   s
-    keys = ("s", "a", "b", "t")
-    leq = np.eye(4, dtype=bool)
-    for i, j in [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]:
-        leq[i, j] = True
-    return from_matrix(keys, leq)
+    return FinitePoset(("s", "a", "b", "t"), [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
 def test_validation():
     with pytest.raises(PosetError, match="duplicate"):
-        from_matrix(("a", "a"), np.eye(2, dtype=bool))
-    bad = np.eye(2, dtype=bool)
-    bad[0, 0] = False
-    with pytest.raises(PosetError, match="reflexive"):
-        from_matrix(("a", "b"), bad)
-    sym = np.ones((2, 2), dtype=bool)
+        FinitePoset(("a", "a"), [])
+    for bad in [(0, 2), (0, -1), (2, 2), (0, 1.0), (1.0, 0), (True, 1), (0, False)]:
+        with pytest.raises(PosetError, match="index"):
+            FinitePoset(("a", "b"), [bad])
+
+
+def test_cycles_are_rejected():
     with pytest.raises(PosetError, match="antisymmetric"):
-        from_matrix(("a", "b"), sym)
-    intrans = np.eye(3, dtype=bool)
-    intrans[0, 1] = intrans[1, 2] = True
-    with pytest.raises(PosetError, match="transitive"):
-        from_matrix(("a", "b", "c"), intrans)
-    with pytest.raises(PosetError, match="count"):  # wrong length
-        FinitePoset(("a", "b"), [{0}])
-    with pytest.raises(PosetError, match="index"):  # out of range
-        FinitePoset(("a", "b"), [{0, 2}, {1}])
-    with pytest.raises(PosetError, match="index"):
-        FinitePoset(("a", "b"), [{0, -1}, {1}])
-    with pytest.raises(PosetError, match="index"):  # not an int
-        FinitePoset(("a", "b"), [{0, 1.0}, {1}])
-    # a bool, or a dense matrix row passed by mistake, is not read as {0, 1}
-    with pytest.raises(PosetError, match="index"):
-        FinitePoset(("a", "b"), [{True}, {1}])
-    with pytest.raises(PosetError, match="index"):
-        FinitePoset(("a", "b"), [[True, True], [False, True]])
-    with pytest.raises(PosetError, match="index"):
-        FinitePoset(("a", "b"), np.eye(2, dtype=bool))
+        FinitePoset(("a", "b"), [(0, 1), (1, 0)])
+    with pytest.raises(PosetError, match="antisymmetric"):
+        FinitePoset(("a", "b", "c", "d"), [(3, 0), (0, 1), (1, 2), (2, 0)])
 
 
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.integers(0, 2), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
-)))
-def test_validation_is_the_matrix_product_test(case):
-    # a random reflexive antisymmetric relation: per pair i < j, none,
-    # i <= j or j <= i; it must be rejected exactly when the old
-    # all-pairs test (m @ m) & ~m finds a missing composite
-    n, choices = case
-    m = np.eye(n, dtype=bool)
-    for (i, j), c in zip(combinations(range(n), 2), choices):
-        if c == 1:
-            m[i, j] = True
-        elif c == 2:
-            m[j, i] = True
-    intransitive = ((m @ m) & ~m).any()
-    try:
-        from_matrix(tuple("e%d" % i for i in range(n)), m)
-    except PosetError as exc:
-        assert intransitive and "transitive" in str(exc)
-    else:
-        assert not intransitive
+def test_self_loop_is_accepted():
+    p = FinitePoset(("a", "b"), [(0, 0), (0, 1), (1, 1)])
+    assert p.covers() == [(0, 1)]
+    assert p.ranks() == [0, 1]
+    assert FinitePoset(("a",), [(0, 0)]).covers() == []
 
 
-def _family_posets():
+def test_implied_edge_two_ranks_up_is_dropped():
+    p = FinitePoset(("a", "b", "c"), [(0, 2), (0, 1), (1, 2)])
+    assert p.covers() == [(0, 1), (1, 2)]
+    assert p.ranks() == [0, 1, 2]
+    # also when the detour is longer than two steps
+    q = FinitePoset(tuple("abcde"), [(0, 4), (0, 1), (1, 2), (2, 3), (3, 4), (0, 3)])
+    assert q.covers() == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def random_relations():
+    """(n, pairs): random index pairs on n <= 8 elements; half of the
+    draws orient every pair along a random linear order, so they have
+    no cycle."""
+
+    def draw(n):
+        return st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20),
+            st.permutations(range(n)),
+            st.booleans(),
+        ).map(lambda t: (t[0], [
+            (i, j) if not t[3] or t[2][i] <= t[2][j] else (j, i) for i, j in t[1]
+        ]))
+
+    return st.integers(1, 8).flatmap(draw)
+
+
+@given(random_relations())
+def test_covers_are_the_transitive_reduction_of_the_closure(case):
+    n, pairs = case
+    eye = np.eye(n, dtype=bool)
+    closed = eye.copy()
+    for i, j in pairs:
+        closed[i, j] = True
+    for _ in range(n):
+        closed = closed | (closed @ closed)
+    keys = tuple("e%d" % i for i in range(n))
+    if (closed & closed.T & ~eye).any():
+        with pytest.raises(PosetError, match="antisymmetric"):
+            FinitePoset(keys, pairs)
+        return
+    p = FinitePoset(keys, pairs)
+    strict = closed & ~eye
+    reduction = strict & ~(strict @ strict)
+    assert p.covers() == [(int(i), int(j)) for i, j in zip(*np.nonzero(reduction))]
+    # the longest-chain rank: one more than the largest rank below
+    rank = p.ranks()
+    for j in range(n):
+        below = [rank[i] for i in np.flatnonzero(strict[:, j])]
+        assert rank[j] == max(below, default=-1) + 1
+
+
+def _reference_posets():
+    """(family poset, its order as up-sets from the full-order builders)."""
     for m in range(1, 6):
         for n in range(1, 7 - m):
             if m + n >= 2:
-                yield leveled.bipermutahedron_poset(m, n)
-                yield zones.biassociahedron_poset(m, n)
+                yield leveled.bipermutahedron_poset(m, n), bipermutahedron_up_sets(m, n)
+                yield zones.biassociahedron_poset(m, n), biassociahedron_up_sets(m, n)
     for m in range(2, 6):
-        yield trees.face_poset_associahedron(m)
+        yield trees.face_poset_associahedron(m), associahedron_up_sets(m)
     for m in range(1, 6):
-        yield multipli.multiplihedron_poset(m)
+        yield multipli.multiplihedron_poset(m), multiplihedron_up_sets(m)
 
 
 def test_covers_match_matrix_product_oracle():
-    for p in _family_posets():
+    for p, (keys, up) in _reference_posets():
+        assert p.elements == keys
         leq = np.zeros((len(p), len(p)), dtype=bool)
-        for i, u in enumerate(p.up):
+        for i, u in enumerate(up):
             leq[i, list(u)] = True
         strict = leq & ~np.eye(len(p), dtype=bool)
         cov = strict & ~(strict @ strict)
@@ -125,12 +148,12 @@ def test_covers_and_ranks():
 
 
 def test_non_graded_euler_raises():
-    # a 4-chain s < m1 < m2 < t plus a shortcut s < side < t
+    # a 4-chain s < m1 < m2 < t plus a shortcut s < side < t: side < t
+    # is a genuine cover two ranks up, and it is kept
     keys = ("s", "m1", "m2", "t", "side")
-    leq = np.eye(5, dtype=bool)
-    for i, j in [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3), (1, 3), (0, 4), (4, 3)]:
-        leq[i, j] = True
-    p = from_matrix(keys, leq)
+    p = FinitePoset(keys, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)])
+    assert p.ranks() == [0, 1, 2, 3, 1]
+    assert (4, 3) in p.covers() and len(p.covers()) == 5
     assert not p.is_graded()
     with pytest.raises(PosetError):
         p.euler()
@@ -146,9 +169,8 @@ def test_json_and_dot():
     assert dot.count("->") == 4
 
 
-def test_le_accessor():
+def test_index_accessor():
     p = diamond()
-    assert p.le("s", "t") and not p.le("a", "b")
     assert [p.index(k) for k in p.elements] == [0, 1, 2, 3]
     with pytest.raises(KeyError):
         p.index("x")
@@ -209,7 +231,7 @@ def test_isomorphic_deeper_than_recursion_limit():
 
 def test_is_isomorphism_checks_the_given_map():
     p = diamond()
-    q = FinitePoset(("S", "A", "B", "T"), p.up)
+    q = FinitePoset(("S", "A", "B", "T"), p.covers())
     good = {"s": "S", "a": "A", "b": "B", "t": "T"}
     assert is_isomorphism(p, q, good)
     assert is_isomorphism(p, q, dict(good, a="B", b="A"))  # an automorphism
@@ -221,9 +243,7 @@ def test_is_isomorphism_checks_the_given_map():
     assert not is_isomorphism(p, q, {"s": "S", "a": "A", "b": "B"})  # missing t
     assert not is_isomorphism(p, q, dict(good, x="T"))  # extra key
     # r is q without the cover A < T: the same bijection breaks one cover
-    up = list(p.up)
-    up[1] = up[1] - {3}
-    r = FinitePoset(("S", "A", "B", "T"), up)
+    r = FinitePoset(("S", "A", "B", "T"), [c for c in p.covers() if c != (1, 3)])
     assert len(r.covers()) == len(p.covers()) - 1
     assert not is_isomorphism(p, r, good)
     assert not is_isomorphism(r, p, {v: k for k, v in good.items()})

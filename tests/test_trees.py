@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biassoc import trees as T
-from biassoc.leveled import ComplementaryPair, coarsening_poset
+from biassoc.leveled import ComplementaryPair
 from biassoc.multipli import ABOVE, AT, BELOW, DiaphragmTree
 from biassoc.zones import ZonePair
+from oracles import associahedron_up_sets, block_merge_up_sets, closure
 
 
 def binary_shapes(m):
@@ -152,23 +153,26 @@ def test_tree_leq_matches_contraction_closure():
 
 
 def test_associahedron_order_is_tree_leq():
-    # the contraction closure (coarser_shapes) against the reference order
+    # the closure of single edge contractions against the reference
+    # order and against the coarser_shapes up-sets
     for m in range(2, 8):
         ts = T.enumerate_trees(m)
         p = T.face_poset_associahedron(m)
         assert p.elements == tuple(t.text() for t in ts)
+        up = closure(p)
         for i, a in enumerate(ts):
             for j, b in enumerate(ts):
-                assert (j in p.up[i]) == T.tree_leq(a, b), (a.text(), b.text())
+                assert (j in up[i]) == T.tree_leq(a, b), (a.text(), b.text())
+        assert (p.elements, up) == associahedron_up_sets(m)
 
 
 def test_associahedron_is_the_block_merge_image():
     # the image of the (m, 1) pair order under x -> x.up stays an oracle
     for m in range(2, 8):
         p = T.face_poset_associahedron(m)
-        q = coarsening_poset(m, 1, lambda x: x.up.text())
-        assert p.elements == q.elements
-        assert p.up == q.up
+        keys, up = block_merge_up_sets(m, 1, lambda x: x.up.text())
+        assert p.elements == keys
+        assert closure(p) == up
 
 
 def test_associahedron_fvectors():

@@ -6,6 +6,7 @@ from biassoc import leveled as L, zones as Z
 from biassoc.posets import is_isomorphism, isomorphic
 from biassoc.trees import PlanarTree, face_poset_associahedron
 from biassoc.zones import ZonePair
+from oracles import biassociahedron_up_sets, closure, is_transitive
 
 
 def comb(n, orientation):
@@ -101,14 +102,29 @@ def test_project_respects_order():
 
 
 def test_biassociahedron_order_is_zone_leq():
-    # the image of the block-merge order against the reference order
+    # the closure of the image of the adjacent merges against the
+    # reference order
     for m, n in [(m, s - m) for s in range(2, 8) for m in range(1, s)]:
         zs = Z.enumerate_zone_pairs(m, n)
         p = Z.biassociahedron_poset(m, n)
         assert p.elements == tuple(z.key() for z in zs)
+        up = closure(p)
         for i, a in enumerate(zs):
             for j, b in enumerate(zs):
-                assert (j in p.up[i]) == Z.zone_leq(a, b), (a.key(), b.key())
+                assert (j in up[i]) == Z.zone_leq(a, b), (a.key(), b.key())
+
+
+def test_block_merge_image_is_already_transitive():
+    # the image of the whole block-merge order under project needs no
+    # closure, so the closure of the image of the one-step merges, which
+    # the library builds, is that image; checked for every split with
+    # m + n <= 7
+    for m, n in [(m, s - m) for s in range(2, 8) for m in range(1, s)]:
+        keys, up = biassociahedron_up_sets(m, n)
+        assert is_transitive(up), (m, n)
+        p = Z.biassociahedron_poset(m, n)
+        assert p.elements == keys
+        assert closure(p) == up
 
 
 def test_zone_leq_shape_mismatch():
