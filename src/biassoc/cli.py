@@ -186,12 +186,12 @@ def _verify(args) -> int:
         )
         return 0 if ok else 1
     if args.check == "thmc":
-        ok = propterms.theorem_c_check(m, n)
-        classes = len(zones.enumerate_zone_pairs(m, n))
-        if ok:
+        witness = propterms.theorem_c_witness(m, n)
+        if witness is None:
+            classes = len(zones.enumerate_zone_pairs(m, n))
             print("thmc (%d,%d): %d classes, kernels agree" % (m, n, classes))
             return 0
-        k1, k2, shared = propterms.theorem_c_witness(m, n)
+        k1, k2, shared = witness
         other = "zones" if shared == "term" else "terms"
         print(
             "thmc (%d,%d): FAILED: %s and %s have equal %ss but different %s"

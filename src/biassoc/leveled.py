@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from . import posets
 from .trees import (
@@ -27,13 +26,14 @@ from .trees import (
     contraction_map,
     edge_values,
     enumerate_trees,
+    shape_edges,
     shape_text,
     shape_vertices,
     subshape,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplementaryPair:
     """(U, D, level function); levels stored per tree in vertex path order."""
 
@@ -109,51 +109,55 @@ class ComplementaryPair:
         )
 
 
-def enumerate_level_functions(up: PlanarTree, down: PlanarTree):
+def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
     """All valid level assignments for the given tree pair.
 
     Levels are built top-down; at each step any nonempty subset of the
     currently placeable vertices (those whose same-tree predecessors are
     already placed on earlier levels) may form the next level.  For U a
     vertex waits for its parent, for D it waits for its children.
+
+    Sets of vertices are bitmasks: U's vertex i is bit i and D's vertex
+    j is bit k + j, k = #U vertices, both in path order.  Each vertex
+    has the mask of its predecessors, and the next level ranges over the
+    nonempty submasks of the mask of placeable vertices.
     """
-    uverts = up.vertices()
-    dverts = down.vertices()
-    nodes = [("u", p) for p in uverts] + [("d", p) for p in dverts]
-    preds = {}
-    for tag, p in nodes:
-        if tag == "u":
-            preds[(tag, p)] = [("u", p[:-1])] if p else []
-        else:
-            ar = len(subshape(down.shape, p))
-            preds[(tag, p)] = [("d", p + (i,)) for i in range(ar)
-                               if subshape(down.shape, p + (i,)) != LEAF]
-
+    k = len(up.vertices())
+    size = k + len(down.vertices())
+    preds = [0] * size
+    for p, c in shape_edges(up.shape):
+        preds[c] |= 1 << p
+    for p, c in shape_edges(down.shape):
+        preds[k + p] |= 1 << (k + c)
+    full = (1 << size) - 1
+    # the level of every vertex placed on the current branch; entries
+    # left by other branches are overwritten before the branch is full
+    levels = [0] * size
     results = []
-    placed = set()
+    shared = {}  # one object per distinct level tuple, which pairs share
 
-    def step(assigned, level):
-        if len(assigned) == len(nodes):
-            ul = tuple(assigned[("u", p)] for p in uverts)
-            dl = tuple(assigned[("d", p)] for p in dverts)
+    def step(placed, level):
+        if placed == full:
+            ul, dl = tuple(levels[:k]), tuple(levels[k:])
+            ul, dl = shared.setdefault(ul, ul), shared.setdefault(dl, dl)
             results.append(ComplementaryPair(up, down, ul, dl))
             return
-        ready = [
-            nd
-            for nd in nodes
-            if nd not in placed and all(q in placed for q in preds[nd])
-        ]
-        for size in range(1, len(ready) + 1):
-            for chosen in combinations(ready, size):
-                for nd in chosen:
-                    assigned[nd] = level
-                    placed.add(nd)
-                step(assigned, level + 1)
-                for nd in chosen:
-                    del assigned[nd]
-                    placed.discard(nd)
+        ready = 0
+        for v, need in enumerate(preds):
+            if need & placed == need:
+                ready |= 1 << v
+        ready &= ~placed
+        chosen = ready
+        while chosen:
+            rest = chosen
+            while rest:
+                low = rest & -rest
+                levels[low.bit_length() - 1] = level
+                rest ^= low
+            step(placed | chosen, level + 1)
+            chosen = (chosen - 1) & ready
 
-    step({}, 1)
+    step(0, 1)
     return results
 
 

@@ -336,6 +336,16 @@ class Expr:
     args: tuple = ()
     biarity: tuple = ()  # (b, a) for generators
 
+    def __hash__(self) -> int:
+        """The field hash, computed once: a cache lookup on a deep
+        expression then hashes no sub-expression again."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.op, self.args, self.biarity))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def to_term(self) -> PropTerm:
         """The denoted term; the terms of sub-expressions are memoized."""
         if self.op == "gen":
@@ -589,19 +599,20 @@ def theorem_c_witness(m: int, n: int):
     whose terms are equal and zones differ (shared == "term"), or whose
     zones are equal and terms differ (shared == "zone")."""
     from .leveled import enumerate_leveled_pairs
-    from .zones import project
+    from .zones import _zone_classes
 
-    # the partitions coincide iff term key <-> zone key is a bijection
+    # the partitions coincide iff term key <-> zone pair is a bijection;
+    # _zone_classes gives one object per zone pair, so ids name them
     by_term = {}
     by_zone = {}
-    for x in enumerate_leveled_pairs(m, n):
-        k = x.key()
+    projections = _zone_classes(m, n)[1]
+    for x, zp in zip(enumerate_leveled_pairs(m, n), projections, strict=True):
         t = term_key(varpi(x))
-        z = project(x).key()
-        k1, z1 = by_term.setdefault(t, (k, z))
+        z = id(zp)
+        x1, z1 = by_term.setdefault(t, (x, z))
         if z1 != z:
-            return k1, k, "term"
-        k1, t1 = by_zone.setdefault(z, (k, t))
+            return x1.key(), x.key(), "term"
+        x1, t1 = by_zone.setdefault(z, (x, t))
         if t1 != t:
-            return k1, k, "zone"
+            return x1.key(), x.key(), "zone"
     return None

@@ -54,6 +54,14 @@ def shape_vertices(shape) -> tuple:
     return tuple(out)
 
 
+@cache
+def shape_edges(shape) -> tuple:
+    """The edges between vertices of a shape as (parent index, child
+    index) pairs, indices in vertex path order, listed by child."""
+    index = {p: i for i, p in enumerate(shape_vertices(shape))}
+    return tuple((index[p[:-1]], i) for p, i in index.items() if p)
+
+
 def subshape(shape, path):
     for i in path:
         if shape == LEAF:
@@ -119,7 +127,7 @@ def _shape_from_jsonable(obj):
     return tuple(_shape_from_jsonable(c) for c in obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarTree:
     """A planar rooted tree with an orientation flag."""
 
@@ -193,8 +201,7 @@ def edge_values(t: PlanarTree, values) -> list:
     on all ancestor pairs iff it holds on these; so does a ban on equal
     values, since a comparable pair with equal monotone values forces
     equality on the edge just above the lower vertex."""
-    by_path = dict(zip(t.vertices(), values))
-    return [(by_path[q[:-1]], v) for q, v in by_path.items() if q]
+    return [(values[p], values[c]) for p, c in shape_edges(t.shape)]
 
 
 def is_ancestor(p, q) -> bool:

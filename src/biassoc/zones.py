@@ -16,10 +16,17 @@ from dataclasses import dataclass
 from functools import cache
 
 from .leveled import ComplementaryPair, coarsening_poset, enumerate_leveled_pairs
-from .trees import PlanarTree, contraction_map, edge_values, is_ancestor, shape_text
+from .trees import (
+    PlanarTree,
+    contraction_map,
+    edge_values,
+    is_ancestor,
+    shape_text,
+    shape_vertices,
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZonePair:
     """(U, D, zone function); zones stored per tree in vertex path order."""
 
@@ -31,29 +38,28 @@ class ZonePair:
     def __post_init__(self):
         if self.up.orientation != "up" or self.down.orientation != "down":
             raise ValueError("pair needs an up tree and a down tree")
-        uverts = self.up.vertices()
-        dverts = self.down.vertices()
-        if len(self.up_zones) != len(uverts) or len(self.down_zones) != len(dverts):
+        uz, dz = self.up_zones, self.down_zones
+        if len(uz) != len(self.up.vertices()) or len(dz) != len(self.down.vertices()):
             raise ValueError("zone tuple length mismatch")
-        zones = set(self.up_zones) | set(self.down_zones)
+        uset, dset = set(uz), set(dz)
+        zones = uset | dset
         l = max(zones, default=0)
         if zones != set(range(1, l + 1)):
             raise ValueError("zones must be exactly 1..l with no gaps")
-        barriers = set(self.up_zones) & set(self.down_zones)
-        for a, b in edge_values(self.up, self.up_zones):
+        barriers = uset & dset
+        for a, b in edge_values(self.up, uz):
             if a > b:
                 raise ValueError("up-tree zones must not decrease downward")
             if a == b and a in barriers:
                 raise ValueError("comparable vertices share a barrier")
-        for a, b in edge_values(self.down, self.down_zones):
+        for a, b in edge_values(self.down, dz):
             if a < b:
                 raise ValueError("down-tree zones must not increase upward")
             if a == b and a in barriers:
                 raise ValueError("comparable vertices share a barrier")
-        t = self.type()
-        for a, b in zip(t, t[1:]):
-            if a == b and a in "UD":
-                raise ValueError("adjacent zones of the same type")
+        t = _kinds(uz, dz, l)
+        if "UU" in t or "DD" in t:
+            raise ValueError("adjacent zones of the same type")
 
     @property
     def m(self) -> int:
@@ -81,10 +87,10 @@ class ZonePair:
 
     def to_json(self) -> str:
         by_zone = [[] for _ in range(self.l)]
-        for p, z in zip(self.up.vertices(), self.up_zones):
-            by_zone[z - 1].append("u:" + ".".join(map(str, p)))
-        for p, z in zip(self.down.vertices(), self.down_zones):
-            by_zone[z - 1].append("d:" + ".".join(map(str, p)))
+        for p, z in zip(_path_texts(self.up.shape), self.up_zones):
+            by_zone[z - 1].append("u:" + p)
+        for p, z in zip(_path_texts(self.down.shape), self.down_zones):
+            by_zone[z - 1].append("d:" + p)
         return json.dumps(
             {
                 "up": shape_text(self.up.shape),
@@ -95,13 +101,21 @@ class ZonePair:
         )
 
 
+@cache
+def _path_texts(shape) -> tuple:
+    """The vertex paths of a shape in path order, as dotted text."""
+    return tuple(".".join(map(str, p)) for p in shape_vertices(shape))
+
+
 def _kinds(up_values, down_values, count) -> str:
     """Per level or zone 1..count: B when both trees meet it, U when
     only the up tree does, D otherwise."""
-    uset, dset = set(up_values), set(down_values)
-    return "".join(
-        ("B" if i in dset else "U") if i in uset else "D" for i in range(1, count + 1)
-    )
+    meets = [0] * (count + 1)  # bit 1: the up tree, bit 2: the down tree
+    for v in up_values:
+        meets[v] |= 1
+    for v in down_values:
+        meets[v] |= 2
+    return "".join(["DUDB"[f] for f in meets[1:]])
 
 
 def closure(zp: ZonePair, i: int) -> frozenset:
@@ -122,19 +136,22 @@ def closure(zp: ZonePair, i: int) -> frozenset:
 def project(x: ComplementaryPair) -> ZonePair:
     """Collapse maximal runs of adjacent up-only levels and of adjacent
     down-only levels into single zones."""
-    zone_of = {}
+    return ZonePair(x.up, x.down, *_zone_tuples(x))
+
+
+def _zone_tuples(x: ComplementaryPair) -> tuple:
+    """The zones of project(x): (up zones, down zones)."""
+    zone_of = [0]  # indexed by level
     zone = 0
     prev = None
-    for i, kind in enumerate(_kinds(x.up_levels, x.down_levels, x.h), start=1):
-        if kind == "B" or kind != prev:
+    for kind in _kinds(x.up_levels, x.down_levels, x.h):
+        if kind != prev or kind == "B":
             zone += 1
-        zone_of[i] = zone
-        prev = kind if kind != "B" else None
-    return ZonePair(
-        x.up,
-        x.down,
-        tuple(zone_of[l] for l in x.up_levels),
-        tuple(zone_of[l] for l in x.down_levels),
+        zone_of.append(zone)
+        prev = kind
+    return (
+        tuple([zone_of[l] for l in x.up_levels]),
+        tuple([zone_of[l] for l in x.down_levels]),
     )
 
 
@@ -182,12 +199,22 @@ def enumerate_zone_pairs(m: int, n: int) -> tuple:
 @cache
 def _zone_classes(m: int, n: int) -> tuple:
     """The zone pairs, sorted by key, and the projection of each (m, n)
-    pair as one of those objects: one project call per pair."""
+    pair as one of those objects.  Each pair's zones are computed once,
+    and a ZonePair is built and validated once per class."""
     found = {}
-    projections = tuple(
-        found.setdefault(z.key(), z) for z in map(project, enumerate_leveled_pairs(m, n))
-    )
-    return tuple(found[k] for k in sorted(found)), projections
+    shared = {}  # one object per distinct zone tuple, which classes share
+    projections = []
+    for x in enumerate_leveled_pairs(m, n):
+        uz, dz = (shared.setdefault(t, t) for t in _zone_tuples(x))
+        label = (x.up.shape, x.down.shape, uz, dz)
+        z = found.get(label)
+        if z is None:
+            z = found[label] = ZonePair(x.up, x.down, uz, dz)
+        projections.append(z)
+    classes = list(found.values())
+    del found
+    classes.sort(key=ZonePair.key)
+    return tuple(classes), tuple(projections)
 
 
 @cache

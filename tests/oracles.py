@@ -7,14 +7,20 @@ used before (all block merges, the coarser_shapes closure, and the
 shape closure times the fiber masks), so the tests can compare them
 with the reference orders pair_leq, zone_leq, tree_leq and
 diaphragm_leq.  The inverses of zone_to_diaphragm and of Expr.text
-are here too: the library never needs them.
+are here too: the library never needs them.  So is the recursive
+level-function enumerator that the library's bitmask enumerator
+replaced, kept as its reference.
 """
+
+from itertools import combinations
 
 from biassoc import leveled as L
 from biassoc import multipli as M
 from biassoc import propterms as P
 from biassoc import trees as T
 from biassoc import zones as Z
+from biassoc.leveled import ComplementaryPair
+from biassoc.trees import LEAF, PlanarTree, subshape
 
 
 def closure(p):
@@ -218,3 +224,51 @@ def _tokenize(text: str):
             out.append(c)
             i += 1
     return out
+
+
+def enumerate_level_functions(up: PlanarTree, down: PlanarTree):
+    """All valid level assignments for the given tree pair.
+
+    Levels are built top-down; at each step any nonempty subset of the
+    currently placeable vertices (those whose same-tree predecessors are
+    already placed on earlier levels) may form the next level.  For U a
+    vertex waits for its parent, for D it waits for its children.
+    """
+    uverts = up.vertices()
+    dverts = down.vertices()
+    nodes = [("u", p) for p in uverts] + [("d", p) for p in dverts]
+    preds = {}
+    for tag, p in nodes:
+        if tag == "u":
+            preds[(tag, p)] = [("u", p[:-1])] if p else []
+        else:
+            ar = len(subshape(down.shape, p))
+            preds[(tag, p)] = [("d", p + (i,)) for i in range(ar)
+                               if subshape(down.shape, p + (i,)) != LEAF]
+
+    results = []
+    placed = set()
+
+    def step(assigned, level):
+        if len(assigned) == len(nodes):
+            ul = tuple(assigned[("u", p)] for p in uverts)
+            dl = tuple(assigned[("d", p)] for p in dverts)
+            results.append(ComplementaryPair(up, down, ul, dl))
+            return
+        ready = [
+            nd
+            for nd in nodes
+            if nd not in placed and all(q in placed for q in preds[nd])
+        ]
+        for size in range(1, len(ready) + 1):
+            for chosen in combinations(ready, size):
+                for nd in chosen:
+                    assigned[nd] = level
+                    placed.add(nd)
+                step(assigned, level + 1)
+                for nd in chosen:
+                    del assigned[nd]
+                    placed.discard(nd)
+
+    step({}, 1)
+    return results

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from biassoc import cli, multipli, propterms, zones
 from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs
@@ -173,19 +172,34 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
     pairs = enumerate_leveled_pairs(3, 2)
-    project, term_key = zones.project, propterms.term_key
+    project, term_key, varpi = zones.project, propterms.term_key, propterms.varpi
 
     def term(x):
-        return term_key(propterms.varpi(x))
+        return term_key(varpi(x))
 
-    # merge two zone classes: the witness has equal zones, different terms
-    z1, z2 = sorted({project(x).key() for x in pairs})[:2]
+    # one kernel pass: every pair's term is computed once on success,
+    # and at most once before the witness on failure
+    calls = []
 
-    def merged_project(x):
-        k = project(x).key()
-        return SimpleNamespace(key=lambda: z1 if k == z2 else k)
+    def count_varpi():
+        calls.clear()
+        monkeypatch.setattr(propterms, "varpi", lambda x: calls.append(x.key()) or varpi(x))
 
-    monkeypatch.setattr(zones, "project", merged_project)
+    count_varpi()
+    code, out, _ = run(capsys, "verify", "thmc", "-m", "3", "-n", "2")
+    classes = len(zones.enumerate_zone_pairs(3, 2))
+    assert (code, out) == (0, "thmc (3,2): %d classes, kernels agree\n" % classes)
+    assert sorted(calls) == sorted(x.key() for x in pairs)
+
+    # merge two zone classes in the projections that thmc reads from a
+    # freshly built _zone_classes: the witness has equal zones,
+    # different terms
+    zones._zone_classes.cache_clear()
+    zps, projections = zones._zone_classes(3, 2)
+    z1, z2 = zps[:2]
+    merged = tuple(z1 if z is z2 else z for z in projections)
+    monkeypatch.setattr(zones, "_zone_classes", lambda m, n: (zps, merged))
+    count_varpi()
     code, out, _ = run(capsys, "verify", "thmc", "-m", "3", "-n", "2")
     assert code == 1
     k1, k2 = re.fullmatch(
@@ -193,8 +207,9 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
         r"different terms\n", out
     ).groups()
     x1, x2 = ComplementaryPair.from_key(k1), ComplementaryPair.from_key(k2)
-    assert {project(x1).key(), project(x2).key()} == {z1, z2}
+    assert {project(x1).key(), project(x2).key()} == {z1.key(), z2.key()}
     assert term(x1) != term(x2)
+    assert len(set(calls)) == len(calls) and calls[-1] == k2
     monkeypatch.undo()
 
     # merge two term classes: the witness has equal terms, different zones
@@ -202,6 +217,7 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
     monkeypatch.setattr(
         propterms, "term_key", lambda t: t1 if term_key(t) == t2 else term_key(t)
     )
+    count_varpi()
     code, out, _ = run(capsys, "verify", "thmc", "-m", "3", "-n", "2")
     assert code == 1
     k1, k2 = re.fullmatch(
@@ -209,8 +225,9 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
         r"different zones\n", out
     ).groups()
     x1, x2 = ComplementaryPair.from_key(k1), ComplementaryPair.from_key(k2)
-    assert {term_key(propterms.varpi(x)) for x in (x1, x2)} == {t1, t2}
+    assert {term_key(varpi(x)) for x in (x1, x2)} == {t1, t2}
     assert project(x1).key() != project(x2).key()
+    assert len(set(calls)) == len(calls) and calls[-1] == k2
 
 
 def test_poset_output_byte_identical(capsys):

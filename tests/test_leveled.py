@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from biassoc import leveled as L
 from biassoc.leveled import ComplementaryPair, OrderedBipartition
 from biassoc.trees import PlanarTree, enumerate_trees
-from oracles import bipermutahedron_up_sets, closure
+from oracles import bipermutahedron_up_sets, closure, enumerate_level_functions
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,30 @@ def test_fubini_counts_against_partition_oracle():
         assert len(pairs) == len(oracle)
         encoded = {ublocks(L.gamma_encode(x)) for x in pairs}
         assert encoded == oracle
+
+
+def test_level_functions_match_recursive_oracle():
+    # the bitmask enumerator against the recursive one it replaced, on
+    # every tree pair with m + n <= 7
+    for total in range(2, 8):
+        for m in range(1, total):
+            for up in enumerate_trees(m, "up"):
+                for down in enumerate_trees(total - m, "down"):
+                    got = [x.key() for x in L.enumerate_level_functions(up, down)]
+                    want = {x.key() for x in enumerate_level_functions(up, down)}
+                    assert len(got) == len(set(got))
+                    assert set(got) == want, (up, down)
+
+
+def test_pair_counts_are_fubini_numbers():
+    # the faces of the (m, n) bipermutahedron are the ordered set
+    # partitions of its m + n - 2 gaps
+    fubini = [1]
+    for k in range(1, 7):
+        fubini.append(sum(comb(k, j) * fubini[k - j] for j in range(1, k + 1)))
+    for total in range(2, 9):
+        for m in range(1, total):
+            assert len(L.enumerate_leveled_pairs(m, total - m)) == fubini[total - 2]
 
 
 def test_banquet_counts():

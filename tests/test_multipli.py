@@ -184,13 +184,17 @@ def test_prop_d():
 def test_prop_d_projects_each_pair_once(monkeypatch):
     # cold caches: the biassociahedron's elements and relation and the
     # map's zone pairs all come from one projection per (5, 2) pair
-    for fn in (Z._zone_classes, Z.biassociahedron_poset, M.multiplihedron_poset):
+    for fn in (Z._zone_classes, Z.enumerate_zone_pairs, Z.biassociahedron_poset,
+               M.multiplihedron_poset):
         fn.cache_clear()
-    calls = []
-    project = Z.project
-    monkeypatch.setattr(Z, "project", lambda x: calls.append(x) or project(x))
+    # and a ZonePair is built, and validated, once per class
+    calls, built = [], []
+    zone_tuples, validate = Z._zone_tuples, Z.ZonePair.__post_init__
+    monkeypatch.setattr(Z, "_zone_tuples", lambda x: calls.append(x) or zone_tuples(x))
+    monkeypatch.setattr(Z.ZonePair, "__post_init__", lambda z: built.append(z) or validate(z))
     assert M.prop_d_check(5) is not None
     assert len(calls) == len(L.enumerate_leveled_pairs(5, 2))
+    assert len(built) == len(Z.enumerate_zone_pairs(5, 2))
 
 
 def test_multiplihedron_order_is_all_pairs_diaphragm_leq():

@@ -464,6 +464,31 @@ def test_expressions_golden():
     assert hashlib.sha256("".join(rows).encode()).hexdigest() == EXPRESSIONS_SHA256
 
 
+def test_expr_hash_is_kept_and_structural():
+    # two equal trees built apart hash alike and share one _term entry;
+    # a hash is computed once per node, not per lookup
+    def build():
+        frac = P.efrac([P.egen(1, 2), P.egen(1, 2)], [P.egen(2, 1), P.egen(2, 1)])
+        return P.ev(P.egen(1, 3), P.eh(frac, P.eunit()))
+
+    e1, e2 = build(), build()
+    assert e1 is not e2 and e1 == e2 and hash(e1) == hash(e2)
+    assert hash(P.ev(P.egen(1, 2))) != hash(P.eh(P.egen(1, 2)))
+    P._term.cache_clear()
+    t1 = P._term(e1)
+    hits = P._term.cache_info().hits
+    assert P._term(e2) is t1
+    assert P._term.cache_info().hits == hits + 1
+    hashed = []
+    node_hash = P.Expr.__hash__
+    with mock.patch.object(P.Expr, "__hash__", lambda e: hashed.append(e) or node_hash(e)):
+        e3 = build()
+        for _ in range(3):
+            assert P._term(e3) is t1
+    # every node of e3 is hashed on the first lookup, then only e3
+    assert len(hashed) == len(set(map(id, hashed))) + 2
+
+
 def test_theorem_c_builds_each_piece_once(monkeypatch):
     # cold, varpi_expr runs once per pair and once per distinct cut
     # piece, a piece's pair is built only on a cache miss, and the full

@@ -84,6 +84,23 @@ def test_enumeration_counts():
     assert len(Z.enumerate_zone_pairs(2, 3)) == 13
 
 
+def test_zone_classes_hold_each_pairs_projection():
+    # the classes are the distinct projections in key order, and the
+    # k-th projection is the class of project() of the k-th pair
+    for total in range(2, 8):
+        for m in range(1, total):
+            n = total - m
+            zps, projections = Z._zone_classes(m, n)
+            keys = [z.key() for z in zps]
+            assert keys == sorted(set(keys))
+            ids = {id(z) for z in zps}
+            pairs = L.enumerate_leveled_pairs(m, n)
+            assert len(projections) == len(pairs)
+            for x, z in zip(pairs, projections):
+                assert id(z) in ids
+                assert z.key() == Z.project(x).key()
+
+
 def test_udu_type_occurs():
     types = {z.type() for z in Z.enumerate_zone_pairs(3, 2)}
     assert "UDU" in types
