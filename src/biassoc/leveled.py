@@ -24,7 +24,6 @@ from .trees import (
     LEAF,
     PlanarTree,
     contraction_map,
-    edge_values,
     enumerate_trees,
     shape_edges,
     shape_text,
@@ -45,17 +44,16 @@ class ComplementaryPair:
     def __post_init__(self):
         if self.up.orientation != "up" or self.down.orientation != "down":
             raise ValueError("pair needs an up tree and a down tree")
-        uverts = self.up.vertices()
-        dverts = self.down.vertices()
-        if len(self.up_levels) != len(uverts) or len(self.down_levels) != len(dverts):
+        ul, dl = self.up_levels, self.down_levels
+        if len(ul) != len(self.up.vertices()) or len(dl) != len(self.down.vertices()):
             raise ValueError("level tuple length mismatch")
-        levels = set(self.up_levels) | set(self.down_levels)
+        levels = set(ul) | set(dl)
         h = max(levels, default=0)
         if levels != set(range(1, h + 1)):
             raise ValueError("levels must be exactly 1..h with no gaps")
-        if any(a >= b for a, b in edge_values(self.up, self.up_levels)):
+        if not _strict_edges(self.up.shape, ul, True):
             raise ValueError("up-tree levels must increase away from root")
-        if any(a <= b for a, b in edge_values(self.down, self.down_levels)):
+        if not _strict_edges(self.down.shape, dl, False):
             raise ValueError("down-tree levels must decrease away from root")
 
     @property
@@ -72,10 +70,10 @@ class ComplementaryPair:
 
     def key(self) -> str:
         return "%s;%s;%s;%s" % (
-            self.up.text(),
-            self.down.text(),
-            ",".join(map(str, self.up_levels)),
-            ",".join(map(str, self.down_levels)),
+            shape_text(self.up.shape),
+            shape_text(self.down.shape),
+            values_text(self.up_levels),
+            values_text(self.down_levels),
         )
 
     @classmethod
@@ -109,6 +107,23 @@ class ComplementaryPair:
         )
 
 
+@cache
+def _strict_edges(shape, values, rising: bool) -> bool:
+    """True iff, given one value per vertex of shape in path order, the
+    values strictly rise (rising) or fall away from the root along
+    every edge.  A shape and a tuple recur across many pairs, so each
+    distinct part is checked once."""
+    if rising:
+        return all(values[p] < values[c] for p, c in shape_edges(shape))
+    return all(values[p] > values[c] for p, c in shape_edges(shape))
+
+
+@cache
+def values_text(values) -> str:
+    """A level or zone tuple as it appears in a key: "1,3,2"."""
+    return ",".join(map(str, values))
+
+
 def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
     """All valid level assignments for the given tree pair.
 
@@ -120,7 +135,8 @@ def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
     Sets of vertices are bitmasks: U's vertex i is bit i and D's vertex
     j is bit k + j, k = #U vertices, both in path order.  Each vertex
     has the mask of its predecessors, and the next level ranges over the
-    nonempty submasks of the mask of placeable vertices.
+    nonempty submasks of the mask of placeable vertices, which is
+    computed once per mask of placed vertices.
     """
     k = len(up.vertices())
     size = k + len(down.vertices())
@@ -135,6 +151,7 @@ def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
     levels = [0] * size
     results = []
     shared = {}  # one object per distinct level tuple, which pairs share
+    ready_after = {}  # per placed mask, the mask of placeable vertices
 
     def step(placed, level):
         if placed == full:
@@ -142,11 +159,13 @@ def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
             ul, dl = shared.setdefault(ul, ul), shared.setdefault(dl, dl)
             results.append(ComplementaryPair(up, down, ul, dl))
             return
-        ready = 0
-        for v, need in enumerate(preds):
-            if need & placed == need:
-                ready |= 1 << v
-        ready &= ~placed
+        ready = ready_after.get(placed)
+        if ready is None:
+            ready = 0
+            for v, need in enumerate(preds):
+                if need & placed == need:
+                    ready |= 1 << v
+            ready = ready_after[placed] = ready & ~placed
         chosen = ready
         while chosen:
             rest = chosen
@@ -166,11 +185,14 @@ def enumerate_leveled_pairs(m: int, n: int) -> tuple:
     """All complementary pairs with m up-leaves and n down-leaves."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
+    # a key starts with the two tree texts, no tree text is a prefix of
+    # another and enumerate_trees lists the trees in text order, so
+    # sorting the pairs of each tree pair sorts them all
     out = []
     for up in enumerate_trees(m, "up"):
         for down in enumerate_trees(n, "down"):
-            out.extend(enumerate_level_functions(up, down))
-    out.sort(key=ComplementaryPair.key)
+            pairs = enumerate_level_functions(up, down)
+            out.extend(sorted(pairs, key=ComplementaryPair.key))
     return tuple(out)
 
 

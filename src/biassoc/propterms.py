@@ -17,7 +17,9 @@ Generators and the unit are validated when they are built.  Composites
 of valid terms (``vcompose``, ``hcompose``, ``permute_outputs`` and so
 ``fraction``) are valid by construction: they check only their arities
 and permutations and skip the full validation.  ``varpi`` validates
-its result once, so every term it returns is fully checked.
+its result once, so every term it returns is fully checked.  A
+validated term keeps the source-to-sink map of its wires, and
+``canonical`` reads it instead of scanning the wires again.
 
 A pair whose down root lies below its up root maps to a fraction.  Its
 pieces are cut from the pair at the down root's level: the part of the
@@ -55,47 +57,59 @@ class PropTerm:
     def __post_init__(self):
         if len(self.outs) != self.n or len(self.ins) != len(self.verts):
             raise ValueError("malformed term")
+        ports = self.m  # the global input legs and vertex output ports
         for (b, a), srcs in zip(self.verts, self.ins):
             if a < 1 or b < 1 or (a, b) == (1, 1):
                 raise ValueError("invalid generator biarity (%d,%d)" % (b, a))
             if len(srcs) != a:
                 raise ValueError("input port count mismatch")
-        used = {}
-        for sink, src in self._wires():
-            if src in used:
+            ports += b
+        consumer = {}  # source -> sink
+        for j, src in enumerate(self.outs):
+            if src in consumer:
                 raise ValueError("source %r wired twice" % (src,))
-            used[src] = sink
-        for src in used:
+            consumer[src] = ("o", j)
+        waiting = []  # per vertex, how many of its inputs leave a vertex
+        for vi, srcs in enumerate(self.ins):
+            k = 0
+            for p, src in enumerate(srcs):
+                if src in consumer:
+                    raise ValueError("source %r wired twice" % (src,))
+                consumer[src] = ("i", vi, p)
+                k += src[0] == "v"
+            waiting.append(k)
+        legs, vertex_ids = range(self.m), range(len(self.verts))
+        for src in consumer:
             if src[0] == "g":
-                if not 0 <= src[1] < self.m:
+                if len(src) != 2 or src[1] not in legs:
                     raise ValueError("bad global input %r" % (src,))
             else:
-                _, vi, port = src
-                if not 0 <= vi < len(self.verts) or not 0 <= port < self.verts[vi][0]:
+                tag, vi, port = src
+                if (
+                    tag != "v"
+                    or vi not in vertex_ids
+                    or port not in range(self.verts[vi][0])
+                ):
                     raise ValueError("bad vertex output %r" % (src,))
-        expected = {("g", i) for i in range(self.m)} | {
-            ("v", vi, p)
-            for vi, (b, a) in enumerate(self.verts)
-            for p in range(b)
-        }
-        if set(used) != expected:
+        # the sources are distinct ports, so every port is wired iff
+        # there are as many sources as ports
+        if len(consumer) != ports:
             raise ValueError("every output port and input leg must be wired once")
-        # acyclicity
-        state = {}
-
-        def visit(vi):
-            if state.get(vi) == 1:
-                raise ValueError("term graph has a cycle")
-            if state.get(vi) == 2:
-                return
-            state[vi] = 1
-            for src in self.ins[vi]:
-                if src[0] == "v":
-                    visit(src[1])
-            state[vi] = 2
-
-        for vi in range(len(self.verts)):
-            visit(vi)
+        # acyclicity: remove vertices whose inputs all come from removed
+        # vertices or global legs (Kahn); a cycle leaves some behind
+        free = [vi for vi, k in enumerate(waiting) if not k]
+        for vi in free:  # grows while it is walked
+            for port in range(self.verts[vi][0]):
+                sink = consumer[("v", vi, port)]
+                if sink[0] == "i":
+                    w = sink[1]
+                    waiting[w] -= 1
+                    if not waiting[w]:
+                        free.append(w)
+        if len(free) != len(self.verts):
+            raise ValueError("term graph has a cycle")
+        # kept for canonical(); not a field, so ==, hash and repr ignore it
+        object.__setattr__(self, "_consumer", consumer)
 
     def _wires(self):
         for j, src in enumerate(self.outs):
@@ -257,7 +271,9 @@ def canonical(t: PropTerm) -> tuple:
     legs assigns each vertex a forced canonical index; no search over
     automorphisms is needed.
     """
-    consumer = {src: sink for sink, src in t._wires()}
+    consumer = t.__dict__.get("_consumer")
+    if consumer is None:  # a composite built without validation
+        consumer = {src: sink for sink, src in t._wires()}
     order = {}
     queue = []
 
@@ -287,18 +303,14 @@ def canonical(t: PropTerm) -> tuple:
     if len(order) != len(t.verts):
         raise AssertionError("disconnected vertex not anchored to any leg")
 
-    rename = order
-
     def src_key(src):
         if src[0] == "g":
-            return ("g", src[1])
-        return ("v", rename[src[1]], src[2])
+            return src
+        return ("v", order[src[1]], src[2])
 
-    inv = sorted(range(len(t.verts)), key=lambda vi: rename[vi])
-    verts = tuple(t.verts[vi] for vi in inv)
-    ins = tuple(
-        tuple(src_key(s) for s in t.ins[vi]) for vi in inv
-    )
+    # the queue holds the vertices in canonical order
+    verts = tuple(t.verts[vi] for vi in queue)
+    ins = tuple(tuple(src_key(s) for s in t.ins[vi]) for vi in queue)
     outs = tuple(src_key(s) for s in t.outs)
     return (t.m, t.n, verts, ins, outs)
 

@@ -11,16 +11,21 @@ index the faces of the step-one biassociahedron.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import groupby, zip_longest
 
-from .leveled import ComplementaryPair, coarsening_poset, enumerate_leveled_pairs
+from .leveled import (
+    ComplementaryPair,
+    coarsening_poset,
+    enumerate_leveled_pairs,
+    values_text,
+)
 from .trees import (
     PlanarTree,
     contraction_map,
-    edge_values,
     is_ancestor,
+    shape_edges,
     shape_text,
     shape_vertices,
 )
@@ -46,17 +51,18 @@ class ZonePair:
         l = max(zones, default=0)
         if zones != set(range(1, l + 1)):
             raise ValueError("zones must be exactly 1..l with no gaps")
-        barriers = uset & dset
-        for a, b in edge_values(self.up, uz):
-            if a > b:
-                raise ValueError("up-tree zones must not decrease downward")
-            if a == b and a in barriers:
-                raise ValueError("comparable vertices share a barrier")
-        for a, b in edge_values(self.down, dz):
-            if a < b:
-                raise ValueError("down-tree zones must not increase upward")
-            if a == b and a in barriers:
-                raise ValueError("comparable vertices share a barrier")
+        # a zone shared across an edge is a barrier when the other tree
+        # meets it
+        ties = _edge_ties(self.up.shape, uz, True)
+        if ties is None:
+            raise ValueError("up-tree zones must not decrease downward")
+        if not dset.isdisjoint(ties):
+            raise ValueError("comparable vertices share a barrier")
+        ties = _edge_ties(self.down.shape, dz, False)
+        if ties is None:
+            raise ValueError("down-tree zones must not increase upward")
+        if not uset.isdisjoint(ties):
+            raise ValueError("comparable vertices share a barrier")
         t = _kinds(uz, dz, l)
         if "UU" in t or "DD" in t:
             raise ValueError("adjacent zones of the same type")
@@ -79,32 +85,69 @@ class ZonePair:
 
     def key(self) -> str:
         return "%s;%s;%s;%s" % (
-            self.up.text(),
-            self.down.text(),
-            ",".join(map(str, self.up_zones)),
-            ",".join(map(str, self.down_zones)),
+            shape_text(self.up.shape),
+            shape_text(self.down.shape),
+            values_text(self.up_zones),
+            values_text(self.down_zones),
         )
 
     def to_json(self) -> str:
-        by_zone = [[] for _ in range(self.l)]
-        for p, z in zip(_path_texts(self.up.shape), self.up_zones):
-            by_zone[z - 1].append("u:" + p)
-        for p, z in zip(_path_texts(self.down.shape), self.down_zones):
-            by_zone[z - 1].append("d:" + p)
-        return json.dumps(
-            {
-                "up": shape_text(self.up.shape),
-                "down": shape_text(self.down.shape),
-                "zones": by_zone,
-                "type": self.type(),
-            }
+        # the text json.dumps gives the object {"up": ..., "down": ...,
+        # "zones": per zone its tagged vertex paths, "type": ...}; no
+        # part of it needs escaping
+        ups = _zone_members(self.up.shape, self.up_zones, "u")
+        downs = _zone_members(self.down.shape, self.down_zones, "d")
+        zones, kinds = [], []
+        for u, d in zip_longest(ups, downs, fillvalue=""):
+            if u and d:
+                zones.append("[%s, %s]" % (u, d))
+                kinds.append("B")
+            else:
+                zones.append("[%s]" % (u or d))
+                kinds.append("U" if u else "D")
+        return '{"up": "%s", "down": "%s", "zones": [%s], "type": "%s"}' % (
+            shape_text(self.up.shape),
+            shape_text(self.down.shape),
+            ", ".join(zones),
+            "".join(kinds),
         )
 
 
 @cache
-def _path_texts(shape) -> tuple:
-    """The vertex paths of a shape in path order, as dotted text."""
-    return tuple(".".join(map(str, p)) for p in shape_vertices(shape))
+def _edge_ties(shape, zones, up: bool):
+    """Given one zone per vertex of shape in path order: the zones
+    shared by the two ends of an edge, or None when an edge goes the
+    wrong way (zones must not decrease away from an up root, nor
+    increase away from a down root).  A shape and a tuple recur across
+    many zone pairs, so each distinct part is checked once."""
+    ties = set()
+    for p, c in shape_edges(shape):
+        a, b = zones[p], zones[c]
+        if a == b:
+            ties.add(a)
+        elif (a > b) == up:
+            return None
+    return tuple(sorted(ties))
+
+
+@cache
+def _tagged_paths(shape, tag) -> tuple:
+    """Per vertex of shape in path order, its tagged dotted path as a
+    JSON string: "u:0.1"."""
+    return tuple(
+        '"%s:%s"' % (tag, ".".join(map(str, p))) for p in shape_vertices(shape)
+    )
+
+
+@cache
+def _zone_members(shape, zones, tag) -> tuple:
+    """Per zone 1..max(zones), the JSON strings of the tagged paths of
+    the vertices of shape in that zone, comma-separated ("" for none).
+    A zone holding one vertex shares that vertex's string."""
+    members = [[] for _ in range(max(zones, default=0))]
+    for text, z in zip(_tagged_paths(shape, tag), zones):
+        members[z - 1].append(text)
+    return tuple(map(", ".join, members))
 
 
 def _kinds(up_values, down_values, count) -> str:
@@ -201,19 +244,20 @@ def _zone_classes(m: int, n: int) -> tuple:
     """The zone pairs, sorted by key, and the projection of each (m, n)
     pair as one of those objects.  Each pair's zones are computed once,
     and a ZonePair is built and validated once per class."""
-    found = {}
-    shared = {}  # one object per distinct zone tuple, which classes share
+    classes = []
     projections = []
-    for x in enumerate_leveled_pairs(m, n):
-        uz, dz = (shared.setdefault(t, t) for t in _zone_tuples(x))
-        label = (x.up.shape, x.down.shape, uz, dz)
-        z = found.get(label)
-        if z is None:
-            z = found[label] = ZonePair(x.up, x.down, uz, dz)
-        projections.append(z)
-    classes = list(found.values())
-    del found
-    classes.sort(key=ZonePair.key)
+    shared = {}  # one object per distinct zone tuple, which classes share
+    # the pairs come sorted by key, so grouped by tree pair in key order,
+    # and a zone pair's key starts with the same two tree texts
+    for _, group in groupby(enumerate_leveled_pairs(m, n), lambda x: (x.up, x.down)):
+        found = {}
+        for x in group:
+            uz, dz = (shared.setdefault(t, t) for t in _zone_tuples(x))
+            z = found.get((uz, dz))
+            if z is None:
+                z = found[uz, dz] = ZonePair(x.up, x.down, uz, dz)
+            projections.append(z)
+        classes.extend(sorted(found.values(), key=ZonePair.key))
     return tuple(classes), tuple(projections)
 
 

@@ -9,9 +9,11 @@ with the reference orders pair_leq, zone_leq, tree_leq and
 diaphragm_leq.  The inverses of zone_to_diaphragm and of Expr.text
 are here too: the library never needs them.  So is the recursive
 level-function enumerator that the library's bitmask enumerator
-replaced, kept as its reference.
+replaced, kept as its reference, and the edge-by-edge validation of
+level and zone functions that the cached per-part verdicts replaced.
 """
 
+import json
 from itertools import combinations
 
 from biassoc import leveled as L
@@ -149,6 +151,24 @@ def diaphragm_to_zone(d: M.DiaphragmTree) -> Z.ZonePair:
     )
 
 
+def zone_pair_json(z: Z.ZonePair) -> str:
+    """The JSON text of a zone pair through json.dumps, the reference
+    for ZonePair.to_json, which joins cached per-part strings."""
+    by_zone = [[] for _ in range(z.l)]
+    for p, k in zip(z.up.vertices(), z.up_zones):
+        by_zone[k - 1].append("u:" + ".".join(map(str, p)))
+    for p, k in zip(z.down.vertices(), z.down_zones):
+        by_zone[k - 1].append("d:" + ".".join(map(str, p)))
+    return json.dumps(
+        {
+            "up": T.shape_text(z.up.shape),
+            "down": T.shape_text(z.down.shape),
+            "zones": by_zone,
+            "type": z.type(),
+        }
+    )
+
+
 def parse_expr(text: str) -> P.Expr:
     """Parse the term text format: x[b,a], e, V(f,g), H(f,g),
     F{ B1 B2 / A1 A2 }."""
@@ -272,3 +292,57 @@ def enumerate_level_functions(up: PlanarTree, down: PlanarTree):
 
     step({}, 1)
     return results
+
+
+# ---------------------------------------------------------------------------
+# edge-by-edge validation, the reference for the cached per-part verdicts
+
+
+def level_function_error(up, down, up_levels, down_levels):
+    """The message ComplementaryPair(up, down, up_levels, down_levels)
+    raises, found by walking every edge of both trees, or None when the
+    pair is valid."""
+    if up.orientation != "up" or down.orientation != "down":
+        return "pair needs an up tree and a down tree"
+    if len(up_levels) != len(up.vertices()) or len(down_levels) != len(down.vertices()):
+        return "level tuple length mismatch"
+    levels = set(up_levels) | set(down_levels)
+    h = max(levels, default=0)
+    if levels != set(range(1, h + 1)):
+        return "levels must be exactly 1..h with no gaps"
+    if any(a >= b for a, b in T.edge_values(up, up_levels)):
+        return "up-tree levels must increase away from root"
+    if any(a <= b for a, b in T.edge_values(down, down_levels)):
+        return "down-tree levels must decrease away from root"
+    return None
+
+
+def zone_function_error(up, down, up_zones, down_zones):
+    """The message ZonePair(up, down, up_zones, down_zones) raises,
+    found by walking every edge of both trees, or None when the zone
+    pair is valid."""
+    if up.orientation != "up" or down.orientation != "down":
+        return "pair needs an up tree and a down tree"
+    uz, dz = up_zones, down_zones
+    if len(uz) != len(up.vertices()) or len(dz) != len(down.vertices()):
+        return "zone tuple length mismatch"
+    uset, dset = set(uz), set(dz)
+    zones = uset | dset
+    l = max(zones, default=0)
+    if zones != set(range(1, l + 1)):
+        return "zones must be exactly 1..l with no gaps"
+    barriers = uset & dset
+    for a, b in T.edge_values(up, uz):
+        if a > b:
+            return "up-tree zones must not decrease downward"
+        if a == b and a in barriers:
+            return "comparable vertices share a barrier"
+    for a, b in T.edge_values(down, dz):
+        if a < b:
+            return "down-tree zones must not increase upward"
+        if a == b and a in barriers:
+            return "comparable vertices share a barrier"
+    t = Z._kinds(uz, dz, l)
+    if "UU" in t or "DD" in t:
+        return "adjacent zones of the same type"
+    return None

@@ -91,6 +91,15 @@ def test_pair_counts_are_fubini_numbers():
             assert len(L.enumerate_leveled_pairs(m, total - m)) == fubini[total - 2]
 
 
+def test_pairs_come_sorted_by_key():
+    # each tree pair's level functions are sorted on their own, and the
+    # tree pairs come in key order
+    for total in range(2, 9):
+        for m in range(1, total):
+            keys = [x.key() for x in L.enumerate_leveled_pairs(m, total - m)]
+            assert keys == sorted(set(keys))
+
+
 def test_banquet_counts():
     assert (
         len(L.enumerate_leveled_pairs(4, 1))

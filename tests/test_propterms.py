@@ -50,13 +50,17 @@ def test_unit_and_generator():
 
 
 def test_validation_rejects_bad_wirings():
-    with pytest.raises(ValueError):  # source wired twice
+    with pytest.raises(ValueError, match="wired twice"):
         P.PropTerm(1, 2, (), (), (("g", 0), ("g", 0)))
-    with pytest.raises(ValueError):  # input leg never consumed
+    with pytest.raises(ValueError, match="bad global input"):
+        P.PropTerm(1, 1, (), (), (("g", 1),))
+    with pytest.raises(ValueError, match="bad vertex output"):
+        P.PropTerm(1, 1, ((2, 1),), ((("g", 0),),), (("v", 0, 2),))
+    with pytest.raises(ValueError, match="wired once"):  # input leg never consumed
         P.PropTerm(2, 1, (), (), (("g", 0),))
-    with pytest.raises(ValueError):  # dangling vertex output
+    with pytest.raises(ValueError, match="wired once"):  # dangling vertex output
         P.PropTerm(1, 1, ((2, 1),), ((("g", 0),),), (("v", 0, 0),))
-    with pytest.raises(ValueError):  # cycle between two vertices
+    with pytest.raises(ValueError, match="cycle"):  # between two vertices
         P.PropTerm(
             1,
             1,
@@ -64,6 +68,18 @@ def test_validation_rejects_bad_wirings():
             ((("v", 1, 0), ("g", 0)), (("v", 0, 0),)),
             (("v", 1, 1),),
         )
+
+
+def test_kept_wiring_map_matches_a_fresh_scan():
+    # canonical reads the map the validation kept; a trusted copy of the
+    # same term has no map, so canonical scans its wires.  The map is
+    # not a field: ==, hash and repr ignore it.
+    for x in enumerate_leveled_pairs(4, 3):
+        t = P.varpi(x)
+        copy = P._trusted(t.m, t.n, t.verts, t.ins, t.outs)
+        assert "_consumer" in vars(t) and "_consumer" not in vars(copy)
+        assert P.canonical(t) == P.canonical(copy)
+        assert t == copy and hash(t) == hash(copy) and repr(t) == repr(copy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 import json
+from itertools import product
 
 import pytest
 
 from biassoc import leveled as L, zones as Z
 from biassoc.posets import is_isomorphism, isomorphic
-from biassoc.trees import PlanarTree, face_poset_associahedron
+from biassoc.trees import PlanarTree, enumerate_trees, face_poset_associahedron
 from biassoc.zones import ZonePair
-from oracles import biassociahedron_up_sets, closure, is_transitive
+from oracles import (
+    biassociahedron_up_sets,
+    closure,
+    is_transitive,
+    level_function_error,
+    zone_function_error,
+    zone_pair_json,
+)
 
 
 def comb(n, orientation):
@@ -74,6 +82,83 @@ def test_validation():
         ZonePair(up2, down3, (2,), (1, 2))
     # plain (non-barrier) zones may repeat along a chain
     ZonePair(nested, down2, (1, 1), (2,))
+
+
+def _error(cls, *args):
+    """The ValueError message of cls(*args), or None when it is valid."""
+    try:
+        cls(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+BARRIER = "comparable vertices share a barrier"
+WRONG_WAY = (
+    "up-tree zones must not decrease downward",
+    "down-tree zones must not increase upward",
+)
+
+
+def test_cached_validation_matches_edge_by_edge_reference():
+    # every tree pair with m + n <= 6 and every value tuple over 0..h+1,
+    # h the number of vertices, valid or not: the cached per-part
+    # verdicts accept and reject exactly what the edge-by-edge reference
+    # does, with its message.  Only an input that has both a wrong-way
+    # edge and a tie on a barrier may name either fault.
+    valid = 0
+    for total in range(2, 7):
+        for m in range(1, total):
+            for up in enumerate_trees(m, "up"):
+                for down in enumerate_trees(total - m, "down"):
+                    ku, kd = len(up.vertices()), len(down.vertices())
+                    for values in product(range(ku + kd + 2), repeat=ku + kd):
+                        args = (up, down, values[:ku], values[ku:])
+                        got = _error(L.ComplementaryPair, *args)
+                        assert got == level_function_error(*args), args
+                        valid += got is None
+                        got = _error(ZonePair, *args)
+                        want = zone_function_error(*args)
+                        assert (got is None) == (want is None), args
+                        if got != want:
+                            assert want == BARRIER and got in WRONG_WAY, args
+                        valid += got is None
+    assert valid == 798
+
+
+def test_cached_verdicts_do_not_leak_between_shapes():
+    # each tuple is valid on one of two up shapes with equally many
+    # vertices and invalid on the other; checked in both orders from
+    # cold caches, so a verdict cached for one shape is never read for
+    # the other
+    chain = PlanarTree.from_text("(((* *) *) *)", "up")
+    cherries = PlanarTree.from_text("((* *) (* *))", "up")
+    leaf = PlanarTree.from_text("*", "down")
+    down2 = PlanarTree.from_text("(* *)", "down")
+    cases = [
+        # levels 1 < 2 < 2 along the chain
+        (L.ComplementaryPair, level_function_error, leaf, (1, 2, 2), ()),
+        # the chain's second edge goes from zone 2 down to zone 1
+        (ZonePair, zone_function_error, down2, (1, 2, 1), (2,)),
+        # the chain's second edge ties on barrier 2
+        (ZonePair, zone_function_error, down2, (1, 2, 2), (2,)),
+    ]
+    for cls, reference, down, ups, downs in cases:
+        for order in ((chain, cherries), (cherries, chain)):
+            L._strict_edges.cache_clear()
+            Z._edge_ties.cache_clear()
+            for up in order:
+                want = reference(up, down, ups, downs)
+                assert (want is None) == (up is cherries)
+                assert _error(cls, up, down, ups, downs) == want
+
+
+def test_json_text_matches_json_dumps():
+    for total in range(2, 8):
+        for m in range(1, total):
+            for z in Z.enumerate_zone_pairs(m, total - m):
+                assert z.to_json() == zone_pair_json(z)
+    assert STAIR.to_json() == zone_pair_json(STAIR)
 
 
 def test_enumeration_counts():
