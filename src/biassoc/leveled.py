@@ -21,14 +21,15 @@ from functools import cache
 
 from . import posets
 from .trees import (
-    LEAF,
     PlanarTree,
     contraction_map,
+    edge_ties,
     enumerate_trees,
+    leaf_count,
+    leaf_intervals,
     shape_edges,
+    shape_from_intervals,
     shape_text,
-    shape_vertices,
-    subshape,
 )
 
 
@@ -51,9 +52,10 @@ class ComplementaryPair:
         h = max(levels, default=0)
         if levels != set(range(1, h + 1)):
             raise ValueError("levels must be exactly 1..h with no gaps")
-        if not _strict_edges(self.up.shape, ul, True):
+        # levels are strict: no edge may go the wrong way or tie
+        if edge_ties(shape_edges(self.up.shape), ul, True) != ():
             raise ValueError("up-tree levels must increase away from root")
-        if not _strict_edges(self.down.shape, dl, False):
+        if edge_ties(shape_edges(self.down.shape), dl, False) != ():
             raise ValueError("down-tree levels must decrease away from root")
 
     @property
@@ -105,17 +107,6 @@ class ComplementaryPair:
             tuple(obj["up_levels"]),
             tuple(obj["down_levels"]),
         )
-
-
-@cache
-def _strict_edges(shape, values, rising: bool) -> bool:
-    """True iff, given one value per vertex of shape in path order, the
-    values strictly rise (rising) or fall away from the root along
-    every edge.  A shape and a tuple recur across many pairs, so each
-    distinct part is checked once."""
-    if rising:
-        return all(values[p] < values[c] for p, c in shape_edges(shape))
-    return all(values[p] > values[c] for p, c in shape_edges(shape))
 
 
 @cache
@@ -280,104 +271,51 @@ def opet_step(x: ComplementaryPair) -> ComplementaryPair:
     erased when the amputation leaves it with a single child), and a new
     rightmost leaf is grafted into U where v's level line last meets U:
     at an existing vertex of that level on U's right spine, or else on a
-    right-spine edge, creating a 2-ary vertex at v's old level.  Levels
-    are then renumbered without gaps.
+    right-spine edge, creating a 2-ary vertex at v's level.  Both trees
+    are rewritten as maps from leaf intervals to levels.  The levels in
+    use do not change: v's level moves to U.
     """
     if x.n < 2:
         raise ValueError("need n >= 2")
-    dshape = x.down.shape
-    ld = dict(zip(x.down.vertices(), x.down_levels))
+    m = x.m
+    down = dict(zip(leaf_intervals(x.down.shape), x.down_levels))
+    # v spans the smallest interval holding leaf 0
+    v = min(iv for iv in down if iv[0] == 0)
+    level = down[v]
+    if v[1] == 2 or (1, v[1]) in down:  # v keeps one child
+        del down[v]
+    down = {(max(a - 1, 0), b - 1): lvl for (a, b), lvl in down.items()}
 
-    vpath = ()
-    while subshape(dshape, vpath + (0,)) != LEAF:
-        vpath = vpath + (0,)
-    graft_level = ld[vpath]
+    # the right-spine vertices at or above v's level stretch over the
+    # new leaf m; when none is at v's level, a new vertex at that level
+    # joins the new leaf to the highest right-spine child below it
+    up = {}
+    start = m - 1
+    absorbed = False
+    for (a, b), lvl in zip(leaf_intervals(x.up.shape), x.up_levels):
+        if b == m and lvl <= level:
+            b = m + 1
+            absorbed = absorbed or lvl == level
+        elif b == m:
+            start = min(start, a)
+        up[a, b] = lvl
+    if not absorbed:
+        up[start, m + 1] = level
+    return _pair_from_intervals(up, down)
 
-    def amputate(shape, path):
-        """Remove child 0 of the vertex at `path`; splice the vertex out
-        if a single child remains.  Returns (new shape, erased flag)."""
-        if path == ():
-            rest = shape[1:]
-            if len(rest) == 1:
-                return rest[0], True
-            return rest, False
-        i = path[0]
-        sub, erased = amputate(shape[i], path[1:])
-        return shape[:i] + (sub,) + shape[i + 1 :], erased
 
-    new_dshape, erased = amputate(dshape, vpath)
+def _pair_from_intervals(up: dict, down: dict) -> ComplementaryPair:
+    """The pair whose up and down trees have the leaf intervals keyed
+    in `up` and `down`, at the levels they map to."""
 
-    def d_translate(p):
-        """Old D vertex path -> new path after the amputation."""
-        k = len(vpath)
-        if p[:k] != vpath or len(p) == k:
-            return p
-        if erased:
-            # hung under v; v's surviving child (old index 1) is spliced up
-            return vpath + p[k + 1 :]
-        # v survives but its children shift down by one
-        return vpath + (p[k] - 1,) + p[k + 1 :]
+    def tree(orientation, levels):
+        shape = shape_from_intervals(levels)
+        return PlanarTree(orientation, shape), tuple(
+            levels[iv] for iv in leaf_intervals(shape)
+        )
 
-    keep = {
-        d_translate(p): ld[p] for p in x.down.vertices() if p != vpath or not erased
-    }
-    new_down = PlanarTree("down", new_dshape)
-    new_down_levels = tuple(keep[p] for p in new_down.vertices())
-
-    ushape = x.up.shape
-    lu = dict(zip(x.up.vertices(), x.up_levels))
-
-    def append_leaf(shape, path):
-        if path == ():
-            return shape + (LEAF,)
-        i = path[0]
-        return shape[:i] + (append_leaf(shape[i], path[1:]),) + shape[i + 1 :]
-
-    def wrap_child(shape, path):
-        if len(path) == 1:
-            i = path[0]
-            return shape[:i] + ((shape[i], LEAF),) + shape[i + 1 :]
-        i = path[0]
-        return shape[:i] + (wrap_child(shape[i], path[1:]),) + shape[i + 1 :]
-
-    # Locate the rightmost crossing of the graft level with U, then
-    # attach the new leaf there.  `fresh` is the path of a created
-    # 2-ary vertex (None if an existing vertex absorbed the leaf) and
-    # `shift` translates old vertex paths into the grafted tree.
-    if ushape == LEAF or lu[()] > graft_level:
-        new_ushape = (ushape, LEAF)
-        fresh = ()
-        shift = lambda p: (0,) + p
-    else:
-        path = ()
-        while True:
-            if lu[path] == graft_level:
-                new_ushape = append_leaf(ushape, path)
-                fresh = None
-                shift = lambda p: p
-                break
-            child = path + (len(subshape(ushape, path)) - 1,)
-            csub = subshape(ushape, child)
-            if csub == LEAF or lu[child] > graft_level:
-                new_ushape = wrap_child(ushape, child)
-                fresh = child
-                k = len(child)
-                shift = lambda p: (
-                    child + (0,) + p[k:] if p[:k] == child else p
-                )
-                break
-            path = child
-
-    new_up = PlanarTree("up", new_ushape)
-    raw_levels = {shift(p): lu[p] for p in x.up.vertices()}
-    if fresh is not None:
-        raw_levels[fresh] = graft_level
-
-    used = sorted(set(raw_levels.values()) | set(new_down_levels))
-    renum = {lvl: i + 1 for i, lvl in enumerate(used)}
-    up_levels = tuple(renum[raw_levels[p]] for p in new_up.vertices())
-    down_levels = tuple(renum[lvl] for lvl in new_down_levels)
-    return ComplementaryPair(new_up, new_down, up_levels, down_levels)
+    (u, ul), (d, dl) = tree("up", up), tree("down", down)
+    return ComplementaryPair(u, d, ul, dl)
 
 
 def opet_iso_check(m: int, n: int) -> bool:
@@ -428,8 +366,10 @@ class OrderedBipartition:
         text = text.strip()
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError("bipartition text must be parenthesized")
+        inner = text[1:-1]
         blocks = []
-        for part in text[1:-1].split("|"):
+        # "()" has no blocks: it is the code of the (1, 1) pair
+        for part in inner.split("|") if inner.strip() else ():
             if "/" in part:
                 u, d = part.split("/")
             else:
@@ -462,21 +402,13 @@ def tau(p: OrderedBipartition) -> OrderedBipartition:
 @cache
 def _gap_vertices(shape) -> tuple:
     """Per leaf gap, the index in vertex path order of the lowest
-    vertex merging leaf i and leaf i+1."""
-    index = {p: v for v, p in enumerate(shape_vertices(shape))}
-    out = []
-
-    def walk(s, path):
-        # the gaps between consecutive children of a vertex merge there
-        for i, child in enumerate(s):
-            if i:
-                out.append(index[path])
-            if child != LEAF:
-                walk(child, path + (i,))
-
-    if shape != LEAF:
-        walk(shape, ())
-    return tuple(out)
+    vertex merging leaf i and leaf i+1: the last vertex in path order
+    whose leaf interval holds both."""
+    intervals = leaf_intervals(shape)
+    return tuple(
+        [v for v, (a, b) in enumerate(intervals) if a < i < b][-1]
+        for i in range(1, leaf_count(shape))
+    )
 
 
 def gamma_encode(x: ComplementaryPair) -> OrderedBipartition:
@@ -499,33 +431,6 @@ def gamma_encode(x: ComplementaryPair) -> OrderedBipartition:
     )
 
 
-def _decode_tree(gap_level, pick):
-    """Rebuild a shape from gap levels; `pick` chooses the root level
-    among a group's gap levels (min for up trees, max for down trees)."""
-    if not gap_level:
-        return LEAF, {}
-
-    levels = {}
-
-    def build2(lo, hi, gaps, path):
-        if lo == hi:
-            return LEAF
-        root_lvl = pick(gap_level[g] for g in gaps)
-        split = [g for g in gaps if gap_level[g] == root_lvl]
-        starts = [lo] + [g + 1 for g in split]
-        ends = list(split) + [hi]
-        children = tuple(
-            build2(s, e, [g for g in gaps if s <= g < e], path + (i,))
-            for i, (s, e) in enumerate(zip(starts, ends))
-        )
-        levels[path] = root_lvl
-        return children
-
-    m = len(gap_level) + 1
-    shape = build2(1, m, list(range(1, m)), ())
-    return shape, levels
-
-
 def gamma_decode(b: OrderedBipartition, m: int, n: int) -> ComplementaryPair:
     """Inverse of gamma_encode."""
     if m < 1 or n < 1:
@@ -538,20 +443,30 @@ def gamma_decode(b: OrderedBipartition, m: int, n: int) -> ComplementaryPair:
         range(m, m + n - 1)
     ):
         raise ValueError("bipartition does not match (m, n) = (%d, %d)" % (m, n))
-    ugap = {}
-    dgap = {}
+    # the depth of each gap, indexed from 0 in each tree: a vertex lies
+    # deeper than its parent, so a U gap's depth is its level and a D
+    # gap's is minus its level
+    udepth, ddepth = [0] * (m - 1), [0] * (n - 1)
     for j, (us, ds) in enumerate(b.blocks, start=1):
         for i in us:
-            ugap[i] = j
+            udepth[i - 1] = j
         for i in ds:
-            dgap[i - m + 1] = j
-    ushape, ulev = _decode_tree(ugap, min)
-    dshape, dlev = _decode_tree(dgap, max)
-    up = PlanarTree("up", ushape)
-    down = PlanarTree("down", dshape)
-    return ComplementaryPair(
-        up,
-        down,
-        tuple(ulev[p] for p in up.vertices()),
-        tuple(dlev[p] for p in down.vertices()),
-    )
+            ddepth[i - m] = -j
+    return _pair_from_intervals(_gap_intervals(udepth), _gap_intervals(ddepth))
+
+
+def _gap_intervals(depths) -> dict:
+    """The leaf intervals of a tree and their levels, from the depth of
+    each gap, gap i lying between leaves i and i + 1 (from 0).  The
+    vertex where gap i merges spans the longest run of gaps around it
+    at its depth or deeper, and its level is the gap's level, the
+    depth's absolute value."""
+    out = {}
+    for i, d in enumerate(depths):
+        lo, hi = i, i + 1
+        while lo and depths[lo - 1] >= d:
+            lo -= 1
+        while hi < len(depths) and depths[hi] >= d:
+            hi += 1
+        out[lo, hi + 1] = abs(d)
+    return out

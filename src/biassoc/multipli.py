@@ -29,7 +29,8 @@ from .trees import (
     child_tuples,
     coarser_shapes,
     contraction_map,
-    edge_values,
+    edge_ties,
+    shape_edges,
     shape_vertices,
 )
 from .zones import ZonePair, biassociahedron_poset, enumerate_zone_pairs
@@ -54,11 +55,11 @@ class DiaphragmTree:
             raise ValueError("zeta length mismatch")
         if any(v not in (ABOVE, AT, BELOW) for v in self.zeta):
             raise ValueError("bad zeta value")
-        for a, b in edge_values(self.tree, self.zeta):
-            if a > b:
-                raise ValueError("zeta must not decrease away from root")
-            if a == b == AT:
-                raise ValueError("comparable vertices both on the membrane")
+        ties = edge_ties(shape_edges(self.tree.shape), self.zeta, True)
+        if ties is None:
+            raise ValueError("zeta must not decrease away from root")
+        if AT in ties:
+            raise ValueError("comparable vertices both on the membrane")
 
     @property
     def m(self) -> int:

@@ -8,8 +8,11 @@ are the mirror image (root at the bottom); the encoding is identical.
 
 Vertices are addressed by root-to-vertex paths of child indices
 (tuples of ints), iterated in lexicographic (= depth-first preorder)
-order everywhere.  A vertex is also named by its leaf interval; the
-associahedron face poset orders trees by edge contraction.
+order everywhere.  A vertex is also named by its leaf interval, and a
+shape by the set of its vertices' intervals: every rewritten shape (an
+edge contraction, the leaf shift, the gap decoder) is built from that
+set by shape_from_intervals.  The associahedron face poset orders trees
+by edge contraction.
 """
 
 from __future__ import annotations
@@ -195,13 +198,26 @@ def vertex_order(t: PlanarTree) -> frozenset:
     return frozenset(pairs)
 
 
-def edge_values(t: PlanarTree, values) -> list:
-    """(parent value, child value) over the edges between vertices of
-    t, given one value per vertex in path order.  A monotone rule holds
-    on all ancestor pairs iff it holds on these; so does a ban on equal
-    values, since a comparable pair with equal monotone values forces
-    equality on the edge just above the lower vertex."""
-    return [(values[p], values[c]) for p, c in shape_edges(t.shape)]
+@cache
+def edge_ties(edges, values, up: bool):
+    """Given the edges of a shape (shape_edges) and one value per vertex
+    in path order: the values shared by the two ends of an edge, or None
+    when an edge goes the wrong way (values must not decrease away from
+    an up root, nor increase away from a down root).  A monotone rule
+    holds on all ancestor pairs iff it holds on the edges, and so does a
+    ban on ties, since a comparable pair with equal monotone values
+    forces a tie on an edge between them.  An edge tuple and a value
+    tuple recur across many pairs, so each distinct part is checked
+    once; the cache holds the edge tuple of shape_edges, one per
+    distinct shape, and not the shapes of the objects checked."""
+    ties = set()
+    for p, c in edges:
+        a, b = values[p], values[c]
+        if a == b:
+            ties.add(a)
+        elif (a > b) == up:
+            return None
+    return tuple(sorted(ties))
 
 
 def is_ancestor(p, q) -> bool:
@@ -213,25 +229,17 @@ def contract_edge(t: PlanarTree, edge) -> PlanarTree:
     """Contract the internal edge whose non-root endpoint is `edge`.
 
     The non-root endpoint is the deeper vertex of the edge; this names
-    internal edges bijectively.  The two endpoints merge, splicing the
-    deeper vertex's child list into its parent's in place.
+    internal edges bijectively.  The two endpoints merge, which drops
+    the deeper vertex's leaf interval.
     """
     edge = tuple(edge)
-    if edge == ():
+    if edge == () or subshape(t.shape, edge) == LEAF:
         raise ValueError("not an internal edge")
-    s = subshape(t.shape, edge)
-    if s == LEAF:
-        raise ValueError("not an internal edge")
-
-    def rebuild(shape, path):
-        if len(path) == 1:
-            i = path[0]
-            child = shape[i]
-            return shape[:i] + child + shape[i + 1 :]
-        i = path[0]
-        return shape[:i] + (rebuild(shape[i], path[1:]),) + shape[i + 1 :]
-
-    return PlanarTree(t.orientation, rebuild(t.shape, edge))
+    i = shape_vertices(t.shape).index(edge)
+    intervals = leaf_intervals(t.shape)
+    return PlanarTree(
+        t.orientation, shape_from_intervals(intervals[:i] + intervals[i + 1 :])
+    )
 
 
 @cache
@@ -281,6 +289,30 @@ def leaf_intervals(shape) -> tuple:
     return tuple(out)
 
 
+def shape_from_intervals(intervals):
+    """The shape whose vertices have exactly the given leaf intervals:
+    the inverse of leaf_intervals.  The intervals must be laminar, hold
+    the root's (0, m) unless the shape is the bare leaf, and give every
+    vertex >= 2 children."""
+    if not intervals:
+        return LEAF
+    # a vertex's interval is longer than its descendants', so in order
+    # of length every vertex is built after its children
+    order = sorted(intervals, key=lambda iv: iv[1] - iv[0])
+    m = order[-1][1]
+    built = [LEAF] * m  # per leaf, the largest subtree built from it
+    ends = list(range(1, m + 1))  # and the end of that subtree
+    for start, end in order:
+        children = []
+        i = start
+        while i < end:
+            children.append(built[i])
+            i = ends[i]
+        built[start] = tuple(children)
+        ends[start] = end
+    return built[0]
+
+
 @cache
 def contraction_map(s1, s2):
     """The unique contraction morphism between shapes, if one exists.
@@ -307,10 +339,13 @@ def contraction_map(s1, s2):
 
 def edge_contractions(shape) -> tuple:
     """The shapes made from `shape` by contracting one internal edge:
-    its one-step moves in the associahedron."""
-    t = PlanarTree("up", shape)
-    # the non-root vertices name the internal edges
-    return tuple(contract_edge(t, p).shape for p in t.vertices()[1:])
+    its one-step moves in the associahedron.  Each drops the leaf
+    interval of one non-root vertex."""
+    intervals = leaf_intervals(shape)
+    return tuple(
+        shape_from_intervals(intervals[:i] + intervals[i + 1 :])
+        for i in range(1, len(intervals))
+    )
 
 
 @cache

@@ -24,6 +24,7 @@ from .leveled import (
 from .trees import (
     PlanarTree,
     contraction_map,
+    edge_ties,
     is_ancestor,
     shape_edges,
     shape_text,
@@ -53,12 +54,12 @@ class ZonePair:
             raise ValueError("zones must be exactly 1..l with no gaps")
         # a zone shared across an edge is a barrier when the other tree
         # meets it
-        ties = _edge_ties(self.up.shape, uz, True)
+        ties = edge_ties(shape_edges(self.up.shape), uz, True)
         if ties is None:
             raise ValueError("up-tree zones must not decrease downward")
         if not dset.isdisjoint(ties):
             raise ValueError("comparable vertices share a barrier")
-        ties = _edge_ties(self.down.shape, dz, False)
+        ties = edge_ties(shape_edges(self.down.shape), dz, False)
         if ties is None:
             raise ValueError("down-tree zones must not increase upward")
         if not uset.isdisjoint(ties):
@@ -111,23 +112,6 @@ class ZonePair:
             ", ".join(zones),
             "".join(kinds),
         )
-
-
-@cache
-def _edge_ties(shape, zones, up: bool):
-    """Given one zone per vertex of shape in path order: the zones
-    shared by the two ends of an edge, or None when an edge goes the
-    wrong way (zones must not decrease away from an up root, nor
-    increase away from a down root).  A shape and a tuple recur across
-    many zone pairs, so each distinct part is checked once."""
-    ties = set()
-    for p, c in shape_edges(shape):
-        a, b = zones[p], zones[c]
-        if a == b:
-            ties.add(a)
-        elif (a > b) == up:
-            return None
-    return tuple(sorted(ties))
 
 
 @cache

@@ -310,9 +310,9 @@ def level_function_error(up, down, up_levels, down_levels):
     h = max(levels, default=0)
     if levels != set(range(1, h + 1)):
         return "levels must be exactly 1..h with no gaps"
-    if any(a >= b for a, b in T.edge_values(up, up_levels)):
+    if any(up_levels[p] >= up_levels[c] for p, c in T.shape_edges(up.shape)):
         return "up-tree levels must increase away from root"
-    if any(a <= b for a, b in T.edge_values(down, down_levels)):
+    if any(down_levels[p] <= down_levels[c] for p, c in T.shape_edges(down.shape)):
         return "down-tree levels must decrease away from root"
     return None
 
@@ -332,12 +332,12 @@ def zone_function_error(up, down, up_zones, down_zones):
     if zones != set(range(1, l + 1)):
         return "zones must be exactly 1..l with no gaps"
     barriers = uset & dset
-    for a, b in T.edge_values(up, uz):
+    for a, b in ((uz[p], uz[c]) for p, c in T.shape_edges(up.shape)):
         if a > b:
             return "up-tree zones must not decrease downward"
         if a == b and a in barriers:
             return "comparable vertices share a barrier"
-    for a, b in T.edge_values(down, dz):
+    for a, b in ((dz[p], dz[c]) for p, c in T.shape_edges(down.shape)):
         if a < b:
             return "down-tree zones must not increase upward"
         if a == b and a in barriers:

@@ -122,6 +122,9 @@ def test_encode_decode(capsys):
     )
     assert code == 0
     assert out.strip() == "((* * (* *)) (* (* *) *));*;1,3,4,2,4;"
+    # the (1, 1) pair has no gaps: its code has no blocks
+    code, out, _ = run(capsys, "encode", "--gamma", "--decode", "()", "-m", "1")
+    assert code == 0 and out.strip() == "*;*;;"
     # a single label above 9 must not read back as its digits
     up = "(* * * * * * * * * * (* *))"
     code, out, _ = run(capsys, "encode", "--gamma", "--up", up, "--up-levels", "1,2")

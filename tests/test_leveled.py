@@ -270,9 +270,24 @@ def test_gamma_golden():
 
 
 def test_gamma_roundtrip_exhaustive():
-    for m, n in [(2, 3), (4, 1), (5, 1), (3, 2), (2, 2), (1, 4)]:
-        for x in L.enumerate_leveled_pairs(m, n):
-            assert L.gamma_decode(L.gamma_encode(x), m, n) == x
+    count = 0
+    for total in range(2, 8):
+        for m in range(1, total):
+            n = total - m
+            for x in L.enumerate_leveled_pairs(m, n):
+                assert L.gamma_decode(L.gamma_encode(x), m, n) == x
+                count += 1
+    assert count == 3685
+
+
+def test_gamma_text_roundtrip_exhaustive():
+    # the (1, 1) pair has no gaps, so its code "()" has no blocks
+    for total in range(2, 8):
+        for m in range(1, total):
+            for x in L.enumerate_leveled_pairs(m, total - m):
+                b = L.gamma_encode(x)
+                assert OrderedBipartition.from_text(b.text()) == b
+    assert OrderedBipartition.from_text("()").blocks == ()
 
 
 def test_gap_vertices_are_leaf_meets():

@@ -94,6 +94,17 @@ def test_contract_edge():
     assert T.contract_edge(comb4, (0,)).text() == "((* *) * *)"
 
 
+def test_shape_from_intervals_inverts_leaf_intervals():
+    # the bare leaf and every shape with <= 8 leaves; the intervals are
+    # a set, so their order does not matter
+    shapes = [t.shape for m in range(1, 9) for t in T.enumerate_trees(m)]
+    assert shapes[0] == T.LEAF and len(shapes) == 5440
+    for s in shapes:
+        intervals = T.leaf_intervals(s)
+        assert T.shape_from_intervals(intervals) == s
+        assert T.shape_from_intervals(intervals[::-1]) == s
+
+
 def test_contract_edge_counts():
     for t in T.enumerate_trees(5):
         for p in t.vertices():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from biassoc import leveled as L, zones as Z
+from biassoc import leveled as L, trees as T, zones as Z
 from biassoc.posets import is_isomorphism, isomorphic
 from biassoc.trees import PlanarTree, enumerate_trees, face_poset_associahedron
 from biassoc.zones import ZonePair
@@ -145,8 +145,7 @@ def test_cached_verdicts_do_not_leak_between_shapes():
     ]
     for cls, reference, down, ups, downs in cases:
         for order in ((chain, cherries), (cherries, chain)):
-            L._strict_edges.cache_clear()
-            Z._edge_ties.cache_clear()
+            T.edge_ties.cache_clear()
             for up in order:
                 want = reference(up, down, ups, downs)
                 assert (want is None) == (up is cherries)
