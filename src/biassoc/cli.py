@@ -4,11 +4,18 @@ Verbs: enumerate, fvector, hasse, verify, encode, varpi.  Families:
 perm (permutahedron, n forced to 1), biperm, assoc, biassoc, multipl.
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 internal error (an unexpected exception; never a verdict).
+
+`enumerate` writes its lines as they are made, one tree pair at a time
+for perm, biperm and biassoc, so its memory does not grow with the
+number of lines.  `main` restores the default SIGPIPE action: when the
+reader closes stdout early (as `head` does), the tool ends quietly, as
+`cat` does, with no traceback.  `run` leaves the signal alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import traceback
 
@@ -41,19 +48,29 @@ def _poset(family, m, n):
     raise UsageError("unknown family %r" % family)
 
 
-def _elements(family, m, n, fmt):
-    if family == "assoc":
-        for t in trees.enumerate_trees(m, "up"):
-            yield t.to_json() if fmt == "json" else t.text()
-    elif family in ("perm", "biperm"):
-        for x in leveled.enumerate_leveled_pairs(m, n):
-            yield x.to_json() if fmt == "json" else x.key()
-    elif family == "biassoc":
-        for z in zones.enumerate_zone_pairs(m, n):
-            yield z.to_json() if fmt == "json" else z.key()
-    elif family == "multipl":
-        for p in multipli.enumerate_painted(m):
-            yield p.to_json() if fmt == "json" else p.text()
+_BATCH = 4096  # lines per write for the families listed as one tuple
+
+
+def _blocks(family, m, n, fmt):
+    """The lines of `enumerate` in blocks: one tree pair's elements for
+    perm, biperm and biassoc, which are walked one tree pair at a time,
+    and batches of _BATCH lines for assoc and multipl."""
+    if family in ("perm", "biperm", "biassoc"):
+        shared = {}  # the zone tuples met so far, for biassoc
+        for group in leveled.pair_groups(m, n):
+            if family == "biassoc":
+                group = zones.zone_group(group, shared)[0]
+            yield [x.to_json() if fmt == "json" else x.key() for x in group]
+    elif family in ("assoc", "multipl"):
+        if family == "assoc":
+            items = trees.enumerate_trees(m, "up")
+        else:
+            items = multipli.enumerate_painted(m)
+        for start in range(0, len(items), _BATCH):
+            yield [
+                x.to_json() if fmt == "json" else x.text()
+                for x in items[start : start + _BATCH]
+            ]
     else:
         raise UsageError("unknown family %r" % family)
 
@@ -125,8 +142,8 @@ def run(argv) -> int:
             _check_size(args.m, args.n, args.max_size)
 
         if args.verb == "enumerate":
-            for line in _elements(args.family, args.m, args.n, args.format):
-                print(line)
+            for block in _blocks(args.family, args.m, args.n, args.format):
+                sys.stdout.write("\n".join(block) + "\n")
             return 0
 
         if args.verb == "fvector":
@@ -214,6 +231,9 @@ def _verify(args) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that stops early ends the tool quietly, as it does cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

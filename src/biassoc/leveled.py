@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 
 from . import posets
 from .trees import (
@@ -171,20 +172,28 @@ def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
     return results
 
 
-@cache
-def enumerate_leveled_pairs(m: int, n: int) -> tuple:
-    """All complementary pairs with m up-leaves and n down-leaves."""
+def pair_groups(m: int, n: int):
+    """Per tree pair (U, D) with m up-leaves and n down-leaves, the list
+    of its complementary pairs sorted by key.  The lists come in key
+    order, one at a time, so a caller that walks them holds one tree
+    pair's pairs, not all of them."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     # a key starts with the two tree texts, no tree text is a prefix of
     # another and enumerate_trees lists the trees in text order, so
     # sorting the pairs of each tree pair sorts them all
-    out = []
-    for up in enumerate_trees(m, "up"):
-        for down in enumerate_trees(n, "down"):
-            pairs = enumerate_level_functions(up, down)
-            out.extend(sorted(pairs, key=ComplementaryPair.key))
-    return tuple(out)
+    ups, downs = enumerate_trees(m, "up"), enumerate_trees(n, "down")
+    return (
+        sorted(enumerate_level_functions(up, down), key=ComplementaryPair.key)
+        for up in ups
+        for down in downs
+    )
+
+
+@cache
+def enumerate_leveled_pairs(m: int, n: int) -> tuple:
+    """All complementary pairs with m up-leaves and n down-leaves."""
+    return tuple(chain.from_iterable(pair_groups(m, n)))
 
 
 def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:

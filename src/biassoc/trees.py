@@ -153,12 +153,6 @@ class PlanarTree:
     def vertices(self) -> tuple:
         return shape_vertices(self.shape)
 
-    def arity(self, path) -> int:
-        s = subshape(self.shape, path)
-        if s == LEAF:
-            raise KeyError("path %r is a leaf, not a vertex" % (path,))
-        return len(s)
-
     def text(self) -> str:
         return shape_text(self.shape)
 

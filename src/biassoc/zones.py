@@ -226,23 +226,34 @@ def enumerate_zone_pairs(m: int, n: int) -> tuple:
 @cache
 def _zone_classes(m: int, n: int) -> tuple:
     """The zone pairs, sorted by key, and the projection of each (m, n)
-    pair as one of those objects.  Each pair's zones are computed once,
-    and a ZonePair is built and validated once per class."""
+    pair as one of those objects: the zone groups of all tree pairs."""
     classes = []
     projections = []
     shared = {}  # one object per distinct zone tuple, which classes share
     # the pairs come sorted by key, so grouped by tree pair in key order,
     # and a zone pair's key starts with the same two tree texts
     for _, group in groupby(enumerate_leveled_pairs(m, n), lambda x: (x.up, x.down)):
-        found = {}
-        for x in group:
-            uz, dz = (shared.setdefault(t, t) for t in _zone_tuples(x))
-            z = found.get((uz, dz))
-            if z is None:
-                z = found[uz, dz] = ZonePair(x.up, x.down, uz, dz)
-            projections.append(z)
-        classes.extend(sorted(found.values(), key=ZonePair.key))
+        found, projected = zone_group(group, shared)
+        classes.extend(found)
+        projections.extend(projected)
     return tuple(classes), tuple(projections)
+
+
+def zone_group(pairs, shared: dict) -> tuple:
+    """The zone pairs of one tree pair, sorted by key, and the projection
+    of each of its complementary pairs `pairs` as one of those objects.
+    Each pair's zones are computed once, and a ZonePair is built and
+    validated once per class.  `shared` maps each zone tuple to the one
+    object that stands for it, and is filled as tuples are met."""
+    found = {}
+    projections = []
+    for x in pairs:
+        uz, dz = (shared.setdefault(t, t) for t in _zone_tuples(x))
+        z = found.get((uz, dz))
+        if z is None:
+            z = found[uz, dz] = ZonePair(x.up, x.down, uz, dz)
+        projections.append(z)
+    return sorted(found.values(), key=ZonePair.key), projections
 
 
 @cache

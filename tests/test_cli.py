@@ -2,12 +2,19 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 from biassoc import cli, multipli, propterms, zones
 from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs
+
+# the environment of a CLI subprocess: this checkout's src first
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])
+))
 
 # sha256 of the stdout of `hasse`, `hasse --dot` and `fvector` for every
 # family and split with m + n <= 6, recorded before the face orders were
@@ -40,6 +47,58 @@ def test_enumerate_json(capsys):
     for line in lines:
         obj = json.loads(line)
         assert set(obj) == {"up", "down", "zones", "type"}
+
+
+def test_enumerate_streams_the_cached_families(capsys):
+    # the lines written one tree pair at a time are the lines of the
+    # cached tuples, for every split with m + n <= 7 and both formats
+    for total in range(2, 8):
+        for m in range(1, total):
+            n = total - m
+            families = [("biperm", enumerate_leveled_pairs(m, n)),
+                        ("biassoc", zones.enumerate_zone_pairs(m, n))]
+            if n == 1:
+                families.append(("perm", enumerate_leveled_pairs(m, n)))
+            for family, items in families:
+                for fmt in ("text", "json"):
+                    code, out, _ = run(
+                        capsys, "enumerate", "--family", family, "--format", fmt,
+                        "-m", str(m), "-n", str(n),
+                    )
+                    want = [x.to_json() if fmt == "json" else x.key() for x in items]
+                    assert code == 0 and out.splitlines() == want, (family, m, n)
+
+
+def test_enumerate_caches_nothing(capsys):
+    # with cold caches, enumerate builds neither cached tuple
+    for fn in (enumerate_leveled_pairs, zones._zone_classes, zones.enumerate_zone_pairs):
+        fn.cache_clear()
+    for family in ("biperm", "biassoc"):
+        code, out, _ = run(capsys, "enumerate", "--family", family, "-m", "4", "-n", "3")
+        assert code == 0 and out
+    assert enumerate_leveled_pairs.cache_info().currsize == 0
+    assert zones._zone_classes.cache_info().currsize == 0
+
+
+def test_closed_stdout_ends_the_tool_quietly():
+    # the reader takes one line and closes the pipe while the tool still
+    # has about 400 kB to write: SIGPIPE ends it, as it ends cat
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biassoc.cli", "enumerate", "--family", "biperm",
+         "--format", "json", "-m", "4", "-n", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert "internal error" not in err
+    assert code == -signal.SIGPIPE
 
 
 def test_enumerate_deterministic(capsys):
@@ -242,8 +301,6 @@ def test_poset_output_byte_identical(capsys):
 
 def test_library_imports_no_numpy():
     # the library needs no third-party package; numpy is for the tests only
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "from biassoc import cli\n"
@@ -253,7 +310,7 @@ def test_library_imports_no_numpy():
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=ENV,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["6 6 1", "False"]

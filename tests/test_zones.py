@@ -170,7 +170,8 @@ def test_enumeration_counts():
 
 def test_zone_classes_hold_each_pairs_projection():
     # the classes are the distinct projections in key order, and the
-    # k-th projection is the class of project() of the k-th pair
+    # k-th projection is the class of project() of the k-th pair; both
+    # are the zone groups of the tree pairs, one after the other
     for total in range(2, 8):
         for m in range(1, total):
             n = total - m
@@ -183,6 +184,10 @@ def test_zone_classes_hold_each_pairs_projection():
             for x, z in zip(pairs, projections):
                 assert id(z) in ids
                 assert z.key() == Z.project(x).key()
+            shared = {}
+            groups = [Z.zone_group(g, shared) for g in L.pair_groups(m, n)]
+            assert [z for found, _ in groups for z in found] == list(zps)
+            assert [z for _, p in groups for z in p] == list(projections)
 
 
 def test_udu_type_occurs():
