@@ -48,29 +48,21 @@ def _poset(family, m, n):
     raise UsageError("unknown family %r" % family)
 
 
-_BATCH = 4096  # lines per write for the families listed as one tuple
-
-
 def _blocks(family, m, n, fmt):
     """The lines of `enumerate` in blocks: one tree pair's elements for
     perm, biperm and biassoc, which are walked one tree pair at a time,
-    and batches of _BATCH lines for assoc and multipl."""
+    and one line per block for assoc and multipl."""
     if family in ("perm", "biperm", "biassoc"):
-        shared = {}  # the zone tuples met so far, for biassoc
         for group in leveled.pair_groups(m, n):
             if family == "biassoc":
-                group = zones.zone_group(group, shared)[0]
+                group = zones.zone_group(group, {})[0]
             yield [x.to_json() if fmt == "json" else x.key() for x in group]
-    elif family in ("assoc", "multipl"):
-        if family == "assoc":
-            items = trees.enumerate_trees(m, "up")
-        else:
-            items = multipli.enumerate_painted(m)
-        for start in range(0, len(items), _BATCH):
-            yield [
-                x.to_json() if fmt == "json" else x.text()
-                for x in items[start : start + _BATCH]
-            ]
+    elif family == "assoc":
+        for x in trees.enumerate_trees(m, "up"):
+            yield [x.to_json() if fmt == "json" else x.text()]
+    elif family == "multipl":
+        for x in multipli.enumerate_painted(m):
+            yield [x.to_json() if fmt == "json" else x.text()]
     else:
         raise UsageError("unknown family %r" % family)
 
