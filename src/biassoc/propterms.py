@@ -10,8 +10,9 @@ unit is a bare leg-to-leg wire, so composites normalize eagerly.
 The module provides vertical/horizontal composition, the
 block-interleaving permutations sigma(l, k), fractions, the embeddings
 of plain trees, the map from complementary pairs to terms, a canonical
-form giving decidable term equality, and the partition comparison
-between terms and zone pairs.
+form giving decidable term equality (and its exact compact code), and
+the partition comparison between terms and zone pairs, made one tree
+pair at a time.
 
 Generators and the unit are validated when they are built.  Composites
 of valid terms (``vcompose``, ``hcompose``, ``permute_outputs`` and so
@@ -39,8 +40,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, islice
 
-from .leveled import ComplementaryPair
+from .leveled import ComplementaryPair, pair_groups
 from .trees import LEAF, PlanarTree, shape_vertices, subshape
 
 # sources are ("g", i) for global input leg i, or ("v", vi, port)
@@ -263,8 +265,8 @@ def fraction(bs, as_) -> PropTerm:
 # canonical form and equality
 
 
-def canonical(t: PropTerm) -> tuple:
-    """Canonical certificate of a term.
+def _canonical_order(t: PropTerm) -> dict:
+    """The canonical index of each vertex, in canonical order.
 
     Every component of the graph touches a global leg, and per-vertex
     ports are ordered, so a breadth-first sweep anchored at the ordered
@@ -302,17 +304,47 @@ def canonical(t: PropTerm) -> tuple:
                 discover(sink[1])
     if len(order) != len(t.verts):
         raise AssertionError("disconnected vertex not anchored to any leg")
+    return order
+
+
+def canonical(t: PropTerm) -> tuple:
+    """Canonical certificate of a term: its vertices renumbered in
+    canonical order."""
+    order = _canonical_order(t)
 
     def src_key(src):
         if src[0] == "g":
             return src
         return ("v", order[src[1]], src[2])
 
-    # the queue holds the vertices in canonical order
-    verts = tuple(t.verts[vi] for vi in queue)
-    ins = tuple(tuple(src_key(s) for s in t.ins[vi]) for vi in queue)
+    # the order dict lists the vertices in canonical order
+    verts = tuple(t.verts[vi] for vi in order)
+    ins = tuple(tuple(src_key(s) for s in t.ins[vi]) for vi in order)
     outs = tuple(src_key(s) for s in t.outs)
     return (t.m, t.n, verts, ins, outs)
+
+
+def term_code(t: PropTerm) -> bytes:
+    """An exact compact code of canonical(t): two terms have equal
+    codes iff they have equal canonical forms.
+
+    The code lists m, n, the vertex count, each vertex's (b, a) and
+    then each input port's and output leg's source, a global leg i as
+    (0, i) and a vertex port as (canonical index + 1, port); these
+    counts fix where each part ends.  It is one byte per value, or,
+    when a value is 255 or more, the byte 255 and the values in
+    decimal, comma-separated.
+    """
+    order = _canonical_order(t)
+    values = [t.m, t.n, len(order)]
+    for vi in order:
+        values += t.verts[vi]
+    for srcs in [t.ins[vi] for vi in order] + [t.outs]:
+        for src in srcs:
+            values += (0, src[1]) if src[0] == "g" else (order[src[1]] + 1, src[2])
+    if max(values) < 255:
+        return bytes(values)
+    return b"\xff" + ",".join(map(str, values)).encode()
 
 
 def term_eq(t1: PropTerm, t2: PropTerm) -> bool:
@@ -602,29 +634,43 @@ def varpi(x: ComplementaryPair) -> PropTerm:
 def theorem_c_check(m: int, n: int) -> bool:
     """The term of a pair determines, and is determined by, its zone
     projection: the two induced partitions of the pairs coincide."""
-    return theorem_c_witness(m, n) is None
+    return theorem_c_witness(m, n)[1] is None
 
 
-def theorem_c_witness(m: int, n: int):
-    """None when the term and zone partitions of the (m, n) pairs
-    coincide, else a counterexample (key1, key2, shared): two pair keys
-    whose terms are equal and zones differ (shared == "term"), or whose
-    zones are equal and terms differ (shared == "zone")."""
-    from .leveled import enumerate_leveled_pairs
-    from .zones import _zone_classes
+def theorem_c_witness(m: int, n: int) -> tuple:
+    """(classes, witness) for the (m, n) pairs, walked one tree pair at
+    a time: the number of zone classes met, and None when the term and
+    zone partitions coincide, else a counterexample (key1, key2, shared):
+    two pair keys whose terms are equal and zones differ (shared ==
+    "term"), or whose zones are equal and terms differ (shared ==
+    "zone").  A witness ends the walk, so `classes` then counts only the
+    tree pairs walked."""
+    from .zones import zone_group
 
-    # the partitions coincide iff term key <-> zone pair is a bijection;
-    # _zone_classes gives one object per zone pair, so ids name them
+    # the partitions coincide iff term code <-> zone class is a bijection.
+    # A zone class lies in one tree pair, so by_zone is kept per tree
+    # pair; by_term spans them all and holds numbers, not pairs: pair i
+    # in key order, zone class z in key order
     by_term = {}
-    by_zone = {}
-    projections = _zone_classes(m, n)[1]
-    for x, zp in zip(enumerate_leveled_pairs(m, n), projections, strict=True):
-        t = term_key(varpi(x))
-        z = id(zp)
-        x1, z1 = by_term.setdefault(t, (x, z))
-        if z1 != z:
-            return x1.key(), x.key(), "term"
-        x1, t1 = by_zone.setdefault(z, (x, t))
-        if t1 != t:
-            return x1.key(), x.key(), "zone"
-    return None
+    i = classes = 0
+    for group in pair_groups(m, n):
+        found, projections = zone_group(group, {})
+        number = {id(z): classes + k for k, z in enumerate(found)}
+        classes += len(found)
+        by_zone = {}
+        for x, zp in zip(group, projections, strict=True):
+            t = term_code(varpi(x))
+            z = number[id(zp)]
+            i1, z1 = by_term.setdefault(t, (i, z))
+            if z1 != z:
+                return classes, (_pair_key(m, n, i1), x.key(), "term")
+            i1, t1 = by_zone.setdefault(z, (i, t))
+            if t1 != t:
+                return classes, (_pair_key(m, n, i1), x.key(), "zone")
+            i += 1
+    return classes, None
+
+
+def _pair_key(m: int, n: int, i: int) -> str:
+    """The key of the i-th (m, n) pair in key order."""
+    return next(islice(chain.from_iterable(pair_groups(m, n)), i, None)).key()

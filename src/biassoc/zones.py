@@ -168,18 +168,27 @@ def project(x: ComplementaryPair) -> ZonePair:
 
 def _zone_tuples(x: ComplementaryPair) -> tuple:
     """The zones of project(x): (up zones, down zones)."""
-    zone_of = [0]  # indexed by level
-    zone = 0
-    prev = None
-    for kind in _kinds(x.up_levels, x.down_levels, x.h):
-        if kind != prev or kind == "B":
-            zone += 1
-        zone_of.append(zone)
-        prev = kind
+    zone_of = _zone_numbers(_kinds(x.up_levels, x.down_levels, x.h))
     return (
         tuple([zone_of[l] for l in x.up_levels]),
         tuple([zone_of[l] for l in x.down_levels]),
     )
+
+
+@cache
+def _zone_numbers(kinds: str) -> tuple:
+    """Per level 0..len(kinds) of the given kinds, its zone (0 for
+    level 0, which no vertex has); few kinds strings recur over many
+    pairs."""
+    zone_of = [0]
+    zone = 0
+    prev = None
+    for kind in kinds:
+        if kind != prev or kind == "B":
+            zone += 1
+        zone_of.append(zone)
+        prev = kind
+    return tuple(zone_of)
 
 
 def zone_leq(z1: ZonePair, z2: ZonePair) -> bool:

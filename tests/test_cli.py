@@ -80,6 +80,17 @@ def test_enumerate_caches_nothing(capsys):
     assert zones._zone_classes.cache_info().currsize == 0
 
 
+def test_thmc_caches_nothing(capsys):
+    # with cold caches, verify thmc walks one tree pair at a time and
+    # builds no cached tuple of pairs or zone classes
+    cached = (enumerate_leveled_pairs, zones._zone_classes, zones.enumerate_zone_pairs)
+    for fn in cached:
+        fn.cache_clear()
+    code, out, _ = run(capsys, "verify", "thmc", "-m", "4", "-n", "3")
+    assert (code, out) == (0, "thmc (4,3): 497 classes, kernels agree\n")
+    assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0]
+
+
 def test_closed_stdout_ends_the_tool_quietly():
     # the reader takes one line and closes the pipe while the tool still
     # has about 400 kB to write: SIGPIPE ends it, as it ends cat
@@ -234,10 +245,11 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 
 def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
     pairs = enumerate_leveled_pairs(3, 2)
-    project, term_key, varpi = zones.project, propterms.term_key, propterms.varpi
+    project, varpi = zones.project, propterms.varpi
+    term_code, zone_group = propterms.term_code, zones.zone_group
 
     def term(x):
-        return term_key(varpi(x))
+        return term_code(varpi(x))
 
     # one kernel pass: every pair's term is computed once on success,
     # and at most once before the witness on failure
@@ -253,14 +265,19 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
     assert (code, out) == (0, "thmc (3,2): %d classes, kernels agree\n" % classes)
     assert sorted(calls) == sorted(x.key() for x in pairs)
 
-    # merge two zone classes in the projections that thmc reads from a
-    # freshly built _zone_classes: the witness has equal zones,
-    # different terms
-    zones._zone_classes.cache_clear()
-    zps, projections = zones._zone_classes(3, 2)
-    z1, z2 = zps[:2]
-    merged = tuple(z1 if z is z2 else z for z in projections)
-    monkeypatch.setattr(zones, "_zone_classes", lambda m, n: (zps, merged))
+    # merge two zone classes in the projections of the first tree pair
+    # that has two: the witness has equal zones, different terms
+    merged = []
+
+    def merging_zone_group(group, shared):
+        found, projections = zone_group(group, shared)
+        if not merged and len(found) > 1:
+            merged.extend(found[:2])
+            z1, z2 = merged
+            projections = [z1 if z is z2 else z for z in projections]
+        return found, projections
+
+    monkeypatch.setattr(zones, "zone_group", merging_zone_group)
     count_varpi()
     code, out, _ = run(capsys, "verify", "thmc", "-m", "3", "-n", "2")
     assert code == 1
@@ -269,7 +286,7 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
         r"different terms\n", out
     ).groups()
     x1, x2 = ComplementaryPair.from_key(k1), ComplementaryPair.from_key(k2)
-    assert {project(x1).key(), project(x2).key()} == {z1.key(), z2.key()}
+    assert {project(x1).key(), project(x2).key()} == {z.key() for z in merged}
     assert term(x1) != term(x2)
     assert len(set(calls)) == len(calls) and calls[-1] == k2
     monkeypatch.undo()
@@ -277,7 +294,7 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
     # merge two term classes: the witness has equal terms, different zones
     t1, t2 = sorted({term(x) for x in pairs})[:2]
     monkeypatch.setattr(
-        propterms, "term_key", lambda t: t1 if term_key(t) == t2 else term_key(t)
+        propterms, "term_code", lambda t: t1 if term_code(t) == t2 else term_code(t)
     )
     count_varpi()
     code, out, _ = run(capsys, "verify", "thmc", "-m", "3", "-n", "2")
@@ -287,7 +304,7 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
         r"different zones\n", out
     ).groups()
     x1, x2 = ComplementaryPair.from_key(k1), ComplementaryPair.from_key(k2)
-    assert {term_key(varpi(x)) for x in (x1, x2)} == {t1, t2}
+    assert {term_code(varpi(x)) for x in (x1, x2)} == {t1, t2}
     assert project(x1).key() != project(x2).key()
     assert len(set(calls)) == len(calls) and calls[-1] == k2
 

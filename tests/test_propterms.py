@@ -462,6 +462,36 @@ def test_term_keys_golden():
     assert hashlib.sha256("".join(rows).encode()).hexdigest() == TERM_KEYS_SHA256
 
 
+def test_term_code_partitions_like_term_key():
+    # over the same 3,685 pairs, equal codes <-> equal keys
+    pairs = [
+        (P.term_code(t), P.term_key(t))
+        for s in range(2, 8)
+        for m in range(1, s)
+        for t in map(P.varpi, enumerate_leveled_pairs(m, s - m))
+    ]
+    assert len(pairs) == 3685
+    codes, keys = zip(*pairs)
+    assert len(set(codes)) == len(set(keys)) == len(set(pairs))
+
+
+def test_term_code_is_exact_for_wide_values():
+    # values of 255 or more take the wide form; it stays exact
+    wide = P.hfold([P.unit()] * 300)
+    code = P.term_code(wide)
+    assert code == P.term_code(P.hfold([P.unit()] * 300))
+    assert code == P.term_code(P._trusted(wide.m, wide.n, wide.verts, wide.ins, wide.outs))
+    others = [
+        P.hfold([P.unit()] * 299),
+        P.hfold([P.unit()] * 301),
+        P.hfold([P.unit()] * 254),
+        P.permute_outputs(wide, lambda i: 301 - i),
+        P.hfold([P.generator(1, 2)] + [P.unit()] * 298),
+    ]
+    assert len({code, *map(P.term_code, others)}) == 1 + len(others)
+    assert P.term_code(others[2])[:1] != b"\xff" == code[:1]
+
+
 # sha256 of the sorted "pair key<TAB>expression<TAB>simplified expression"
 # lines over the same 3,685 pairs, recorded while fraction pieces were
 # still built by general vertex-subset restriction
