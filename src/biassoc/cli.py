@@ -188,12 +188,10 @@ def run(argv) -> int:
 def _verify(args) -> int:
     m, n = args.m, args.n
     if args.check == "opet":
-        ok = leveled.opet_iso_check(m, n)
-        print(
-            "opet (%d,%d): %s"
-            % (m, n, "isomorphism verified" if ok else "FAILED")
-        )
-        return 0 if ok else 1
+        failure = leveled.opet_failure(m, n)
+        verdict = "isomorphism verified" if failure is None else "FAILED: " + failure
+        print("opet (%d,%d): %s" % (m, n, verdict))
+        return 0 if failure is None else 1
     if args.check == "thmc":
         classes, witness = propterms.theorem_c_witness(m, n)
         if witness is None:
@@ -207,12 +205,10 @@ def _verify(args) -> int:
         )
         return 1
     if args.check == "propd":
-        ok = multipli.prop_d_check(m) is not None
-        print(
-            "propd m=%d: %s"
-            % (m, "posets isomorphic" if ok else "FAILED")
-        )
-        return 0 if ok else 1
+        failure = multipli.prop_d_map(m)[1]
+        verdict = "posets isomorphic" if failure is None else "FAILED: " + failure
+        print("propd m=%d: %s" % (m, verdict))
+        return 0 if failure is None else 1
     if args.check == "euler":
         p = _poset(args.family, m, n)
         e = p.euler()

@@ -234,39 +234,47 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
 @cache
 def bipermutahedron_poset(m: int, n: int):
     """Face poset of the bipermutahedron; graded by (m+n-2) - h."""
+    return _bipermutahedron(m, n)
+
+
+def _bipermutahedron(m: int, n: int):
+    """bipermutahedron_poset, built without the cache: one walk of
+    pair_groups, numbering each pair as it is met."""
     if m + n < 2:
         raise ValueError("need m + n >= 2")
-    pairs = enumerate_leveled_pairs(m, n)
-    return coarsening_poset(m, n, tuple(x.key() for x in pairs), range(len(pairs)))
+    keys = []
+
+    def coded():
+        for group in pair_groups(m, n):
+            for x in group:
+                keys.append(x.key())
+                yield gap_code(x), len(keys) - 1
+
+    return coarsening_poset(keys, coded())
 
 
-def coarsening_poset(m: int, n: int, keys, classes):
+def coarsening_poset(keys, coded):
     """The face poset of a quotient of the (m, n) bipermutahedron.
 
-    Its elements are the sorted `keys`, and classes[k] is the index of
-    the key of the k-th (m, n) pair.  Its relation is the image of the
-    one-step moves of the pairs, merging two adjacent blocks of the gap
-    code; their closure is the block-merge order, which is pair_leq.
-    The image of the whole block-merge order is already transitive for
-    every quotient built here (the tests check it for m + n <= 7), so
-    the closure of the image is the image of the order.
+    Its elements are the sorted `keys`, and `coded` yields, for every
+    (m, n) pair, its gap code and the index of its class in `keys`.
+    `keys` is read only once `coded` is spent, so the walk that yields
+    the codes may fill it.  The relation is the image of the one-step
+    moves of the pairs, merging two adjacent blocks of the gap code (an
+    OR of their masks); their closure is the block-merge order, which
+    is pair_leq.  The image of the whole block-merge order is already
+    transitive for every quotient built here (the tests check it for
+    m + n <= 7), so the closure of the image is the image of the order.
     """
-    blocks = [gamma_encode(x).blocks for x in enumerate_leveled_pairs(m, n)]
-    image = dict(zip(blocks, classes))
+    image = dict(coded)
     return posets.FinitePoset(
-        keys, ((image[b], image[c]) for b in blocks for c in _adjacent_merges(b))
+        tuple(keys),
+        (
+            (c, image[code[:k] + (code[k] | code[k + 1],) + code[k + 2 :]])
+            for code, c in image.items()
+            for k in range(len(code) - 1)
+        ),
     )
-
-
-def _adjacent_merges(blocks):
-    """The h - 1 block tuples made by merging two adjacent blocks of an
-    h-block tuple."""
-    return [
-        blocks[:k]
-        + ((tuple(sorted(us + us2)), tuple(sorted(ds + ds2))),)
-        + blocks[k + 2 :]
-        for k, ((us, ds), (us2, ds2)) in enumerate(zip(blocks, blocks[1:]))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +338,26 @@ def _pair_from_intervals(up: dict, down: dict) -> ComplementaryPair:
 def opet_iso_check(m: int, n: int) -> bool:
     """Verify that iterating opet_step gives an order isomorphism
     from the (m, n) pairs onto the (m+n-1, 1) pairs, one step at a time."""
+    return opet_failure(m, n) is None
+
+
+def opet_failure(m: int, n: int):
+    """None when opet_iso_check holds, else the first step whose map
+    is not an order isomorphism and how it fails (see
+    posets.isomorphism_failure).  Only the posets of the two splits
+    being compared are alive at a time."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
+    p = _bipermutahedron(m, n) if n >= 2 else None
     while n >= 2:
-        step = {x.key(): opet_step(x).key() for x in enumerate_leveled_pairs(m, n)}
-        if not posets.is_isomorphism(
-            bipermutahedron_poset(m, n), bipermutahedron_poset(m + 1, n - 1), step
-        ):
-            return False
-        m, n = m + 1, n - 1
-    return True
+        q = _bipermutahedron(m + 1, n - 1)
+        failure = posets.isomorphism_failure(
+            p, q, {x.key(): opet_step(x).key() for g in pair_groups(m, n) for x in g}
+        )
+        if failure is not None:
+            return "step (%d,%d) -> (%d,%d): %s" % (m, n, m + 1, n - 1, failure)
+        p, m, n = q, m + 1, n - 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -420,22 +438,29 @@ def _gap_vertices(shape) -> tuple:
     )
 
 
-def gamma_encode(x: ComplementaryPair) -> OrderedBipartition:
-    """Encode a pair as an ordered bipartition of leaf gaps by level.
+def gap_code(x: ComplementaryPair) -> tuple:
+    """Per level 1..h, the leaf gaps merging on that level as one
+    bitmask, bit i - 1 for gap i: up-leaf gap i (1..m-1) merges at the
+    U vertex where the branches of leaves i and i+1 meet, and down-leaf
+    gaps, numbered m..m+n-2, at the corresponding D vertex.  The label
+    ranges are disjoint, so a block (U_j, D_j) is one int."""
+    code = [0] * x.h
+    bit = 1
+    for levels, shape in ((x.up_levels, x.up.shape), (x.down_levels, x.down.shape)):
+        for v in _gap_vertices(shape):
+            code[levels[v] - 1] |= bit
+            bit <<= 1
+    return tuple(code)
 
-    Up-leaf gap i (1..m-1) lands in the block of the level of the U
-    vertex where the branches of leaves i and i+1 merge; down-leaf gaps,
-    numbered m..m+n-2, land at the corresponding D merge vertex.
-    """
-    ublocks = {j: [] for j in range(1, x.h + 1)}
-    dblocks = {j: [] for j in range(1, x.h + 1)}
-    for i, v in enumerate(_gap_vertices(x.up.shape), start=1):
-        ublocks[x.up_levels[v]].append(i)
-    for i, v in enumerate(_gap_vertices(x.down.shape), start=x.m):
-        dblocks[x.down_levels[v]].append(i)
+
+def gamma_encode(x: ComplementaryPair) -> OrderedBipartition:
+    """Encode a pair as an ordered bipartition of leaf gaps by level:
+    gap_code with each block split into its U and D labels."""
+    ugaps, dgaps = range(1, x.m), range(x.m, x.m + x.n - 1)
     return OrderedBipartition(
         tuple(
-            (tuple(ublocks[j]), tuple(dblocks[j])) for j in range(1, x.h + 1)
+            tuple(tuple(i for i in gaps if b >> (i - 1) & 1) for gaps in (ugaps, dgaps))
+            for b in gap_code(x)
         )
     )
 

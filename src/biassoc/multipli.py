@@ -33,7 +33,7 @@ from .trees import (
     shape_edges,
     shape_vertices,
 )
-from .zones import ZonePair, biassociahedron_poset, enumerate_zone_pairs
+from .zones import ZonePair, _biassociahedron, enumerate_zone_pairs
 
 ABOVE = -1  # above the membrane (painted black; nearer the root)
 AT = 0
@@ -390,12 +390,21 @@ def prop_d_check(m: int):
     is the block-merge image of the (m, 2) pairs, and the multiplihedron
     is built from painted trees under diaphragm_leq.
     """
+    f, failure = prop_d_map(m)
+    return f if failure is None else None
+
+
+def prop_d_map(m: int) -> tuple:
+    """(f, failure): the key map of prop_d_check, filled from the walk
+    that builds the (m, 2) biassociahedron, and None when it is an
+    order isomorphism onto the multiplihedron, else the first way it
+    fails (see posets.isomorphism_failure)."""
     if m < 2:
         raise ValueError("need m >= 2")
-    f = {
-        z.key(): diaphragm_to_painted(zone_to_diaphragm(z)).key()
-        for z in enumerate_zone_pairs(m, 2)
-    }
-    if posets.is_isomorphism(biassociahedron_poset(m, 2), multiplihedron_poset(m), f):
-        return f
-    return None
+    f = {}
+
+    def paint(z, key):
+        f[key] = diaphragm_to_painted(zone_to_diaphragm(z)).key()
+
+    p = _biassociahedron(m, 2, paint)
+    return f, posets.isomorphism_failure(p, multiplihedron_poset(m), f)

@@ -9,7 +9,8 @@ cycle, and keeps as covers the edges that raise the rank by exactly 1
 and the other edges with no detour (no longer path to their head).
 Only the covers and the ranks are stored; gradedness is not assumed.
 
-Isomorphisms are checked through explicit maps with is_isomorphism;
+Isomorphisms are checked through explicit maps with is_isomorphism,
+row by row, and isomorphism_failure names the first way a map fails;
 the generic search `isomorphic` is a reference only the tests call.
 """
 
@@ -146,15 +147,51 @@ def is_isomorphism(p: FinitePoset, q: FinitePoset, f: dict) -> bool:
     q.elements carrying the covers of p exactly onto those of q, that
     is, an order isomorphism.  A key missing from f, or sent outside q,
     gives False."""
-    if len(f) != len(p) or len(p) != len(q):
-        return False
-    try:
-        image = [q.index(f[key]) for key in p.elements]
-    except (KeyError, TypeError):  # TypeError: an unhashable image
-        return False
-    if len(set(image)) != len(q):
-        return False
-    return {(image[i], image[j]) for i, j in p.covers()} == set(q.covers())
+    return isomorphism_failure(p, q, f) is None
+
+
+def isomorphism_failure(p: FinitePoset, q: FinitePoset, f: dict):
+    """None when is_isomorphism(p, q, f) holds, else a message naming
+    the first way it fails: a key of p with no image in q, two keys
+    with one image, a key of f outside p, an element of q with no
+    preimage, or the first element of p whose covers f does not carry
+    exactly onto the covers of its image, with one cover whose image
+    (or, in q, whose preimage) is not a cover.
+
+    Once f is a bijection, the covers match iff for every i the images
+    of row i of p's covers, sorted, are the row of image[i] in q, so
+    no set of cover pairs is built."""
+    image = []
+    source = [None] * len(q)
+    for key in p.elements:
+        if key not in f:
+            return "%s has no image" % (key,)
+        try:
+            j = q.index(f[key])
+        except (KeyError, TypeError):  # TypeError: an unhashable image
+            return "%s maps to %r, which is not in the target" % (key, f[key])
+        if source[j] is not None:
+            return "%s and %s both map to %s" % (source[j], key, q.elements[j])
+        source[j] = key
+        image.append(j)
+    if len(f) != len(p):
+        extra = next(k for k in f if k not in p._index)
+        return "%r is mapped, but is not in the source" % (extra,)
+    if len(p) != len(q):
+        return "%s has no preimage" % q.elements[source.index(None)]
+    for i, row in enumerate(p._covers):
+        k = image[i]
+        mapped = sorted([image[j] for j in row])
+        if tuple(mapped) != q._covers[k]:
+            # the least image of a cover of i, or cover of k, that the
+            # other side lacks
+            t = min(set(mapped).symmetric_difference(q._covers[k]))
+            a = p.elements[i], p.elements[image.index(t)]
+            b = q.elements[k], q.elements[t]
+            if t in mapped:
+                return "%s < %s is a cover, but its image %s < %s is not" % (a + b)
+            return "%s < %s is a cover, but its preimage %s < %s is not" % (b + a)
+    return None
 
 
 def _signatures(p: FinitePoset):

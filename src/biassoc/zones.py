@@ -19,6 +19,8 @@ from .leveled import (
     ComplementaryPair,
     coarsening_poset,
     enumerate_leveled_pairs,
+    gap_code,
+    pair_groups,
     values_text,
 )
 from .trees import (
@@ -269,13 +271,31 @@ def zone_group(pairs, shared: dict) -> tuple:
 def biassociahedron_poset(m: int, n: int):
     """Face poset of the step-one biassociahedron: the image of the
     bipermutahedron order under project."""
+    return _biassociahedron(m, n)
+
+
+def _biassociahedron(m: int, n: int, each_class=None):
+    """biassociahedron_poset, built without the cache: one walk of
+    pair_groups, numbering the zone classes of each tree pair as they
+    are met; they come in key order, as the tree pairs do.  When given,
+    each_class(z, key) is called once per class, as it is numbered."""
     if m + n < 2:
         raise ValueError("need m + n >= 2")
-    zps, projections = _zone_classes(m, n)
-    index = {id(z): i for i, z in enumerate(zps)}  # one object per zone pair
-    return coarsening_poset(
-        m, n, tuple(z.key() for z in zps), [index[id(z)] for z in projections]
-    )
+    keys = []
+
+    def coded():
+        for group in pair_groups(m, n):
+            found, projections = zone_group(group, {})
+            index = {}
+            for z in found:
+                index[id(z)] = len(keys)  # one object per zone class
+                keys.append(z.key())
+                if each_class is not None:
+                    each_class(z, keys[-1])
+            for x, z in zip(group, projections):
+                yield gap_code(x), index[id(z)]
+
+    return coarsening_poset(keys, coded())
 
 
 def pi_section(z: ZonePair) -> ComplementaryPair:

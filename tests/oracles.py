@@ -79,7 +79,8 @@ def block_merges(blocks):
 
 def block_merge_up_sets(m, n, label):
     """(sorted labels, up-sets): the image under `label` of the whole
-    block-merge order on the (m, n) pairs."""
+    block-merge order on the (m, n) pairs, merging the label tuples of
+    gamma_encode: the reference for the library's integer gap codes."""
     pairs = L.enumerate_leveled_pairs(m, n)
     labels = [label(x) for x in pairs]
     keys = tuple(sorted(set(labels)))

@@ -7,8 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from biassoc import cli, multipli, propterms, zones
+from biassoc import cli, leveled, multipli, propterms, zones
 from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs
+from biassoc.multipli import PaintedTree
 
 # the environment of a CLI subprocess: this checkout's src first
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -89,6 +90,51 @@ def test_thmc_caches_nothing(capsys):
     code, out, _ = run(capsys, "verify", "thmc", "-m", "4", "-n", "3")
     assert (code, out) == (0, "thmc (4,3): 497 classes, kernels agree\n")
     assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0]
+
+
+def test_poset_verbs_cache_no_pairs(capsys):
+    # with cold caches, the poset verbs walk one tree pair at a time and
+    # build no cached tuple of pairs or zone classes
+    cached = (enumerate_leveled_pairs, zones._zone_classes, zones.enumerate_zone_pairs)
+    for fn in cached + (leveled.bipermutahedron_poset, zones.biassociahedron_poset):
+        fn.cache_clear()
+    for argv, want in (
+        ("fvector --family biperm -m 4 -n 2", "24 36 14 1\n"),
+        ("fvector --family biassoc -m 4 -n 2", "21 32 13 1\n"),
+        ("hasse --family biassoc -m 2 -n 2", '{"elements": ["(* *);(* *);1;1", '),
+        ("verify propd -m 5", "propd m=5: posets isomorphic\n"),
+        ("verify opet -m 3 -n 2", "opet (3,2): isomorphism verified\n"),
+    ):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out.startswith(want), argv
+    assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0]
+
+
+def test_isomorphism_failures_print_a_counterexample(capsys, monkeypatch):
+    # a step sending every pair to one target: two keys share an image
+    target = enumerate_leveled_pairs(3, 1)[0]
+    monkeypatch.setattr(leveled, "opet_step", lambda x: target)
+    first, second = (x.key() for x in enumerate_leveled_pairs(2, 2)[:2])
+    code, out, _ = run(capsys, "verify", "opet", "-m", "2", "-n", "2")
+    assert (code, out) == (1, "opet (2,2): FAILED: step (2,2) -> (3,1): "
+                              "%s and %s both map to %s\n" % (first, second, target.key()))
+    monkeypatch.undo()
+
+    # a map f trading the images of a minimal and a maximal zone pair
+    q = multipli.multiplihedron_poset(3)
+    rank = q.ranks()
+    low, high = q.elements[rank.index(0)], q.elements[rank.index(max(rank))]
+    trade = {low: high, high: low}
+    paint = multipli.diaphragm_to_painted
+    monkeypatch.setattr(
+        multipli, "diaphragm_to_painted",
+        lambda d: PaintedTree.from_text(trade.get(paint(d).key(), paint(d).key())),
+    )
+    code, out, _ = run(capsys, "verify", "propd", "-m", "3")
+    f, failure = multipli.prop_d_map(3)
+    assert failure is not None and sorted(f.values()) == sorted(q.elements)
+    assert (code, out) == (1, "propd m=3: FAILED: %s\n" % failure)
+    assert re.fullmatch(r".+ < .+ is a cover, but its (pre)?image .+ < .+ is not", failure)
 
 
 def test_closed_stdout_ends_the_tool_quietly():
@@ -237,7 +283,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     def boom(m):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(multipli, "prop_d_check", boom)
+    monkeypatch.setattr(multipli, "prop_d_map", boom)
     code, out, err = run(capsys, "verify", "propd", "-m", "3")
     assert code == 3 and out == ""
     assert err.splitlines()[-1] == "internal error: RuntimeError: boom"

@@ -280,6 +280,33 @@ def test_gamma_roundtrip_exhaustive():
     assert count == 3685
 
 
+def test_gap_codes_are_one_int_per_block():
+    # every pair with m + n <= 7: one mask per level, the masks together
+    # hold every gap bit, no two pairs share a code, and bit i - 1 of a
+    # block is gap label i of gamma_encode's block
+    for total in range(2, 8):
+        for m in range(1, total):
+            pairs = L.enumerate_leveled_pairs(m, total - m)
+            codes = set()
+            for x in pairs:
+                code = L.gap_code(x)
+                assert len(code) == x.h
+                union = 0
+                for b in code:
+                    union |= b
+                assert union == (1 << (total - 2)) - 1
+                codes.add(code)
+                blocks = tuple(
+                    (
+                        tuple(i for i in range(1, m) if b >> (i - 1) & 1),
+                        tuple(i for i in range(m, total - 1) if b >> (i - 1) & 1),
+                    )
+                    for b in code
+                )
+                assert blocks == L.gamma_encode(x).blocks, x.key()
+            assert len(codes) == len(pairs)
+
+
 def test_gamma_text_roundtrip_exhaustive():
     # the (1, 1) pair has no gaps, so its code "()" has no blocks
     for total in range(2, 8):

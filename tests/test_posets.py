@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biassoc import leveled, multipli, trees, zones
-from biassoc.posets import FinitePoset, PosetError, is_isomorphism, isomorphic
+from biassoc.posets import (
+    FinitePoset,
+    PosetError,
+    is_isomorphism,
+    isomorphic,
+    isomorphism_failure,
+)
 from oracles import (
     associahedron_up_sets,
     biassociahedron_up_sets,
@@ -248,6 +254,41 @@ def test_is_isomorphism_checks_the_given_map():
     assert not is_isomorphism(p, r, good)
     assert not is_isomorphism(r, p, {v: k for k, v in good.items()})
     assert not is_isomorphism(chain(3), chain(4), {"c%d" % i: "c%d" % i for i in range(3)})
+
+
+def test_isomorphism_failure_names_the_first_fault():
+    p = diamond()
+    q = FinitePoset(("S", "A", "B", "T"), p.covers())
+    good = {"s": "S", "a": "A", "b": "B", "t": "T"}
+    r = FinitePoset(("S", "A", "B", "T"), [c for c in p.covers() if c != (1, 3)])
+    cases = [
+        (p, q, good, None),
+        (p, q, {"s": "S", "a": "A", "b": "B"}, "t has no image"),
+        (p, q, dict(good, b="X"), "b maps to 'X', which is not in the target"),
+        (p, q, dict(good, b=["B"]), "b maps to ['B'], which is not in the target"),
+        (p, q, dict(good, b="A"), "a and b both map to A"),
+        (p, q, dict(good, x="T"), "'x' is mapped, but is not in the source"),
+        (chain(3), chain(4), {"c%d" % i: "c%d" % i for i in range(3)}, "c3 has no preimage"),
+        (p, r, good, "a < t is a cover, but its image A < T is not"),
+        (r, p, {v: k for k, v in good.items()}, "a < t is a cover, but its preimage A < T is not"),
+    ]
+    for source, target, f, want in cases:
+        assert isomorphism_failure(source, target, f) == want
+        assert is_isomorphism(source, target, f) == (want is None)
+
+
+def test_is_isomorphism_compares_cover_rows():
+    # two 2-chains x < y and z < w
+    p = FinitePoset(("x", "y", "z", "w"), [(0, 1), (2, 3)])
+    # a nontrivial automorphism: the chains trade places
+    assert is_isomorphism(p, p, {"x": "z", "y": "w", "z": "x", "w": "y"})
+    # a bijection keeping every row's size, with one wrong target: the
+    # cover x < y goes to x < w, and the cover x < y has no preimage
+    crossed = {"x": "x", "y": "w", "z": "z", "w": "y"}
+    assert not is_isomorphism(p, p, crossed)
+    assert isomorphism_failure(p, p, crossed) == (
+        "x < y is a cover, but its preimage x < w is not"
+    )
 
 
 def test_is_isomorphism_agrees_with_search_on_prop_d():
