@@ -10,9 +10,9 @@ edge turns a diaphragm into a painted tree, the classical indexing of
 multiplihedron faces.
 
 The multiplihedron face poset is built from painted trees generated by
-their vertex rules, without zone pairs.  Its covers, the diaphragm_leq
-pairs one rank apart, cost one bitmask test per candidate pair (see
-multiplihedron_poset); diaphragm_leq itself is the reference.
+their vertex rules, without zone pairs.  Its relation is the one-step
+moves of their diaphragms (diaphragm_moves), as the associahedron's is
+its edge contractions; diaphragm_leq is the reference order.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from .trees import (
     PlanarTree,
     _shapes,
     child_tuples,
-    coarser_shapes,
     contraction_map,
     edge_ties,
+    leaf_intervals,
     shape_edges,
-    shape_vertices,
+    shape_from_intervals,
 )
 from .zones import ZonePair, _biassociahedron, enumerate_zone_pairs
 
@@ -302,56 +302,45 @@ def enumerate_diaphragms(m: int) -> tuple:
     )
 
 
-def _mark_mask(zeta) -> int:
-    """Bit q for an ABOVE mark at vertex q, bit q + k for a BELOW mark,
-    where k is the number of vertices."""
-    k = len(zeta)
-    mask = 0
-    for q, z in enumerate(zeta):
-        if z == ABOVE:
-            mask |= 1 << q
-        elif z == BELOW:
-            mask |= 1 << (q + k)
-    return mask
+def diaphragm_moves(shape, zeta):
+    """The (shape, zeta) of each diaphragm one step above this one, as
+    edge_contractions are a tree's.  Each move leaves one vertex fewer
+    off the membrane, so the rank, (m - 1) minus their number, rises by
+    one: contract an edge whose ends share a side, or one from an AT
+    parent to a BELOW child; or put on the membrane an ABOVE vertex
+    with no ABOVE child, merging its AT children into it, or a BELOW
+    vertex that is the root or has an ABOVE parent.  The kept vertices
+    keep their path order: a move is the shape of their leaf intervals."""
+    intervals = leaf_intervals(shape)
+    edges = shape_edges(shape)
 
+    def move(gone, raised):
+        kept = [q for q in range(len(zeta)) if q not in gone]
+        return (
+            shape_from_intervals([intervals[q] for q in kept]),
+            tuple(AT if q == raised else zeta[q] for q in kept),
+        )
 
-def _image_positions(s1, s2) -> tuple:
-    """The path-order position in s2 of the contraction image of each
-    vertex of s1 (s2 must be in coarser_shapes(s1))."""
-    index = {q: i for i, q in enumerate(shape_vertices(s2))}
-    return tuple(index[q] for q in contraction_map(s1, s2).values())
-
-
-def _forbidden(zeta1, positions, k) -> int:
-    """The marks of s2 that d1 rules out, as bits of _mark_mask: the
-    image of a vertex p may carry zeta1[p] or AT, so it may not be
-    ABOVE unless zeta1[p] is, nor BELOW unless zeta1[p] is."""
-    forbid = 0
-    for q, z in zip(positions, zeta1):
-        if z != ABOVE:
-            forbid |= 1 << q
-        if z != BELOW:
-            forbid |= 1 << (q + k)
-    return forbid
-
-
-def _rank(m: int, zeta) -> int:
-    """The dimension of a diaphragm's face: (m - 1) minus the number of
-    its vertices off the membrane."""
-    return m - 1 - sum(z != AT for z in zeta)
+    for p, c in edges:
+        # marks never fall away from the root, and no edge joins two ATs
+        if zeta[p] == zeta[c] or zeta[p] == AT:
+            yield move((c,), None)
+        elif zeta[c] == BELOW:
+            yield move((), c)
+    if zeta[:1] == (BELOW,):
+        yield move((), 0)
+    inner = {p for p, c in edges if zeta[c] == ABOVE}
+    for v, z in enumerate(zeta):
+        if z == ABOVE and v not in inner:
+            yield move([c for p, c in edges if p == v and zeta[c] == AT], v)
 
 
 @cache
 def multiplihedron_poset(m: int):
     """Face poset of the multiplihedron on the painted trees of
     enumerate_painted, ordered by diaphragm_leq on their diaphragms.
-
-    The relation is the covers, the pairs d1 <= d2 one rank apart.
-    diaphragm_leq needs a contraction, so the candidates above d1 are
-    the diaphragms of the next rank on coarser_shapes(s1).  For each
-    candidate shape s2 the marks d1 allows at the images of its
-    vertices form one bitmask of forbidden marks, and d1 <= d2 iff
-    d2's mark mask misses it.
+    The relation is each diaphragm's diaphragm_moves, looked up by
+    (shape, zeta); the tests compare its closure with diaphragm_leq.
 
     Neither the elements nor the order come from zone pairs or block
     merges, so prop_d_check compares two independently built posets.
@@ -359,26 +348,14 @@ def multiplihedron_poset(m: int):
     if m < 1:
         raise ValueError("need m >= 1")
     painted = enumerate_painted(m)
-    by_class = {}  # (shape, rank) -> [(index, zeta, mark mask)]
+    index = {}
     for i, p in enumerate(painted):
         d = painted_to_diaphragm(p)
-        by_class.setdefault((d.tree.shape, _rank(m, d.zeta)), []).append(
-            (i, d.zeta, _mark_mask(d.zeta))
-        )
-
-    def covers():
-        for (s1, r), members in by_class.items():
-            for s2 in coarser_shapes(s1):
-                above = by_class.get((s2, r + 1))
-                if not above:
-                    continue
-                pos = _image_positions(s1, s2)
-                k = len(shape_vertices(s2))
-                for i, zeta, _ in members:
-                    forbid = _forbidden(zeta, pos, k)
-                    yield from ((i, j) for j, _, mask in above if not mask & forbid)
-
-    return posets.FinitePoset(tuple(p.key() for p in painted), covers())
+        index[d.tree.shape, d.zeta] = i
+    return posets.FinitePoset(
+        tuple(p.key() for p in painted),
+        ((i, index[t]) for (s, z), i in index.items() for t in diaphragm_moves(s, z)),
+    )
 
 
 def prop_d_check(m: int):
@@ -388,7 +365,7 @@ def prop_d_check(m: int):
 
     The two sides share neither elements nor order: the biassociahedron
     is the block-merge image of the (m, 2) pairs, and the multiplihedron
-    is built from painted trees under diaphragm_leq.
+    is built from painted trees and their diaphragms' one-step moves.
     """
     f, failure = prop_d_map(m)
     return f if failure is None else None

@@ -227,9 +227,10 @@ def contract_edge(t: PlanarTree, edge) -> PlanarTree:
     the deeper vertex's leaf interval.
     """
     edge = tuple(edge)
-    if edge == () or subshape(t.shape, edge) == LEAF:
+    paths = shape_vertices(t.shape)
+    if edge not in paths[1:]:
         raise ValueError("not an internal edge")
-    i = shape_vertices(t.shape).index(edge)
+    i = paths.index(edge)
     intervals = leaf_intervals(t.shape)
     return PlanarTree(
         t.orientation, shape_from_intervals(intervals[:i] + intervals[i + 1 :])
@@ -340,16 +341,6 @@ def edge_contractions(shape) -> tuple:
         shape_from_intervals(intervals[:i] + intervals[i + 1 :])
         for i in range(1, len(intervals))
     )
-
-
-@cache
-def coarser_shapes(shape) -> frozenset:
-    """`shape` and every shape reached from it by contracting internal
-    edges: its up-set in the associahedron."""
-    out = {shape}
-    for c in edge_contractions(shape):
-        out |= coarser_shapes(c)
-    return frozenset(out)
 
 
 def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:

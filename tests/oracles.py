@@ -4,16 +4,18 @@ The library stores a face poset as its covers and ranks, built from
 one-step moves.  These helpers rebuild whole orders the slow way: the
 closure of the stored covers, and the full up-set builders the library
 used before (all block merges, the coarser_shapes closure, and the
-shape closure times the fiber masks), so the tests can compare them
-with the reference orders pair_leq, zone_leq, tree_leq and
-diaphragm_leq.  The inverses of zone_to_diaphragm and of Expr.text
-are here too: the library never needs them.  So is the recursive
-level-function enumerator that the library's bitmask enumerator
-replaced, kept as its reference, and the edge-by-edge validation of
-level and zone functions that the cached per-part verdicts replaced.
+shape closure times the fiber masks, with the multiplihedron's rank
+formula), so the tests can compare them with the reference orders
+pair_leq, zone_leq, tree_leq and diaphragm_leq.  The inverses of
+zone_to_diaphragm and of Expr.text are here too: the library never
+needs them.  So is the recursive level-function enumerator that the
+library's bitmask enumerator replaced, kept as its reference, and the
+edge-by-edge validation of level and zone functions that the cached
+per-part verdicts replaced.
 """
 
 import json
+from functools import cache
 from itertools import combinations
 
 from biassoc import leveled as L
@@ -101,31 +103,80 @@ def biassociahedron_up_sets(m, n):
     return block_merge_up_sets(m, n, lambda x: Z.project(x).key())
 
 
+@cache
+def coarser_shapes(shape) -> frozenset:
+    """`shape` and every shape reached from it by contracting internal
+    edges: its up-set in the associahedron."""
+    out = {shape}
+    for c in T.edge_contractions(shape):
+        out |= coarser_shapes(c)
+    return frozenset(out)
+
+
 def associahedron_up_sets(m):
     """(keys, up-sets) of the associahedron from the coarser_shapes closure."""
     shapes = T._shapes(m)
     index = {s: i for i, s in enumerate(shapes)}
     return (
         tuple(map(T.shape_text, shapes)),
-        [frozenset(index[c] for c in T.coarser_shapes(s)) for s in shapes],
+        [frozenset(index[c] for c in coarser_shapes(s)) for s in shapes],
     )
+
+
+def diaphragm_rank(m, zeta) -> int:
+    """The dimension of a diaphragm's face: (m - 1) minus the number of
+    its vertices off the membrane."""
+    return m - 1 - sum(z != M.AT for z in zeta)
+
+
+def mark_mask(zeta) -> int:
+    """Bit q for an ABOVE mark at vertex q, bit q + k for a BELOW mark,
+    where k is the number of vertices."""
+    k = len(zeta)
+    mask = 0
+    for q, z in enumerate(zeta):
+        if z == M.ABOVE:
+            mask |= 1 << q
+        elif z == M.BELOW:
+            mask |= 1 << (q + k)
+    return mask
+
+
+def image_positions(s1, s2) -> tuple:
+    """The path-order position in s2 of the contraction image of each
+    vertex of s1 (s2 must be in coarser_shapes(s1))."""
+    index = {q: i for i, q in enumerate(T.shape_vertices(s2))}
+    return tuple(index[q] for q in T.contraction_map(s1, s2).values())
+
+
+def forbidden_marks(zeta1, positions, k) -> int:
+    """The marks of s2 that d1 rules out, as bits of mark_mask: the
+    image of a vertex p may carry zeta1[p] or AT, so it may not be
+    ABOVE unless zeta1[p] is, nor BELOW unless zeta1[p] is."""
+    forbid = 0
+    for q, z in zip(positions, zeta1):
+        if z != M.ABOVE:
+            forbid |= 1 << q
+        if z != M.BELOW:
+            forbid |= 1 << (q + k)
+    return forbid
 
 
 def multiplihedron_up_sets(m):
     """(keys, up-sets) of the multiplihedron: every diaphragm on a coarser
-    shape whose mark mask misses the marks d1 forbids."""
+    shape whose mark mask misses the marks d1 forbids (the fiber masks)."""
     painted = M.enumerate_painted(m)
     by_shape = {}
     for i, p in enumerate(painted):
         d = M.painted_to_diaphragm(p)
-        by_shape.setdefault(d.tree.shape, []).append((i, d.zeta, M._mark_mask(d.zeta)))
+        by_shape.setdefault(d.tree.shape, []).append((i, d.zeta, mark_mask(d.zeta)))
     up = [set() for _ in painted]
     for s1, members in by_shape.items():
-        for s2 in T.coarser_shapes(s1):
-            pos = M._image_positions(s1, s2)
+        for s2 in coarser_shapes(s1):
+            pos = image_positions(s1, s2)
             k = len(T.shape_vertices(s2))
             for i, zeta, _ in members:
-                forbid = M._forbidden(zeta, pos, k)
+                forbid = forbidden_marks(zeta, pos, k)
                 up[i].update(j for j, _, mask in by_shape[s2] if not mask & forbid)
     return tuple(p.key() for p in painted), [frozenset(u) for u in up]
 

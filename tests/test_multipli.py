@@ -9,7 +9,15 @@ from biassoc import zones as Z
 from biassoc.multipli import ABOVE, AT, BELOW, DiaphragmTree, PaintedTree
 from biassoc.trees import PlanarTree, contraction_map
 from biassoc.zones import biassociahedron_poset, enumerate_zone_pairs
-from oracles import closure, diaphragm_to_zone, leq, multiplihedron_up_sets, up_set_ranks
+from oracles import (
+    closure,
+    coarser_shapes,
+    diaphragm_rank,
+    diaphragm_to_zone,
+    leq,
+    multiplihedron_up_sets,
+    up_set_ranks,
+)
 
 
 def test_painted_counts_and_goldens():
@@ -132,7 +140,7 @@ def test_tree_families_build_without_pairs_or_zones(monkeypatch):
         raise AssertionError("built from leveled or zone pairs")
 
     for fn in (M.multiplihedron_poset, M.enumerate_painted, M._black_parts,
-               M._white_parts, T._shapes, T.coarser_shapes, T.contraction_map):
+               M._white_parts, T._shapes, coarser_shapes, T.contraction_map):
         fn.cache_clear()
     monkeypatch.setattr(M, "enumerate_zone_pairs", refuse)
     monkeypatch.setattr(M, "enumerate_diaphragms", refuse)
@@ -222,7 +230,7 @@ def test_multiplihedron_up_sets_match_shape_closure_reference():
     for j, d in enumerate(ds):
         by_shape.setdefault(d.tree.shape, []).append(j)
     up = [
-        frozenset(j for s in T.coarser_shapes(d.tree.shape) for j in by_shape[s]
+        frozenset(j for s in coarser_shapes(d.tree.shape) for j in by_shape[s]
                   if M.diaphragm_leq(d, ds[j]))
         for d in ds
     ]
@@ -232,15 +240,31 @@ def test_multiplihedron_up_sets_match_shape_closure_reference():
 
 
 def test_multiplihedron_rank_formula_is_the_longest_chain_rank():
-    # the library picks cover candidates by the rank (m - 1) - #(vertices
-    # off the membrane); it must be the longest-chain rank of the
-    # reference order, the shape closure times the fiber masks
+    # the rank (m - 1) - #(vertices off the membrane), which each of the
+    # library's moves raises by one, must be the longest-chain rank of
+    # the reference order, the shape closure times the fiber masks
     for m in range(1, 8):
         keys, up = multiplihedron_up_sets(m)
         rank = up_set_ranks(up)
         for q, r in zip(M.enumerate_painted(m), rank):
-            assert M._rank(m, M.painted_to_diaphragm(q).zeta) == r, q.key()
+            assert diaphragm_rank(m, M.painted_to_diaphragm(q).zeta) == r, q.key()
         assert M.multiplihedron_poset(m).ranks() == rank
+
+
+def test_multiplihedron_moves_are_the_covers():
+    # each move lands on an enumerated diaphragm one rank up, no move
+    # repeats, and together they are exactly the covers
+    for m in range(1, 8):
+        ds = [M.painted_to_diaphragm(q) for q in M.enumerate_painted(m)]
+        index = {(d.tree.shape, d.zeta): i for i, d in enumerate(ds)}
+        moves = []
+        for i, d in enumerate(ds):
+            for shape, zeta in M.diaphragm_moves(d.tree.shape, d.zeta):
+                assert (shape, zeta) in index, (d.key(), shape, zeta)
+                assert diaphragm_rank(m, zeta) == diaphragm_rank(m, d.zeta) + 1
+                moves.append((i, index[shape, zeta]))
+        assert len(set(moves)) == len(moves)
+        assert set(moves) == set(M.multiplihedron_poset(m).covers())
 
 
 def test_multiplihedron_fiber_marks():

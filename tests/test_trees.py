@@ -89,6 +89,9 @@ def test_contract_edge():
     assert T.contract_edge(binar, (0,)).text() == "(* * *)"
     with pytest.raises(ValueError):
         T.contract_edge(T.PlanarTree.from_text("(* * *)"), ())
+    for path in ((5,), (-2,), (1,), (0, 0)):  # no vertex, or a leaf
+        with pytest.raises(ValueError, match="not an internal edge"):
+            T.contract_edge(binar, path)
     comb4 = T.PlanarTree.from_text("(((* *) *) *)")
     assert T.contract_edge(comb4, (0, 0)).text() == "((* * *) *)"
     assert T.contract_edge(comb4, (0,)).text() == "((* *) * *)"
