@@ -317,7 +317,7 @@ def diaphragm_moves(shape, zeta):
     def move(gone, raised):
         kept = [q for q in range(len(zeta)) if q not in gone]
         return (
-            shape_from_intervals([intervals[q] for q in kept]),
+            shape_from_intervals([intervals[q] for q in kept]) if gone else shape,
             tuple(AT if q == raised else zeta[q] for q in kept),
         )
 
