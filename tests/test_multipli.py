@@ -140,7 +140,8 @@ def test_tree_families_build_without_pairs_or_zones(monkeypatch):
         raise AssertionError("built from leveled or zone pairs")
 
     for fn in (M.multiplihedron_poset, M.enumerate_painted, M._black_parts,
-               M._white_parts, T._shapes, coarser_shapes, T.contraction_map):
+               M._white_parts, T._shapes, coarser_shapes, T.contraction_map,
+               T.leaf_intervals, T.shape_edges):
         fn.cache_clear()
     monkeypatch.setattr(M, "enumerate_zone_pairs", refuse)
     monkeypatch.setattr(M, "enumerate_diaphragms", refuse)
