@@ -61,8 +61,8 @@ def _blocks(family, m, n, fmt):
         for x in trees.enumerate_trees(m, "up"):
             yield [x.to_json() if fmt == "json" else x.text()]
     elif family == "multipl":
-        for x in multipli.enumerate_painted(m):
-            yield [x.to_json() if fmt == "json" else x.text()]
+        for key, shape, zeta in multipli.painted_faces(m):
+            yield [multipli.painted_tree(shape, zeta).to_json() if fmt == "json" else key]
     else:
         raise UsageError("unknown family %r" % family)
 

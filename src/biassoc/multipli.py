@@ -9,10 +9,13 @@ inserting an "application" vertex wherever the membrane crosses an
 edge turns a diaphragm into a painted tree, the classical indexing of
 multiplihedron faces.
 
-The multiplihedron face poset is built from painted trees generated by
-their vertex rules, without zone pairs.  Its relation is the one-step
-moves of their diaphragms (diaphragm_moves), as the associahedron's is
-its edge contractions; diaphragm_leq is the reference order.
+The multiplihedron face poset is built from the markings of each plain
+shape (shape_diaphragms), each named by its painted tree's key, without
+zone pairs; enumerate_painted, which generates painted trees from their
+vertex rules, is the reference the tests compare them with.  Its
+relation is the one-step moves of the diaphragms (diaphragm_moves), as
+the associahedron's is its edge contractions; diaphragm_leq is the
+reference order.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ class PaintedTree:
     @cached_property
     def _text(self) -> str:
         # kept with the tree: enumerate_painted sorts by it and the
-        # poset's element keys reuse it
+        # tests read the keys of its trees again
         return _painted_text(self.shape)
 
     @classmethod
@@ -177,7 +180,7 @@ def _painted_text(shape):
     if shape == LEAF:
         return LEAF
     kind, children = shape
-    inner = "(" + " ".join(_painted_text(c) for c in children) + ")"
+    inner = "(" + " ".join([_painted_text(c) for c in children]) + ")"
     return ("!" if kind == "!" else "") + inner
 
 
@@ -211,16 +214,20 @@ def _painted_jsonable(shape):
     }
 
 
+@cache
+def _white(shape):
+    """The all-white painted shape on a plain shape; one per distinct
+    plain subshape, shared by every painted tree that holds it."""
+    if shape == LEAF:
+        return LEAF
+    return (".", tuple([_white(c) for c in shape]))
+
+
 def diaphragm_to_painted(d: DiaphragmTree) -> PaintedTree:
     """Paint above-membrane vertices black, below white; a membrane
     vertex becomes an application vertex, and a membrane crossing of an
     edge inserts a fresh unary application vertex."""
     marks = dict(zip(d.tree.vertices(), d.zeta))
-
-    def white(shape):
-        if shape == LEAF:
-            return LEAF
-        return (".", tuple(white(c) for c in shape))
 
     def black(path, shape):
         # called while still above the membrane
@@ -228,43 +235,56 @@ def diaphragm_to_painted(d: DiaphragmTree) -> PaintedTree:
             return ("!", (LEAF,))
         mark = marks[path]
         if mark == AT:
-            return ("!", tuple(white(c) for c in shape))
+            return ("!", tuple([_white(c) for c in shape]))
         if mark == BELOW:
-            return ("!", (white(shape),))
+            return ("!", (_white(shape),))
         return (
             ".",
-            tuple(black(path + (i,), c) for i, c in enumerate(shape)),
+            tuple([black(path + (i,), c) for i, c in enumerate(shape)]),
         )
 
     return PaintedTree(black((), d.tree.shape))
 
 
-def painted_to_diaphragm(p: PaintedTree) -> DiaphragmTree:
-    """Inverse of diaphragm_to_painted."""
-    zeta = {}
+# marks a child may take under a parent's mark: never falling away
+# from the root, and no child of a membrane vertex on the membrane
+_CHILD_MARKS = {ABOVE: (ABOVE, AT, BELOW), AT: (BELOW,), BELOW: (BELOW,)}
 
-    def strip(shape, path, side):
-        # returns the underlying plain shape at this position
-        if shape == LEAF:
-            return LEAF
-        kind, children = shape
-        if kind == "!":
-            if len(children) == 1:
-                return strip(children[0], path, BELOW)
-            zeta[path] = AT
-            return tuple(strip(c, path + (i,), BELOW) for i, c in enumerate(children))
-        zeta[path] = side
-        return tuple(strip(c, path + (i,), side) for i, c in enumerate(children))
 
-    shape = strip(p.shape, (), ABOVE)
-    tree = PlanarTree("up", shape)
-    return DiaphragmTree(tree, tuple(zeta[q] for q in tree.vertices()))
+def shape_diaphragms(m: int):
+    """(shape, zeta) for every diaphragm with m leaves: per plain shape
+    of _shapes(m), every marking that DiaphragmTree accepts.  Path order
+    lists a parent before its children, so each vertex's mark is chosen
+    once its parent's is known.  Neither painted trees nor zone pairs
+    are read."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    for shape in _shapes(m):
+        zetas = [()] if shape == LEAF else [(ABOVE,), (AT,), (BELOW,)]
+        for p, _ in shape_edges(shape):  # listed by child, in path order
+            zetas = [z + (c,) for z in zetas for c in _CHILD_MARKS[z[p]]]
+        for zeta in zetas:
+            yield shape, zeta
+
+
+def painted_tree(shape, zeta) -> PaintedTree:
+    """The painted tree of the diaphragm (shape, zeta), both validated."""
+    return diaphragm_to_painted(DiaphragmTree(PlanarTree("up", shape), zeta))
+
+
+def painted_faces(m: int) -> list:
+    """(painted-tree key, shape, zeta) for each diaphragm of
+    shape_diaphragms, sorted by key: the multiplihedron's faces in the
+    order of enumerate_painted.  Only the key of each tree is kept."""
+    return sorted((painted_tree(s, z).key(), s, z) for s, z in shape_diaphragms(m))
 
 
 @cache
 def enumerate_painted(m: int) -> tuple:
     """All painted trees with m leaves, generated directly from the two
-    vertex-type rules (independent of the zone enumeration)."""
+    vertex-type rules (independent of the zone enumeration).  Production
+    builds the faces from shape_diaphragms; this is the reference the
+    tests compare them with."""
     if m < 1:
         raise ValueError("need m >= 1")
     return tuple(sorted(map(PaintedTree, _black_parts(m)), key=PaintedTree.text))
@@ -337,23 +357,22 @@ def diaphragm_moves(shape, zeta):
 
 @cache
 def multiplihedron_poset(m: int):
-    """Face poset of the multiplihedron on the painted trees of
-    enumerate_painted, ordered by diaphragm_leq on their diaphragms.
+    """Face poset of the multiplihedron on the painted-tree keys of
+    painted_faces, ordered by diaphragm_leq on their diaphragms.
     The relation is each diaphragm's diaphragm_moves, looked up by
     (shape, zeta); the tests compare its closure with diaphragm_leq.
+    Only the keys and the (shape, zeta) index are held while it is
+    built: no tree object outlives its key.
 
     Neither the elements nor the order come from zone pairs or block
     merges, so prop_d_check compares two independently built posets.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    painted = enumerate_painted(m)
-    index = {}
-    for i, p in enumerate(painted):
-        d = painted_to_diaphragm(p)
-        index[d.tree.shape, d.zeta] = i
+    keys, index = [], {}
+    for key, shape, zeta in painted_faces(m):
+        index[shape, zeta] = len(keys)
+        keys.append(key)
     return posets.FinitePoset(
-        tuple(p.key() for p in painted),
+        tuple(keys),
         ((i, index[t]) for (s, z), i in index.items() for t in diaphragm_moves(s, z)),
     )
 

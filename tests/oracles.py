@@ -6,12 +6,14 @@ closure of the stored covers, and the full up-set builders the library
 used before (all block merges, the coarser_shapes closure, and the
 shape closure times the fiber masks, with the multiplihedron's rank
 formula), so the tests can compare them with the reference orders
-pair_leq, zone_leq, tree_leq and diaphragm_leq.  The inverses of
-zone_to_diaphragm and of Expr.text are here too: the library never
-needs them.  So is the recursive level-function enumerator that the
-library's bitmask enumerator replaced, kept as its reference, and the
-edge-by-edge validation of level and zone functions that the cached
-per-part verdicts replaced.
+pair_leq, zone_leq, tree_leq and diaphragm_leq.  The multiplihedron
+built the way the library built it before, from the painted trees of
+the vertex rules, is the reference for its per-shape diaphragms.  The
+inverses of zone_to_diaphragm, diaphragm_to_painted and Expr.text are
+here too: the library never needs them.  So is the recursive
+level-function enumerator that the library's bitmask enumerator
+replaced, kept as its reference, and the edge-by-edge validation of
+level and zone functions that the cached per-part verdicts replaced.
 """
 
 import json
@@ -24,6 +26,7 @@ from biassoc import propterms as P
 from biassoc import trees as T
 from biassoc import zones as Z
 from biassoc.leveled import ComplementaryPair
+from biassoc.posets import FinitePoset
 from biassoc.trees import LEAF, PlanarTree, subshape
 
 
@@ -168,7 +171,7 @@ def multiplihedron_up_sets(m):
     painted = M.enumerate_painted(m)
     by_shape = {}
     for i, p in enumerate(painted):
-        d = M.painted_to_diaphragm(p)
+        d = painted_to_diaphragm(p)
         by_shape.setdefault(d.tree.shape, []).append((i, d.zeta, mark_mask(d.zeta)))
     up = [set() for _ in painted]
     for s1, members in by_shape.items():
@@ -181,8 +184,46 @@ def multiplihedron_up_sets(m):
     return tuple(p.key() for p in painted), [frozenset(u) for u in up]
 
 
+def painted_multiplihedron_poset(m):
+    """The multiplihedron on the painted trees of the vertex rules,
+    enumerate_painted, with the relation diaphragm_moves read off each
+    tree's diaphragm: the reference for multiplihedron_poset, which
+    enumerates the diaphragms per plain shape."""
+    painted = M.enumerate_painted(m)
+    index = {}
+    for i, p in enumerate(painted):
+        d = painted_to_diaphragm(p)
+        index[d.tree.shape, d.zeta] = i
+    return FinitePoset(
+        tuple(p.key() for p in painted),
+        ((i, index[t]) for (s, z), i in index.items() for t in M.diaphragm_moves(s, z)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # inverses of library maps that only the tests need
+
+
+def painted_to_diaphragm(p: M.PaintedTree) -> M.DiaphragmTree:
+    """Inverse of multipli.diaphragm_to_painted."""
+    zeta = {}
+
+    def strip(shape, path, side):
+        # returns the underlying plain shape at this position
+        if shape == LEAF:
+            return LEAF
+        kind, children = shape
+        if kind == "!":
+            if len(children) == 1:
+                return strip(children[0], path, M.BELOW)
+            zeta[path] = M.AT
+            return tuple(strip(c, path + (i,), M.BELOW) for i, c in enumerate(children))
+        zeta[path] = side
+        return tuple(strip(c, path + (i,), side) for i, c in enumerate(children))
+
+    shape = strip(p.shape, (), M.ABOVE)
+    tree = PlanarTree("up", shape)
+    return M.DiaphragmTree(tree, tuple(zeta[q] for q in tree.vertices()))
 
 
 def diaphragm_to_zone(d: M.DiaphragmTree) -> Z.ZonePair:

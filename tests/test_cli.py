@@ -21,7 +21,9 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 # family and split with m + n <= 6, recorded before the face orders were
 # rebuilt from block merges, and of `hasse` and `hasse --dot` for the
 # multiplihedron at m = 6 and `hasse` at m = 7, recorded before its order
-# became the fiber-mask test
+# became the fiber-mask test, and of the multiplihedron's `enumerate`
+# (text and JSON, m <= 7), `fvector` (m = 6, 7) and `verify propd`
+# (m = 2..7), recorded before its faces came from per-shape diaphragms
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 
@@ -108,6 +110,24 @@ def test_poset_verbs_cache_no_pairs(capsys):
         code, out, _ = run(capsys, *argv.split())
         assert code == 0 and out.startswith(want), argv
     assert [fn.cache_info().currsize for fn in cached] == [0, 0, 0]
+
+
+def test_multipl_verbs_build_no_painted_trees_from_vertex_rules(capsys):
+    # with cold caches, the multiplihedron's verbs enumerate its
+    # diaphragms per plain shape: the vertex-rule reference stays empty
+    painted = (multipli.enumerate_painted, multipli._black_parts, multipli._white_parts)
+    for fn in painted + (multipli.multiplihedron_poset,):
+        fn.cache_clear()
+    for argv in (
+        "fvector --family multipl -m 4",
+        "hasse --family multipl -m 4",
+        "enumerate --family multipl -m 4",
+        "enumerate --family multipl --format json -m 4",
+        "verify propd -m 4",
+    ):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out, argv
+    assert [fn.cache_info().currsize for fn in painted] == [0, 0, 0]
 
 
 def test_isomorphism_failures_print_a_counterexample(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,8 @@ from oracles import (
     diaphragm_to_zone,
     leq,
     multiplihedron_up_sets,
+    painted_multiplihedron_poset,
+    painted_to_diaphragm,
     up_set_ranks,
 )
 
@@ -78,11 +81,73 @@ def test_zone_diaphragm_roundtrip():
 def test_painted_diaphragm_roundtrip():
     for m in range(1, 5):
         for d in M.enumerate_diaphragms(m):
-            assert M.painted_to_diaphragm(M.diaphragm_to_painted(d)) == d
+            assert painted_to_diaphragm(M.diaphragm_to_painted(d)) == d
         # and the two independent enumerations agree
         via_zones = {M.diaphragm_to_painted(d).key() for d in M.enumerate_diaphragms(m)}
         direct = {p.key() for p in M.enumerate_painted(m)}
         assert via_zones == direct
+
+
+def test_shape_diaphragms_are_the_markings_diaphragm_tree_accepts():
+    # per plain shape, the generated markings are exactly the zeta in
+    # {ABOVE, AT, BELOW}^V that DiaphragmTree accepts, each once
+    for m in range(1, 7):
+        found = {}
+        for shape, zeta in M.shape_diaphragms(m):
+            found.setdefault(shape, []).append(zeta)
+        assert set(found) <= set(T._shapes(m))
+        for shape in T._shapes(m):
+            tree = PlanarTree("up", shape)
+            accepted = set()
+            for zeta in product((ABOVE, AT, BELOW), repeat=len(tree.vertices())):
+                try:
+                    DiaphragmTree(tree, zeta)
+                except ValueError:
+                    continue
+                accepted.add(zeta)
+            zetas = found.get(shape, [])
+            assert len(set(zetas)) == len(zetas), T.shape_text(shape)
+            assert set(zetas) == accepted, T.shape_text(shape)
+
+
+def painted_counts(top):
+    # the painted-tree recurrence B = W + sum prod B + sum prod W over
+    # the tuples of >= 2 parts, with W = x + sum prod W counting the
+    # plain shapes: a painted root edge over a plain shape, a plain
+    # root over painted subtrees, or an application root over plain
+    # ones; g sums the products over the tuples of >= 1 parts
+    w, b, gw, gb = ([0] * (top + 1) for _ in range(4))
+    for m in range(1, top + 1):
+        w_tuples = sum(w[k] * gw[m - k] for k in range(1, m))
+        b_tuples = sum(b[k] * gb[m - k] for k in range(1, m))
+        w[m] = (m == 1) + w_tuples
+        b[m] = w[m] + b_tuples + w_tuples
+        gw[m], gb[m] = w[m] + w_tuples, b[m] + b_tuples
+    return b[1:]
+
+
+def test_shape_diaphragms_paint_the_reference_enumerations():
+    # the painted keys of the per-shape diaphragms are the painted trees
+    # of the vertex rules and the paintings of the zone-side diaphragms
+    counts = painted_counts(7)
+    assert counts == [1, 3, 13, 67, 381, 2311, 14681]
+    for m in range(1, 8):
+        keys = [key for key, _, _ in M.painted_faces(m)]
+        assert len(set(keys)) == len(keys) == counts[m - 1]
+        assert set(keys) == {p.key() for p in M.enumerate_painted(m)}
+        assert set(keys) == {
+            M.diaphragm_to_painted(d).key() for d in M.enumerate_diaphragms(m)
+        }
+
+
+def test_multiplihedron_poset_matches_the_painted_tree_build():
+    # the same elements, covers and ranks as the build from the painted
+    # trees of the vertex rules, which ties Prop D's painted side to them
+    for m in range(1, 8):
+        p, q = M.multiplihedron_poset(m), painted_multiplihedron_poset(m)
+        assert p.elements == q.elements
+        assert p.covers() == q.covers()
+        assert p.ranks() == q.ranks()
 
 
 def test_painting_examples():
@@ -140,8 +205,8 @@ def test_tree_families_build_without_pairs_or_zones(monkeypatch):
         raise AssertionError("built from leveled or zone pairs")
 
     for fn in (M.multiplihedron_poset, M.enumerate_painted, M._black_parts,
-               M._white_parts, T._shapes, coarser_shapes, T.contraction_map,
-               T.leaf_intervals, T.shape_edges):
+               M._white_parts, M._white, T._shapes, coarser_shapes,
+               T.contraction_map, T.leaf_intervals, T.shape_edges):
         fn.cache_clear()
     monkeypatch.setattr(M, "enumerate_zone_pairs", refuse)
     monkeypatch.setattr(M, "enumerate_diaphragms", refuse)
@@ -161,7 +226,7 @@ def test_rank_formula_and_cover_moves():
         painted = [PaintedTree.from_text(key) for key in p.elements]
         for q, r in zip(painted, p.ranks()):
             assert r == (m - 1) - plain_count(q.shape)
-        ds = [M.painted_to_diaphragm(q) for q in painted]
+        ds = [painted_to_diaphragm(q) for q in painted]
         for i, j in p.covers():
             d1, d2 = ds[i], ds[j]
             if d1.tree.shape == d2.tree.shape:
@@ -226,7 +291,7 @@ def test_multiplihedron_up_sets_match_shape_closure_reference():
     # covers one rank apart that the library builds
     m = 6
     p = M.multiplihedron_poset(m)
-    ds = [M.painted_to_diaphragm(q) for q in M.enumerate_painted(m)]
+    ds = [painted_to_diaphragm(q) for q in M.enumerate_painted(m)]
     by_shape = {}
     for j, d in enumerate(ds):
         by_shape.setdefault(d.tree.shape, []).append(j)
@@ -248,7 +313,7 @@ def test_multiplihedron_rank_formula_is_the_longest_chain_rank():
         keys, up = multiplihedron_up_sets(m)
         rank = up_set_ranks(up)
         for q, r in zip(M.enumerate_painted(m), rank):
-            assert diaphragm_rank(m, M.painted_to_diaphragm(q).zeta) == r, q.key()
+            assert diaphragm_rank(m, painted_to_diaphragm(q).zeta) == r, q.key()
         assert M.multiplihedron_poset(m).ranks() == rank
 
 
@@ -256,7 +321,7 @@ def test_multiplihedron_moves_are_the_covers():
     # each move lands on an enumerated diaphragm one rank up, no move
     # repeats, and together they are exactly the covers
     for m in range(1, 8):
-        ds = [M.painted_to_diaphragm(q) for q in M.enumerate_painted(m)]
+        ds = [painted_to_diaphragm(q) for q in M.enumerate_painted(m)]
         index = {(d.tree.shape, d.zeta): i for i, d in enumerate(ds)}
         moves = []
         for i, d in enumerate(ds):
