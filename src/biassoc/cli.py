@@ -24,7 +24,7 @@ from . import leveled, multipli, propterms, trees, zones
 DEFAULT_MAX = 8
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -167,16 +167,11 @@ def run(argv) -> int:
                 print(leveled.gamma_encode(x).text())
             return 0
 
-        if args.verb == "varpi":
-            x = _pair_from_args(args)
-            print(propterms.varpi_expr(x).simplify().text())
-            return 0
-
-        raise UsageError("unknown verb %r" % args.verb)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+        # the subparsers admit no other verb: this is varpi
+        x = _pair_from_args(args)
+        print(propterms.varpi_expr(x).simplify().text())
+        return 0
+    except (ValueError, KeyError) as exc:  # UsageError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
@@ -209,12 +204,11 @@ def _verify(args) -> int:
         verdict = "posets isomorphic" if failure is None else "FAILED: " + failure
         print("propd m=%d: %s" % (m, verdict))
         return 0 if failure is None else 1
-    if args.check == "euler":
-        p = _poset(args.family, m, n)
-        e = p.euler()
-        print("euler %s (%d,%d): %d" % (args.family, m, n, e))
-        return 0 if e == 1 else 1
-    raise UsageError("unknown check %r" % args.check)
+    # the choices admit no other check: this is euler
+    p = _poset(args.family, m, n)
+    e = p.euler()
+    print("euler %s (%d,%d): %d" % (args.family, m, n, e))
+    return 0 if e == 1 else 1
 
 
 def main() -> None:

@@ -10,7 +10,8 @@ share a level.
 
 Pairs with U having m leaves and D having n leaves index the faces of
 the (m, n) bipermutahedron; the n = 1 case is the classical
-permutahedron on ordered set partitions.
+permutahedron on ordered set partitions.  bipermutahedron_poset is the
+one builder of its face poset, and it keeps no cache.
 """
 
 from __future__ import annotations
@@ -231,15 +232,10 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
     return all(a <= b for a, b in zip(seq, seq[1:]))
 
 
-@cache
 def bipermutahedron_poset(m: int, n: int):
-    """Face poset of the bipermutahedron; graded by (m+n-2) - h."""
-    return _bipermutahedron(m, n)
-
-
-def _bipermutahedron(m: int, n: int):
-    """bipermutahedron_poset, built without the cache: one walk of
-    pair_groups, numbering each pair as it is met."""
+    """Face poset of the bipermutahedron; graded by (m+n-2) - h.  It is
+    built in one walk of pair_groups, numbering each pair as it is met,
+    and is not cached: each caller holds only the posets it uses."""
     if m + n < 2:
         raise ValueError("need m + n >= 2")
     keys = []
@@ -348,9 +344,9 @@ def opet_failure(m: int, n: int):
     being compared are alive at a time."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    p = _bipermutahedron(m, n) if n >= 2 else None
+    p = bipermutahedron_poset(m, n) if n >= 2 else None
     while n >= 2:
-        q = _bipermutahedron(m + 1, n - 1)
+        q = bipermutahedron_poset(m + 1, n - 1)
         failure = posets.isomorphism_failure(
             p, q, {x.key(): opet_step(x).key() for g in pair_groups(m, n) for x in g}
         )

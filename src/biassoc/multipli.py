@@ -9,8 +9,9 @@ inserting an "application" vertex wherever the membrane crosses an
 edge turns a diaphragm into a painted tree, the classical indexing of
 multiplihedron faces.
 
-The multiplihedron face poset is built from the markings of each plain
-shape (shape_diaphragms), each named by its painted tree's key, without
+The multiplihedron face poset, whose one builder multiplihedron_poset
+keeps no cache, is built from the markings of each plain shape
+(shape_diaphragms), each named by its painted tree's key, without
 zone pairs; enumerate_painted, which generates painted trees from their
 vertex rules, is the reference the tests compare them with.  Its
 relation is the one-step moves of the diaphragms (diaphragm_moves), as
@@ -36,7 +37,7 @@ from .trees import (
     shape_edges,
     shape_from_intervals,
 )
-from .zones import ZonePair, _biassociahedron, enumerate_zone_pairs
+from .zones import ZonePair, biassociahedron_poset, enumerate_zone_pairs
 
 ABOVE = -1  # above the membrane (painted black; nearer the root)
 AT = 0
@@ -355,7 +356,6 @@ def diaphragm_moves(shape, zeta):
             yield move([c for p, c in edges if p == v and zeta[c] == AT], v)
 
 
-@cache
 def multiplihedron_poset(m: int):
     """Face poset of the multiplihedron on the painted-tree keys of
     painted_faces, ordered by diaphragm_leq on their diaphragms.
@@ -402,5 +402,5 @@ def prop_d_map(m: int) -> tuple:
     def paint(z, key):
         f[key] = diaphragm_to_painted(zone_to_diaphragm(z)).key()
 
-    p = _biassociahedron(m, 2, paint)
+    p = biassociahedron_poset(m, 2, paint)
     return f, posets.isomorphism_failure(p, multiplihedron_poset(m), f)

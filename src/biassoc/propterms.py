@@ -506,21 +506,11 @@ def _iota_down_expr(shape) -> Expr:
     return ev(eh(*children), egen(a, 1))
 
 
-def iota_embed(t, side=None) -> PropTerm:
+def iota_embed(t: PlanarTree) -> PropTerm:
     """Embed a plain tree as a term; up trees map their vertices to
     single-output generators, down trees to single-input ones."""
-    if isinstance(t, PlanarTree):
-        shape = t.shape
-        side = side or t.orientation
-    else:
-        shape = t
-        if side is None:
-            raise ValueError("side required for bare shapes")
-    if side == "up":
-        return _iota_up_expr(shape).to_term()
-    if side == "down":
-        return _iota_down_expr(shape).to_term()
-    raise ValueError("side must be 'up' or 'down'")
+    iota = _iota_up_expr if t.orientation == "up" else _iota_down_expr
+    return iota(t.shape).to_term()
 
 
 def varpi_expr(x: ComplementaryPair) -> Expr:

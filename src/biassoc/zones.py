@@ -6,7 +6,8 @@ surjective) so that no two adjacent zones contain vertices of only the
 same tree.  A zone meeting both vertex sets is a *barrier*; on barriers
 the assignment must stay strict (no two comparable same-tree vertices
 share a barrier).  The zone pairs with m up-leaves and n down-leaves
-index the faces of the step-one biassociahedron.
+index the faces of the step-one biassociahedron; biassociahedron_poset
+is the one builder of its face poset, and it keeps no cache.
 """
 
 from __future__ import annotations
@@ -227,27 +228,17 @@ def zone_leq(z1: ZonePair, z2: ZonePair) -> bool:
     return True
 
 
-@cache  # a cache over _zone_classes, kept for callers of cache_clear()
-def enumerate_zone_pairs(m: int, n: int) -> tuple:
-    """The zone pairs with the given leaf counts, realized as the image
-    of the canonical projection over all complementary pairs."""
-    return _zone_classes(m, n)[0]
-
-
 @cache
-def _zone_classes(m: int, n: int) -> tuple:
-    """The zone pairs, sorted by key, and the projection of each (m, n)
-    pair as one of those objects: the zone groups of all tree pairs."""
+def enumerate_zone_pairs(m: int, n: int) -> tuple:
+    """The zone pairs with the given leaf counts, sorted by key: the
+    image of the canonical projection over all complementary pairs."""
     classes = []
-    projections = []
     shared = {}  # one object per distinct zone tuple, which classes share
     # the pairs come sorted by key, so grouped by tree pair in key order,
     # and a zone pair's key starts with the same two tree texts
     for _, group in groupby(enumerate_leveled_pairs(m, n), lambda x: (x.up, x.down)):
-        found, projected = zone_group(group, shared)
-        classes.extend(found)
-        projections.extend(projected)
-    return tuple(classes), tuple(projections)
+        classes.extend(zone_group(group, shared)[0])
+    return tuple(classes)
 
 
 def zone_group(pairs, shared: dict) -> tuple:
@@ -267,18 +258,13 @@ def zone_group(pairs, shared: dict) -> tuple:
     return sorted(found.values(), key=ZonePair.key), projections
 
 
-@cache
-def biassociahedron_poset(m: int, n: int):
+def biassociahedron_poset(m: int, n: int, each_class=None):
     """Face poset of the step-one biassociahedron: the image of the
-    bipermutahedron order under project."""
-    return _biassociahedron(m, n)
-
-
-def _biassociahedron(m: int, n: int, each_class=None):
-    """biassociahedron_poset, built without the cache: one walk of
+    bipermutahedron order under project.  It is built in one walk of
     pair_groups, numbering the zone classes of each tree pair as they
     are met; they come in key order, as the tree pairs do.  When given,
-    each_class(z, key) is called once per class, as it is numbered."""
+    each_class(z, key) is called once per class, as it is numbered.
+    The poset is not cached: each caller holds only the posets it uses."""
     if m + n < 2:
         raise ValueError("need m + n >= 2")
     keys = []

@@ -204,7 +204,7 @@ def test_tree_families_build_without_pairs_or_zones(monkeypatch):
     def refuse(*args):
         raise AssertionError("built from leveled or zone pairs")
 
-    for fn in (M.multiplihedron_poset, M.enumerate_painted, M._black_parts,
+    for fn in (M.enumerate_painted, M._black_parts,
                M._white_parts, M._white, T._shapes, coarser_shapes,
                T.contraction_map, T.leaf_intervals, T.shape_edges):
         fn.cache_clear()
@@ -258,9 +258,7 @@ def test_prop_d():
 def test_prop_d_projects_each_pair_once(monkeypatch):
     # cold caches: the biassociahedron's elements and relation and the
     # map's zone pairs all come from one projection per (5, 2) pair
-    for fn in (Z._zone_classes, Z.enumerate_zone_pairs, Z.biassociahedron_poset,
-               M.multiplihedron_poset):
-        fn.cache_clear()
+    Z.enumerate_zone_pairs.cache_clear()
     # and a ZonePair is built, and validated, once per class
     calls, built = [], []
     zone_tuples, validate = Z._zone_tuples, Z.ZonePair.__post_init__

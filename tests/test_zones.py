@@ -169,25 +169,26 @@ def test_enumeration_counts():
 
 
 def test_zone_classes_hold_each_pairs_projection():
-    # the classes are the distinct projections in key order, and the
-    # k-th projection is the class of project() of the k-th pair; both
-    # are the zone groups of the tree pairs, one after the other
+    # per tree pair, the classes are the distinct projections in key
+    # order, and the k-th projection is the class of project() of the
+    # k-th pair; the classes of all tree pairs, one after the other, are
+    # the zone pairs
     for total in range(2, 8):
         for m in range(1, total):
             n = total - m
-            zps, projections = Z._zone_classes(m, n)
-            keys = [z.key() for z in zps]
-            assert keys == sorted(set(keys))
-            ids = {id(z) for z in zps}
-            pairs = L.enumerate_leveled_pairs(m, n)
-            assert len(projections) == len(pairs)
-            for x, z in zip(pairs, projections):
-                assert id(z) in ids
-                assert z.key() == Z.project(x).key()
-            shared = {}
-            groups = [Z.zone_group(g, shared) for g in L.pair_groups(m, n)]
-            assert [z for found, _ in groups for z in found] == list(zps)
-            assert [z for _, p in groups for z in p] == list(projections)
+            shared, classes = {}, []
+            for group in L.pair_groups(m, n):
+                found, projections = Z.zone_group(group, shared)
+                keys = [z.key() for z in found]
+                assert keys == sorted(set(keys))
+                assert len(projections) == len(group)
+                assert {id(z) for z in projections} == {id(z) for z in found}
+                for x, z in zip(group, projections):
+                    assert z.key() == Z.project(x).key()
+                classes.extend(found)
+            assert [z.key() for z in classes] == [
+                z.key() for z in Z.enumerate_zone_pairs(m, n)
+            ]
 
 
 def test_udu_type_occurs():
