@@ -26,7 +26,10 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 # (m = 2..7), recorded before its faces came from per-shape diaphragms,
 # and of `verify opet`, `verify thmc` and `verify euler` (biperm and
 # biassoc per split, perm, assoc and multipl per m) for every split with
-# m + n <= 7, recorded before the poset builders lost their caches
+# m + n <= 7, recorded before the poset builders lost their caches, and
+# of `enumerate` (text and JSON) for perm and assoc at m = 1..7 and for
+# biperm and biassoc at every split with m + n <= 7, recorded before
+# both block-merge posets walked their tree pairs through one function
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 
