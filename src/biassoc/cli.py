@@ -22,6 +22,7 @@ import traceback
 from . import leveled, multipli, propterms, trees, zones
 
 DEFAULT_MAX = 8
+FAMILIES = ("perm", "biperm", "assoc", "biassoc", "multipl")
 
 
 class UsageError(ValueError):
@@ -43,9 +44,8 @@ def _poset(family, m, n):
         return leveled.bipermutahedron_poset(m, n)
     if family == "biassoc":
         return zones.biassociahedron_poset(m, n)
-    if family == "multipl":
-        return multipli.multiplihedron_poset(m)
-    raise UsageError("unknown family %r" % family)
+    # the choices admit no other family: this is multipl
+    return multipli.multiplihedron_poset(m)
 
 
 def _blocks(family, m, n, fmt):
@@ -55,16 +55,14 @@ def _blocks(family, m, n, fmt):
     if family in ("perm", "biperm", "biassoc"):
         for group in leveled.pair_groups(m, n):
             if family == "biassoc":
-                group = zones.zone_group(group, {})[0]
+                group = zones.zone_group(group)[0]
             yield [x.to_json() if fmt == "json" else x.key() for x in group]
     elif family == "assoc":
         for x in trees.enumerate_trees(m, "up"):
             yield [x.to_json() if fmt == "json" else x.text()]
-    elif family == "multipl":
+    else:  # the choices admit no other family: this is multipl
         for key, shape, zeta in multipli.painted_faces(m):
             yield [multipli.painted_tree(shape, zeta).to_json() if fmt == "json" else key]
-    else:
-        raise UsageError("unknown family %r" % family)
 
 
 def _pair_from_args(args) -> leveled.ComplementaryPair:
@@ -91,16 +89,16 @@ def run(argv) -> int:
         return p
 
     p = add("enumerate")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p = add("fvector")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p = add("hasse")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--dot", action="store_true")
     p = add("verify")
     p.add_argument("check", choices=("opet", "thmc", "propd", "euler"))
-    p.add_argument("--family", default="biperm")
+    p.add_argument("--family", choices=FAMILIES, default="biperm")
     p = add("encode")
     p.add_argument("--gamma", action="store_true")
     p.add_argument("--up")

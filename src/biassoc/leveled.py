@@ -233,36 +233,32 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
 
 
 def bipermutahedron_poset(m: int, n: int):
-    """Face poset of the bipermutahedron; graded by (m+n-2) - h.  It is
-    built in one walk of pair_groups, numbering each pair as it is met,
-    and is not cached: each caller holds only the posets it uses."""
-    if m + n < 2:
-        raise ValueError("need m + n >= 2")
-    keys = []
-
-    def coded():
-        for group in pair_groups(m, n):
-            for x in group:
-                keys.append(x.key())
-                yield gap_code(x), len(keys) - 1
-
-    return coarsening_poset(keys, coded())
+    """Face poset of the bipermutahedron, graded by (m+n-2) - h: the
+    coarsening poset whose classes are the pairs themselves.  It is not
+    cached: each caller holds only the posets it uses."""
+    return coarsening_poset(m, n, lambda group: (group, range(len(group))))
 
 
-def coarsening_poset(keys, coded):
-    """The face poset of a quotient of the (m, n) bipermutahedron.
-
-    Its elements are the sorted `keys`, and `coded` yields, for every
-    (m, n) pair, its gap code and the index of its class in `keys`.
-    `keys` is read only once `coded` is spent, so the walk that yields
-    the codes may fill it.  The relation is the image of the one-step
+def coarsening_poset(m: int, n: int, classify):
+    """The face poset of a quotient of the (m, n) bipermutahedron, built
+    in one walk of pair_groups.  classify(group) returns one tree pair's
+    classes in key order and, per pair, the number of its class among
+    them; the tree pairs come in key order, so their classes' keys are
+    the sorted elements.  The relation is the image of the one-step
     moves of the pairs, merging two adjacent blocks of the gap code (an
     OR of their masks); their closure is the block-merge order, which
     is pair_leq.  The image of the whole block-merge order is already
     transitive for every quotient built here (the tests check it for
     m + n <= 7), so the closure of the image is the image of the order.
     """
-    image = dict(coded)
+    if m + n < 2:
+        raise ValueError("need m + n >= 2")
+    keys, image = [], {}  # per pair, only its gap code and class number
+    for group in pair_groups(m, n):
+        classes, numbers = classify(group)
+        index = [len(keys) + k for k in range(len(classes))]  # one int per class
+        image.update(zip(map(gap_code, group), [index[k] for k in numbers]))
+        keys.extend([c.key() for c in classes])
     return posets.FinitePoset(
         tuple(keys),
         (

@@ -397,10 +397,11 @@ def prop_d_map(m: int) -> tuple:
     fails (see posets.isomorphism_failure)."""
     if m < 2:
         raise ValueError("need m >= 2")
-    f = {}
+    painted = []  # per class in key order, as the poset's elements
 
-    def paint(z, key):
-        f[key] = diaphragm_to_painted(zone_to_diaphragm(z)).key()
+    def paint(z):
+        painted.append(diaphragm_to_painted(zone_to_diaphragm(z)).key())
 
     p = biassociahedron_poset(m, 2, paint)
+    f = dict(zip(p.elements, painted, strict=True))  # no key string held twice
     return f, posets.isomorphism_failure(p, multiplihedron_poset(m), f)

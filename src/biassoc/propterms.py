@@ -113,13 +113,6 @@ class PropTerm:
         # kept for canonical(); not a field, so ==, hash and repr ignore it
         object.__setattr__(self, "_consumer", consumer)
 
-    def _wires(self):
-        for j, src in enumerate(self.outs):
-            yield ("o", j), src
-        for vi, srcs in enumerate(self.ins):
-            for p, src in enumerate(srcs):
-                yield ("i", vi, p), src
-
     @property
     def biarity(self):
         return (self.n, self.m)
@@ -275,7 +268,7 @@ def _canonical_order(t: PropTerm) -> dict:
     """
     consumer = t.__dict__.get("_consumer")
     if consumer is None:  # a composite built without validation
-        consumer = {src: sink for sink, src in t._wires()}
+        consumer = PropTerm(t.m, t.n, t.verts, t.ins, t.outs)._consumer
     order = {}
     queue = []
 
@@ -644,13 +637,12 @@ def theorem_c_witness(m: int, n: int) -> tuple:
     by_term = {}
     i = classes = 0
     for group in pair_groups(m, n):
-        found, projections = zone_group(group, {})
-        number = {id(z): classes + k for k, z in enumerate(found)}
-        classes += len(found)
+        found, numbers = zone_group(group)
+        base, classes = classes, classes + len(found)
         by_zone = {}
-        for x, zp in zip(group, projections, strict=True):
+        for x, k in zip(group, numbers, strict=True):
             t = term_code(varpi(x))
-            z = number[id(zp)]
+            z = base + k
             i1, z1 = by_term.setdefault(t, (i, z))
             if z1 != z:
                 return classes, (_pair_key(m, n, i1), x.key(), "term")

@@ -362,10 +362,11 @@ def face_poset_associahedron(m: int):
     by edge contraction: the relation is edge_contractions.
 
     Graded with dim(t) = m - 1 - #vertices; binary trees are the
-    vertices and the corolla is the top cell.
+    vertices and the corolla is the top cell.  At m = 1 it is the
+    one-point poset on the leaf "*".
     """
-    if m < 2:
-        raise ValueError("need m >= 2")
+    if m < 1:
+        raise ValueError("need m >= 1")
     shapes = _shapes(m)
     index = {s: i for i, s in enumerate(shapes)}
     return posets.FinitePoset(

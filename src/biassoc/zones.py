@@ -20,8 +20,6 @@ from .leveled import (
     ComplementaryPair,
     coarsening_poset,
     enumerate_leveled_pairs,
-    gap_code,
-    pair_groups,
     values_text,
 )
 from .trees import (
@@ -233,55 +231,45 @@ def enumerate_zone_pairs(m: int, n: int) -> tuple:
     """The zone pairs with the given leaf counts, sorted by key: the
     image of the canonical projection over all complementary pairs."""
     classes = []
-    shared = {}  # one object per distinct zone tuple, which classes share
     # the pairs come sorted by key, so grouped by tree pair in key order,
     # and a zone pair's key starts with the same two tree texts
     for _, group in groupby(enumerate_leveled_pairs(m, n), lambda x: (x.up, x.down)):
-        classes.extend(zone_group(group, shared)[0])
+        classes.extend(zone_group(group)[0])
     return tuple(classes)
 
 
-def zone_group(pairs, shared: dict) -> tuple:
-    """The zone pairs of one tree pair, sorted by key, and the projection
-    of each of its complementary pairs `pairs` as one of those objects.
-    Each pair's zones are computed once, and a ZonePair is built and
-    validated once per class.  `shared` maps each zone tuple to the one
-    object that stands for it, and is filled as tuples are met."""
-    found = {}
-    projections = []
+def zone_group(pairs) -> tuple:
+    """The zone pairs of one tree pair, sorted by key, and per
+    complementary pair of `pairs` the number of its projection among
+    them.  Each pair's zones are computed once, and a ZonePair is built
+    and validated once per class."""
+    found = {}  # per zone tuples met, its class
+    met = []
     for x in pairs:
-        uz, dz = (shared.setdefault(t, t) for t in _zone_tuples(x))
-        z = found.get((uz, dz))
-        if z is None:
-            z = found[uz, dz] = ZonePair(x.up, x.down, uz, dz)
-        projections.append(z)
-    return sorted(found.values(), key=ZonePair.key), projections
+        zones = _zone_tuples(x)
+        if zones not in found:
+            found[zones] = ZonePair(x.up, x.down, *zones)
+        met.append(zones)
+    classes = sorted(found.values(), key=ZonePair.key)
+    number = {(z.up_zones, z.down_zones): k for k, z in enumerate(classes)}
+    return classes, [number[zones] for zones in met]
 
 
 def biassociahedron_poset(m: int, n: int, each_class=None):
     """Face poset of the step-one biassociahedron: the image of the
-    bipermutahedron order under project.  It is built in one walk of
-    pair_groups, numbering the zone classes of each tree pair as they
-    are met; they come in key order, as the tree pairs do.  When given,
-    each_class(z, key) is called once per class, as it is numbered.
-    The poset is not cached: each caller holds only the posets it uses."""
-    if m + n < 2:
-        raise ValueError("need m + n >= 2")
-    keys = []
+    bipermutahedron order under project, whose classes are those of
+    zone_group.  When given, each_class(z) is called once per class, in
+    key order, from the walk that builds the poset.  The poset is not
+    cached: each caller holds only the posets it uses."""
 
-    def coded():
-        for group in pair_groups(m, n):
-            found, projections = zone_group(group, {})
-            index = {}
-            for z in found:
-                index[id(z)] = len(keys)  # one object per zone class
-                keys.append(z.key())
-                if each_class is not None:
-                    each_class(z, keys[-1])
-            for x, z in zip(group, projections):
-                yield gap_code(x), index[id(z)]
+    def classify(group):
+        classes, numbers = zone_group(group)
+        if each_class is not None:
+            for z in classes:
+                each_class(z)
+        return classes, numbers
 
-    return coarsening_poset(keys, coded())
+    return coarsening_poset(m, n, classify)
 
 
 def pi_section(z: ZonePair) -> ComplementaryPair:

@@ -325,6 +325,8 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "fvector", "--family", "assoc")
     assert code == 2 and "need -m" in err
+    code, _, err = run(capsys, "verify", "opet", "-m", "2", "-n", "2", "--family", "nope")
+    assert code == 2 and "invalid choice: 'nope'" in err
     code, _, err = run(capsys, "encode", "--up", "(* *)", "--up-levels", "1")
     assert code == 2  # --gamma is required
     code, _, err = run(capsys, "varpi", "--down", "(* *)")
@@ -335,6 +337,17 @@ def test_usage_errors(capsys):
         capsys, "encode", "--gamma", "--decode", "(1/)", "-m", "2", "-n", "0"
     )
     assert code == 2 and "need m, n >= 1" in err
+
+
+def test_assoc_at_one_leaf_is_the_one_point_poset(capsys):
+    # as enumerate prints the lone leaf, the poset verbs see one point
+    for argv, want in (
+        ("fvector", "1\n"),
+        ("hasse", '{"elements": ["*"], "covers": []}\n'),
+        ("verify euler", "euler assoc (1,1): 1\n"),
+    ):
+        code, out, _ = run(capsys, *argv.split(), "--family", "assoc", "-m", "1")
+        assert (code, out) == (0, want)
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -373,13 +386,12 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
     # that has two: the witness has equal zones, different terms
     merged = []
 
-    def merging_zone_group(group, shared):
-        found, projections = zone_group(group, shared)
+    def merging_zone_group(group):
+        found, numbers = zone_group(group)
         if not merged and len(found) > 1:
             merged.extend(found[:2])
-            z1, z2 = merged
-            projections = [z1 if z is z2 else z for z in projections]
-        return found, projections
+            numbers = [0 if k == 1 else k for k in numbers]
+        return found, numbers
 
     monkeypatch.setattr(zones, "zone_group", merging_zone_group)
     count_varpi()

@@ -72,8 +72,8 @@ def test_validation_rejects_bad_wirings():
 
 def test_kept_wiring_map_matches_a_fresh_scan():
     # canonical reads the map the validation kept; a trusted copy of the
-    # same term has no map, so canonical scans its wires.  The map is
-    # not a field: ==, hash and repr ignore it.
+    # same term has no map, so canonical reads that of a validated copy.
+    # The map is not a field: ==, hash and repr ignore it.
     for x in enumerate_leveled_pairs(4, 3):
         t = P.varpi(x)
         copy = P._trusted(t.m, t.n, t.verts, t.ins, t.outs)

@@ -170,25 +170,38 @@ def test_enumeration_counts():
 
 def test_zone_classes_hold_each_pairs_projection():
     # per tree pair, the classes are the distinct projections in key
-    # order, and the k-th projection is the class of project() of the
-    # k-th pair; the classes of all tree pairs, one after the other, are
-    # the zone pairs
+    # order, the numbers cover them, and the k-th number is that of the
+    # class of project() of the k-th pair; the classes of all tree
+    # pairs, one after the other, are the zone pairs
     for total in range(2, 8):
         for m in range(1, total):
             n = total - m
-            shared, classes = {}, []
+            classes = []
             for group in L.pair_groups(m, n):
-                found, projections = Z.zone_group(group, shared)
+                found, numbers = Z.zone_group(group)
                 keys = [z.key() for z in found]
                 assert keys == sorted(set(keys))
-                assert len(projections) == len(group)
-                assert {id(z) for z in projections} == {id(z) for z in found}
-                for x, z in zip(group, projections):
-                    assert z.key() == Z.project(x).key()
+                assert len(numbers) == len(group)
+                assert set(numbers) == set(range(len(found)))
+                for x, k in zip(group, numbers):
+                    assert found[k] == Z.project(x)
                 classes.extend(found)
             assert [z.key() for z in classes] == [
                 z.key() for z in Z.enumerate_zone_pairs(m, n)
             ]
+
+
+def test_biassociahedron_poset_calls_each_class_once_per_class_in_key_order():
+    # the hook sees every class once, in key order, and the poset's
+    # elements are exactly the keys it saw
+    for total in range(2, 7):
+        for m in range(1, total):
+            seen = []
+            p = Z.biassociahedron_poset(m, total - m, seen.append)
+            keys = [z.key() for z in seen]
+            assert keys == sorted(set(keys))
+            assert p.elements == tuple(keys)
+            assert keys == [z.key() for z in Z.enumerate_zone_pairs(m, total - m)]
 
 
 def test_udu_type_occurs():
