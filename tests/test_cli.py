@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -29,7 +30,11 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 # m + n <= 7, recorded before the poset builders lost their caches, and
 # of `enumerate` (text and JSON) for perm and assoc at m = 1..7 and for
 # biperm and biassoc at every split with m + n <= 7, recorded before
-# both block-merge posets walked their tree pairs through one function
+# both block-merge posets walked their tree pairs through one function,
+# and of `hasse --dot` and `verify euler` for the multiplihedron at
+# m = 7, `encode --gamma` (both ways) and `varpi` on the codec examples
+# of these tests, recorded before the multiplihedron's faces were painted
+# straight from (shape, zeta); a key is a shell-quoted argv
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 
@@ -427,7 +432,7 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
 
 def test_poset_output_byte_identical(capsys):
     for argv, digest in GOLDENS.items():
-        code, out, _ = run(capsys, *argv.split())
+        code, out, _ = run(capsys, *shlex.split(argv))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
