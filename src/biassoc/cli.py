@@ -62,7 +62,9 @@ def _blocks(family, m, n, fmt):
             yield [x.to_json() if fmt == "json" else x.text()]
     else:  # the choices admit no other family: this is multipl
         for key, shape, zeta in multipli.painted_faces(m):
-            yield [multipli.painted_tree(shape, zeta).to_json() if fmt == "json" else key]
+            if fmt == "json":
+                key = multipli.PaintedTree(multipli.painted_shape(shape, zeta)).to_json()
+            yield [key]
 
 
 def _pair_from_args(args) -> leveled.ComplementaryPair:

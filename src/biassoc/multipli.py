@@ -11,19 +11,19 @@ multiplihedron faces.
 
 The multiplihedron face poset, whose one builder multiplihedron_poset
 keeps no cache, is built from the markings of each plain shape
-(shape_diaphragms), each named by its painted tree's key, without
-zone pairs; enumerate_painted, which generates painted trees from their
-vertex rules, is the reference the tests compare them with.  Its
-relation is the one-step moves of the diaphragms (diaphragm_moves), as
-the associahedron's is its edge contractions; diaphragm_leq is the
-reference order.
+(shape_diaphragms), without zone pairs, each named by the text that
+painted_shape paints from it, with no tree object; enumerate_painted,
+which generates painted trees from their vertex rules, is the reference
+the tests compare them with.  Its relation is the one-step moves of the
+diaphragms (diaphragm_moves), as the associahedron's is its edge
+contractions; diaphragm_leq is the reference order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from . import posets
 from .trees import (
@@ -36,6 +36,7 @@ from .trees import (
     leaf_intervals,
     shape_edges,
     shape_from_intervals,
+    shape_vertices,
 )
 from .zones import ZonePair, biassociahedron_poset, enumerate_zone_pairs
 
@@ -149,12 +150,6 @@ class PaintedTree:
         return _painted_leaves(self.shape)
 
     def text(self) -> str:
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        # kept with the tree: enumerate_painted sorts by it and the
-        # tests read the keys of its trees again
         return _painted_text(self.shape)
 
     @classmethod
@@ -224,27 +219,31 @@ def _white(shape):
     return (".", tuple([_white(c) for c in shape]))
 
 
-def diaphragm_to_painted(d: DiaphragmTree) -> PaintedTree:
-    """Paint above-membrane vertices black, below white; a membrane
-    vertex becomes an application vertex, and a membrane crossing of an
-    edge inserts a fresh unary application vertex."""
-    marks = dict(zip(d.tree.vertices(), d.zeta))
+def painted_shape(shape, zeta):
+    """Paint the diaphragm (shape, zeta), marks in path order: above the
+    membrane black, below it the shared _white shapes; a membrane vertex
+    becomes an application vertex, and a membrane crossing of an edge
+    inserts a fresh unary one."""
+    pos = 0
 
-    def black(path, shape):
-        # called while still above the membrane
+    def black(shape):
+        # called while still above the membrane, at the mark of shape
+        nonlocal pos
         if shape == LEAF:
             return ("!", (LEAF,))
-        mark = marks[path]
-        if mark == AT:
-            return ("!", tuple([_white(c) for c in shape]))
-        if mark == BELOW:
-            return ("!", (_white(shape),))
-        return (
-            ".",
-            tuple([black(path + (i,), c) for i, c in enumerate(shape)]),
-        )
+        mark = zeta[pos]
+        if mark == ABOVE:
+            pos += 1
+            return (".", tuple([black(c) for c in shape]))
+        pos += len(shape_vertices(shape))  # skip the white subtree's marks
+        return ("!", tuple(map(_white, shape)) if mark == AT else (_white(shape),))
 
-    return PaintedTree(black((), d.tree.shape))
+    return black(shape)
+
+
+def diaphragm_to_painted(d: DiaphragmTree) -> PaintedTree:
+    """The painted tree of a diaphragm (see painted_shape)."""
+    return PaintedTree(painted_shape(d.tree.shape, d.zeta))
 
 
 # marks a child may take under a parent's mark: never falling away
@@ -268,16 +267,11 @@ def shape_diaphragms(m: int):
             yield shape, zeta
 
 
-def painted_tree(shape, zeta) -> PaintedTree:
-    """The painted tree of the diaphragm (shape, zeta), both validated."""
-    return diaphragm_to_painted(DiaphragmTree(PlanarTree("up", shape), zeta))
-
-
 def painted_faces(m: int) -> list:
     """(painted-tree key, shape, zeta) for each diaphragm of
-    shape_diaphragms, sorted by key: the multiplihedron's faces in the
-    order of enumerate_painted.  Only the key of each tree is kept."""
-    return sorted((painted_tree(s, z).key(), s, z) for s, z in shape_diaphragms(m))
+    shape_diaphragms, sorted by key as enumerate_painted is.  A key is
+    the text of painted_shape: no tree object or painted shape is kept."""
+    return sorted((_painted_text(painted_shape(s, z)), s, z) for s, z in shape_diaphragms(m))
 
 
 @cache
@@ -294,13 +288,7 @@ def enumerate_painted(m: int) -> tuple:
 @cache
 def _white_parts(m: int) -> tuple:
     """Plain all-white shapes with m leaves (the exceptional one included)."""
-
-    def tag(shape):
-        if shape == LEAF:
-            return LEAF
-        return (".", tuple(tag(c) for c in shape))
-
-    return tuple(tag(s) for s in _shapes(m))
+    return tuple(map(_white, _shapes(m)))
 
 
 @cache

@@ -170,6 +170,30 @@ def test_multipl_verbs_build_no_painted_trees_from_vertex_rules(capsys):
     assert [fn.cache_info().currsize for fn in painted] == [0, 0, 0]
 
 
+def test_multipl_verbs_paint_each_face_once_from_shape_and_zeta(capsys, monkeypatch):
+    # every tree class bound in multipli is counted: the poset verbs and
+    # the text keys paint (shape, zeta) with no tree object, and JSON
+    # builds one PaintedTree per face, to write it
+    built = []
+    for name in ("PlanarTree", "DiaphragmTree", "PaintedTree"):
+        cls = getattr(multipli, name)
+        monkeypatch.setattr(
+            multipli, name, lambda *args, cls=cls: built.append(cls.__name__) or cls(*args)
+        )
+    for argv in (
+        "fvector --family multipl -m 4",
+        "hasse --family multipl -m 4",
+        "enumerate --family multipl -m 4",
+    ):
+        built.clear()
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out and built == [], argv
+    built.clear()
+    code, out, _ = run(capsys, *"enumerate --family multipl --format json -m 4".split())
+    assert code == 0 and len(out.splitlines()) == 67
+    assert built == ["PaintedTree"] * 67
+
+
 def test_isomorphism_failures_print_a_counterexample(capsys, monkeypatch):
     # a step sending every pair to one target: two keys share an image
     target = enumerate_leveled_pairs(3, 1)[0]

@@ -229,6 +229,19 @@ def test_opet_step_moves_gap_m_to_the_up_side():
     assert count == 3051
 
 
+def test_opet_step_keeps_the_gap_code():
+    # gap m has bit m - 1 as the first down gap of (m, n) and as the last
+    # up gap of (m + 1, n - 1), so the step leaves every level's mask as
+    # it is: the block-merge order on the codes carries over unchanged
+    count = 0
+    for s in range(3, 8):
+        for m in range(1, s - 1):
+            for x in L.enumerate_leveled_pairs(m, s - m):
+                assert L.gap_code(L.opet_step(x)) == L.gap_code(x), x.key()
+                count += 1
+    assert count == 3051
+
+
 def test_opet_iso_small():
     assert L.opet_iso_check(2, 2)
     assert L.opet_iso_check(1, 3)
