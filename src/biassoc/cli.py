@@ -206,9 +206,10 @@ def _verify(args) -> int:
         return 0 if failure is None else 1
     # the choices admit no other check: this is euler
     p = _poset(args.family, m, n)
-    e = p.euler()
-    print("euler %s (%d,%d): %d" % (args.family, m, n, e))
-    return 0 if e == 1 else 1
+    failure = p.grading_failure()  # face posets are graded: a bad cover is a verdict
+    verdict = "FAILED: " + failure if failure else p.euler()
+    print("euler %s (%d,%d): %s" % (args.family, m, n, verdict))
+    return 0 if verdict == 1 else 1
 
 
 def main() -> None:

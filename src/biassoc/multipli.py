@@ -7,7 +7,9 @@ membrane together.  These are exactly the zone pairs whose down tree is
 the 2-corolla.  Painting everything above the membrane black and
 inserting an "application" vertex wherever the membrane crosses an
 edge turns a diaphragm into a painted tree, the classical indexing of
-multiplihedron faces.
+multiplihedron faces.  Below the membrane a painted tree is a plain
+tree: its application vertices hold their inputs as plain shapes, read
+through the functions of trees (text, leaf count, validation, parser).
 
 The multiplihedron face poset, whose one builder multiplihedron_poset
 keeps no cache, is built from the markings of each plain shape
@@ -31,12 +33,16 @@ from .trees import (
     PlanarTree,
     _shapes,
     child_tuples,
+    children_prefix,
     contraction_map,
+    drop_vertices,
     edge_ties,
-    leaf_intervals,
+    leaf_count,
     shape_edges,
-    shape_from_intervals,
+    shape_prefix,
+    shape_text,
     shape_vertices,
+    validate_shape,
 )
 from .zones import ZonePair, biassociahedron_poset, enumerate_zone_pairs
 
@@ -110,32 +116,21 @@ def diaphragm_leq(d1: DiaphragmTree, d2: DiaphragmTree) -> bool:
 # ---------------------------------------------------------------------------
 # painted trees
 
-# painted shapes: "*" white leaf, ("." , children) plain vertex,
-# ("!", children) application vertex (white inputs, black output);
-# everything above the unique application vertex on each leaf path is
-# black, everything below is white.
+# painted shapes: (".", children) black vertex, its children painted;
+# ("!", inputs) application vertex, its inputs (the white parts) plain
+# shapes.  Each leaf path crosses exactly one application vertex.
 
 
-def painted_validate(shape, seen_cut=False):
+def painted_validate(shape):
     if shape == LEAF:
-        if not seen_cut:
-            raise ValueError("leaf path without an application vertex")
-        return
+        raise ValueError("leaf path without an application vertex")
     kind, children = shape
-    if kind == "!":
-        if seen_cut:
-            raise ValueError("two application vertices on one path")
-        if len(children) < 1:
-            raise ValueError("application vertex needs an input")
-        for c in children:
-            painted_validate(c, True)
-    elif kind == ".":
-        if len(children) < 2:
-            raise ValueError("plain vertex needs at least 2 children")
-        for c in children:
-            painted_validate(c, seen_cut)
-    else:
+    if kind not in ("!", "."):
         raise ValueError("bad painted vertex kind %r" % (kind,))
+    if len(children) < (1 if kind == "!" else 2):
+        raise ValueError("%r vertex with too few children" % (kind,))
+    for c in children:  # a white part is a plain shape
+        (validate_shape if kind == "!" else painted_validate)(c)
 
 
 @dataclass(frozen=True)
@@ -154,8 +149,9 @@ class PaintedTree:
 
     @classmethod
     def from_text(cls, text: str) -> "PaintedTree":
-        shape, rest = _painted_parse(text.strip())
-        if rest.strip():
+        text = "".join(text.split())  # whitespace only separates tokens
+        shape, pos = _painted_parse(text, 0)
+        if pos != len(text):
             raise ValueError("trailing garbage in painted tree text")
         return cls(shape)
 
@@ -167,63 +163,48 @@ class PaintedTree:
 
 
 def _painted_leaves(shape):
-    if shape == LEAF:
-        return 1
-    return sum(_painted_leaves(c) for c in shape[1])
+    kind, children = shape
+    return sum(map(leaf_count if kind == "!" else _painted_leaves, children))
 
 
 def _painted_text(shape):
-    if shape == LEAF:
-        return LEAF
     kind, children = shape
-    inner = "(" + " ".join([_painted_text(c) for c in children]) + ")"
-    return ("!" if kind == "!" else "") + inner
+    if kind == "!":
+        # the inputs are written as a plain vertex on them would be, by
+        # shape_text, which caches the text per shape
+        return "!" + shape_text(children)
+    return "(" + " ".join([_painted_text(c) for c in children]) + ")"
 
 
-def _painted_parse(text):
-    text = text.lstrip()
-    if text.startswith(LEAF):
-        return LEAF, text[1:]
-    kind = "."
-    if text.startswith("!"):
-        kind = "!"
-        text = text[1:].lstrip()
-    if not text.startswith("("):
-        raise ValueError("bad painted tree text")
-    text = text[1:]
-    children = []
-    while True:
-        text = text.lstrip()
-        if text.startswith(")"):
-            return (kind, tuple(children)), text[1:]
-        child, text = _painted_parse(text)
-        children.append(child)
+def _painted_parse(text, pos):
+    """One painted shape from text with no spaces at pos: (shape, the
+    position after it).  An application vertex's inputs are tree text."""
+    if text.startswith("!", pos):
+        inputs, pos = children_prefix(text, pos + 1, shape_prefix)
+        return ("!", inputs), pos
+    children, pos = children_prefix(text, pos, _painted_parse)
+    return (".", children), pos
 
 
 def _painted_jsonable(shape):
-    if shape == LEAF:
-        return LEAF
     kind, children = shape
-    return {
-        "type": "application" if kind == "!" else "plain",
-        "children": [_painted_jsonable(c) for c in children],
-    }
+    if kind == "!":
+        return {"type": "application", "children": list(map(_white_jsonable, children))}
+    return {"type": "plain", "children": list(map(_painted_jsonable, children))}
 
 
-@cache
-def _white(shape):
-    """The all-white painted shape on a plain shape; one per distinct
-    plain subshape, shared by every painted tree that holds it."""
+def _white_jsonable(shape):
+    """A white part, in the JSON of a painted tree."""
     if shape == LEAF:
         return LEAF
-    return (".", tuple([_white(c) for c in shape]))
+    return {"type": "plain", "children": list(map(_white_jsonable, shape))}
 
 
 def painted_shape(shape, zeta):
     """Paint the diaphragm (shape, zeta), marks in path order: above the
-    membrane black, below it the shared _white shapes; a membrane vertex
-    becomes an application vertex, and a membrane crossing of an edge
-    inserts a fresh unary one."""
+    membrane black; a membrane vertex becomes an application vertex on
+    its subtrees, and a membrane crossing of an edge inserts a unary
+    one on the subtree below it.  The subtrees are not copied."""
     pos = 0
 
     def black(shape):
@@ -236,7 +217,7 @@ def painted_shape(shape, zeta):
             pos += 1
             return (".", tuple([black(c) for c in shape]))
         pos += len(shape_vertices(shape))  # skip the white subtree's marks
-        return ("!", tuple(map(_white, shape)) if mark == AT else (_white(shape),))
+        return ("!", shape if mark == AT else (shape,))
 
     return black(shape)
 
@@ -286,18 +267,12 @@ def enumerate_painted(m: int) -> tuple:
 
 
 @cache
-def _white_parts(m: int) -> tuple:
-    """Plain all-white shapes with m leaves (the exceptional one included)."""
-    return tuple(map(_white, _shapes(m)))
-
-
-@cache
 def _black_parts(m: int) -> tuple:
     """Painted shapes with m leaves whose root edge is black."""
-    out = [("!", (w,)) for w in _white_parts(m)]
+    out = [("!", (s,)) for s in _shapes(m)]
     out.extend((".", c) for c in child_tuples(m, _black_parts))
     # application vertices with >= 2 inputs
-    out.extend(("!", c) for c in child_tuples(m, _white_parts))
+    out.extend(("!", c) for c in child_tuples(m, _shapes))
     return tuple(out)
 
 
@@ -320,14 +295,12 @@ def diaphragm_moves(shape, zeta):
     with no ABOVE child, merging its AT children into it, or a BELOW
     vertex that is the root or has an ABOVE parent.  The kept vertices
     keep their path order: a move is the shape of their leaf intervals."""
-    intervals = leaf_intervals(shape)
     edges = shape_edges(shape)
 
     def move(gone, raised):
-        kept = [q for q in range(len(zeta)) if q not in gone]
         return (
-            shape_from_intervals([intervals[q] for q in kept]) if gone else shape,
-            tuple(AT if q == raised else zeta[q] for q in kept),
+            drop_vertices(shape, gone),
+            tuple(AT if q == raised else z for q, z in enumerate(zeta) if q not in gone),
         )
 
     for p, c in edges:

@@ -95,9 +95,19 @@ class FinitePoset:
             counts[r] += 1
         return tuple(counts)
 
+    def grading_failure(self):
+        """None if every cover raises the rank by 1, else the first one
+        in row-major order that does not, as text."""
+        rank = self._ranks
+        for i, row in enumerate(self._covers):
+            for j in row:
+                if rank[j] != rank[i] + 1:
+                    return "%s < %s is a cover but raises the rank by %d" % (
+                        self.elements[i], self.elements[j], rank[j] - rank[i])
+        return None
+
     def is_graded(self) -> bool:
-        rank = self.ranks()
-        return all(rank[j] == rank[i] + 1 for i, j in self.covers())
+        return self.grading_failure() is None
 
     def euler(self) -> int:
         if not self.is_graded():

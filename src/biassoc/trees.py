@@ -80,42 +80,39 @@ def shape_text(shape) -> str:
     return "(" + " ".join(shape_text(c) for c in shape) + ")"
 
 
+def children_prefix(text, pos, read):
+    """Read "(" child ... ")" from text at pos, each child by
+    read(text, pos) -> (child, the position after it): (the children,
+    the position after ")").  The text holds no spaces.  This is the one
+    character loop of tree text; painted trees read theirs with it."""
+    if not text.startswith("(", pos):
+        raise ValueError("bad tree text %r at position %d" % (text, pos))
+    children, pos = [], pos + 1
+    while not text.startswith(")", pos):
+        if pos == len(text):
+            raise ValueError("unbalanced parentheses in tree text")
+        child, pos = read(text, pos)
+        children.append(child)
+    return tuple(children), pos + 1
+
+
+def shape_prefix(text, pos=0):
+    """Read one shape from text with no spaces at pos: (shape, the
+    position after it).  What follows it is left to the caller."""
+    if text.startswith(LEAF, pos):
+        return LEAF, pos + 1
+    children, pos = children_prefix(text, pos, shape_prefix)
+    if len(children) < 2:
+        raise ValueError("vertex with fewer than 2 children in tree text")
+    return children, pos
+
+
 def shape_from_text(text: str):
-    text = text.strip()
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        while pos < len(text) and text[pos] == " ":
-            pos += 1
-        if pos >= len(text):
-            raise ValueError("unexpected end of tree text")
-        if text[pos] == LEAF:
-            pos += 1
-            return LEAF
-        if text[pos] != "(":
-            raise ValueError("bad character %r in tree text" % text[pos])
-        pos += 1
-        children = []
-        while True:
-            while pos < len(text) and text[pos] == " ":
-                pos += 1
-            if pos >= len(text):
-                raise ValueError("unbalanced parentheses in tree text")
-            if text[pos] == ")":
-                pos += 1
-                break
-            children.append(parse())
-        if len(children) < 2:
-            raise ValueError("vertex with fewer than 2 children in tree text")
-        return tuple(children)
-
-    result = parse()
-    while pos < len(text) and text[pos] == " ":
-        pos += 1
+    text = text.strip().replace(" ", "")  # spaces only separate tokens
+    shape, pos = shape_prefix(text)
     if pos != len(text):
         raise ValueError("trailing garbage in tree text")
-    return result
+    return shape
 
 
 def _shape_to_jsonable(shape):
@@ -230,11 +227,7 @@ def contract_edge(t: PlanarTree, edge) -> PlanarTree:
     paths = shape_vertices(t.shape)
     if edge not in paths[1:]:
         raise ValueError("not an internal edge")
-    i = paths.index(edge)
-    intervals = leaf_intervals(t.shape)
-    return PlanarTree(
-        t.orientation, shape_from_intervals(intervals[:i] + intervals[i + 1 :])
-    )
+    return PlanarTree(t.orientation, drop_vertices(t.shape, (paths.index(edge),)))
 
 
 @cache
@@ -308,6 +301,17 @@ def shape_from_intervals(intervals):
     return built[0]
 
 
+def drop_vertices(shape, gone):
+    """The shape without the non-root vertices whose path-order indices
+    are in gone: the shape of the other vertices' leaf intervals.
+    Dropping a vertex contracts the edge above it."""
+    if not gone:
+        return shape
+    return shape_from_intervals(
+        [iv for q, iv in enumerate(leaf_intervals(shape)) if q not in gone]
+    )
+
+
 @cache
 def contraction_map(s1, s2):
     """The unique contraction morphism between shapes, if one exists.
@@ -336,11 +340,7 @@ def edge_contractions(shape) -> tuple:
     """The shapes made from `shape` by contracting one internal edge:
     its one-step moves in the associahedron.  Each drops the leaf
     interval of one non-root vertex."""
-    intervals = leaf_intervals(shape)
-    return tuple(
-        shape_from_intervals(intervals[:i] + intervals[i + 1 :])
-        for i in range(1, len(intervals))
-    )
+    return tuple(drop_vertices(shape, (i,)) for i in range(1, len(shape_vertices(shape))))
 
 
 def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:

@@ -208,20 +208,24 @@ def painted_to_diaphragm(p: M.PaintedTree) -> M.DiaphragmTree:
     """Inverse of multipli.diaphragm_to_painted."""
     zeta = {}
 
-    def strip(shape, path, side):
+    def white(shape, path):
+        # every vertex of a white part is below the membrane
+        for q in T.shape_vertices(shape):
+            zeta[path + q] = M.BELOW
+        return shape
+
+    def strip(shape, path):
         # returns the underlying plain shape at this position
-        if shape == LEAF:
-            return LEAF
         kind, children = shape
         if kind == "!":
             if len(children) == 1:
-                return strip(children[0], path, M.BELOW)
+                return white(children[0], path)
             zeta[path] = M.AT
-            return tuple(strip(c, path + (i,), M.BELOW) for i, c in enumerate(children))
-        zeta[path] = side
-        return tuple(strip(c, path + (i,), side) for i, c in enumerate(children))
+            return tuple(white(c, path + (i,)) for i, c in enumerate(children))
+        zeta[path] = M.ABOVE
+        return tuple(strip(c, path + (i,)) for i, c in enumerate(children))
 
-    shape = strip(p.shape, (), M.ABOVE)
+    shape = strip(p.shape, ())
     tree = PlanarTree("up", shape)
     return M.DiaphragmTree(tree, tuple(zeta[q] for q in tree.vertices()))
 

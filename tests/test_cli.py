@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from biassoc import cli, leveled, multipli, propterms, zones
+from biassoc import cli, leveled, multipli, propterms, trees, zones
 from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs
 from biassoc.multipli import PaintedTree
+from biassoc.posets import FinitePoset
 
 # the environment of a CLI subprocess: this checkout's src first
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -155,7 +156,7 @@ def test_verify_builds_each_poset_once_through_its_builder(capsys, monkeypatch):
 def test_multipl_verbs_build_no_painted_trees_from_vertex_rules(capsys):
     # with cold caches, the multiplihedron's verbs enumerate its
     # diaphragms per plain shape: the vertex-rule reference stays empty
-    painted = (multipli.enumerate_painted, multipli._black_parts, multipli._white_parts)
+    painted = (multipli.enumerate_painted, multipli._black_parts)
     for fn in painted:
         fn.cache_clear()
     for argv in (
@@ -167,7 +168,7 @@ def test_multipl_verbs_build_no_painted_trees_from_vertex_rules(capsys):
     ):
         code, out, _ = run(capsys, *argv.split())
         assert code == 0 and out, argv
-    assert [fn.cache_info().currsize for fn in painted] == [0, 0, 0]
+    assert [fn.cache_info().currsize for fn in painted] == [0, 0]
 
 
 def test_multipl_verbs_paint_each_face_once_from_shape_and_zeta(capsys, monkeypatch):
@@ -279,6 +280,17 @@ def test_verify_commands(capsys):
     assert code == 0 and "posets isomorphic" in out
     code, out, _ = run(capsys, "verify", "euler", "--family", "biperm", "-m", "3", "-n", "1")
     assert code == 0 and out.strip() == "euler biperm (3,1): 1"
+
+
+def test_verify_euler_on_a_non_graded_poset_names_a_cover(capsys, monkeypatch):
+    # a <= b <= c and d <= c: the cover d < c raises the rank by 2, so
+    # the poset has no Euler sum; that is a verdict, not a usage error
+    ungraded = FinitePoset(("a", "b", "c", "d"), [(0, 1), (1, 2), (3, 2)])
+    monkeypatch.setattr(trees, "face_poset_associahedron", lambda m: ungraded)
+    code, out, err = run(capsys, "verify", "euler", "--family", "assoc", "-m", "3")
+    assert (code, out, err) == (
+        1, "euler assoc (3,1): FAILED: d < c is a cover but raises the rank by 2\n", ""
+    )
 
 
 def test_perm_forces_one_down_leaf(capsys):

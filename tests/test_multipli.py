@@ -44,6 +44,37 @@ def test_painted_validation():
         PaintedTree(((".", ("*",))))
     with pytest.raises(ValueError):
         PaintedTree.from_text("!(* *) garbage")
+    for text in (
+        "!()",  # an application vertex with no input
+        "(!(*))",  # a unary black vertex
+        "!((* !(*)))",  # an application vertex inside a white part
+        "!(* (* *)",  # an unbalanced "("
+        "(!(*) !(*)",
+    ):
+        with pytest.raises(ValueError):
+            PaintedTree.from_text(text)
+
+
+def application_inputs(shape):
+    """The inputs of each application vertex of a painted shape."""
+    kind, children = shape
+    if kind == "!":
+        yield children
+    else:
+        for c in children:
+            yield from application_inputs(c)
+
+
+def test_application_inputs_are_plain_shapes():
+    # below the membrane a painted tree is plain: both builds hold each
+    # white part as a shape of trees, not a painted copy of it
+    for m in range(1, 7):
+        painted = [p.shape for p in M.enumerate_painted(m)]
+        painted += [M.painted_shape(s, z) for s, z in M.shape_diaphragms(m)]
+        for shape in painted:
+            for inputs in application_inputs(shape):
+                for white in inputs:
+                    T.validate_shape(white)
 
 
 def test_painted_text_json_roundtrip():
@@ -173,10 +204,11 @@ def test_fvectors_and_euler():
 
 
 def plain_count(shape) -> int:
-    if shape == "*":
-        return 0
+    # the black vertices and every vertex of a white part
     kind, children = shape
-    return (kind == ".") + sum(plain_count(c) for c in children)
+    if kind == "!":
+        return sum(len(T.shape_vertices(c)) for c in children)
+    return 1 + sum(plain_count(c) for c in children)
 
 
 def multiplihedron_vertex_counts(top):
@@ -204,8 +236,7 @@ def test_tree_families_build_without_pairs_or_zones(monkeypatch):
     def refuse(*args):
         raise AssertionError("built from leveled or zone pairs")
 
-    for fn in (M.enumerate_painted, M._black_parts,
-               M._white_parts, M._white, T._shapes, coarser_shapes,
+    for fn in (M.enumerate_painted, M._black_parts, T._shapes, coarser_shapes,
                T.contraction_map, T.leaf_intervals, T.shape_edges):
         fn.cache_clear()
     monkeypatch.setattr(M, "enumerate_zone_pairs", refuse)
