@@ -53,10 +53,14 @@ def _blocks(family, m, n, fmt):
     perm, biperm and biassoc, which are walked one tree pair at a time,
     and one line per block for assoc and multipl."""
     if family in ("perm", "biperm", "biassoc"):
-        for group in leveled.pair_groups(m, n):
+        cls = zones.ZonePair if family == "biassoc" else leveled.ComplementaryPair
+        for up, down, values in leveled.pair_groups(m, n):
             if family == "biassoc":
-                group = zones.zone_group(group)[0]
-            yield [x.to_json() if fmt == "json" else x.key() for x in group]
+                values = zones.zone_group(up, down, values)[0]
+            if fmt == "json":  # the one place enumerate builds objects
+                yield [x.to_json() for x in leveled.pair_objects(up, down, values, cls)]
+            else:
+                yield [leveled.pair_key(up, down, *v) for v in values]
     elif family == "assoc":
         for x in trees.enumerate_trees(m, "up"):
             yield [x.to_json() if fmt == "json" else x.text()]

@@ -12,6 +12,9 @@ Pairs with U having m leaves and D having n leaves index the faces of
 the (m, n) bipermutahedron; the n = 1 case is the classical
 permutahedron on ordered set partitions.  bipermutahedron_poset is the
 one builder of its face poset, and it keeps no cache.
+The walks carry a pair as its two shapes and its level tuples, and
+pair_key writes every key; a ComplementaryPair is built (pair_objects)
+only where a verb writes JSON or hands a pair to opet_step or varpi.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from itertools import chain
 from . import posets
 from .trees import (
     PlanarTree,
+    _shapes,
     contraction_map,
     edge_ties,
-    enumerate_trees,
     leaf_count,
     leaf_intervals,
     shape_edges,
@@ -73,12 +76,7 @@ class ComplementaryPair:
         return max(self.up_levels + self.down_levels, default=0)
 
     def key(self) -> str:
-        return "%s;%s;%s;%s" % (
-            shape_text(self.up.shape),
-            shape_text(self.down.shape),
-            values_text(self.up_levels),
-            values_text(self.down_levels),
-        )
+        return pair_key(self.up.shape, self.down.shape, self.up_levels, self.down_levels)
 
     @classmethod
     def from_key(cls, key: str) -> "ComplementaryPair":
@@ -117,8 +115,23 @@ def values_text(values) -> str:
     return ",".join(map(str, values))
 
 
-def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
-    """All valid level assignments for the given tree pair.
+def pair_key(up, down, a, b) -> str:
+    """The one writer of the keys of pairs and zone pairs, from the two
+    shapes and the level or zone tuples: "((* *) *);(* *);1,3;2"."""
+    return "%s;%s;%s;%s" % (
+        shape_text(up), shape_text(down), values_text(a), values_text(b))
+
+
+def pair_objects(up, down, values, cls=ComplementaryPair) -> list:
+    """cls(U, D, a, b), validated, per (a, b) of values, where U and D
+    are the trees of the shapes up and down."""
+    u, d = PlanarTree("up", up), PlanarTree("down", down)
+    return [cls(u, d, a, b) for a, b in values]
+
+
+def enumerate_level_functions(up, down) -> list:
+    """All valid level assignments for the shapes up and down, as
+    (up levels, down levels) tuples.
 
     Levels are built top-down; at each step any nonempty subset of the
     currently placeable vertices (those whose same-tree predecessors are
@@ -131,12 +144,12 @@ def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
     nonempty submasks of the mask of placeable vertices, which is
     computed once per mask of placed vertices.
     """
-    k = len(up.vertices())
-    size = k + len(down.vertices())
+    k = len(leaf_intervals(up))
+    size = k + len(leaf_intervals(down))
     preds = [0] * size
-    for p, c in shape_edges(up.shape):
+    for p, c in shape_edges(up):
         preds[c] |= 1 << p
-    for p, c in shape_edges(down.shape):
+    for p, c in shape_edges(down):
         preds[k + p] |= 1 << (k + c)
     full = (1 << size) - 1
     # the level of every vertex placed on the current branch; entries
@@ -149,8 +162,7 @@ def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
     def step(placed, level):
         if placed == full:
             ul, dl = tuple(levels[:k]), tuple(levels[k:])
-            ul, dl = shared.setdefault(ul, ul), shared.setdefault(dl, dl)
-            results.append(ComplementaryPair(up, down, ul, dl))
+            results.append((shared.setdefault(ul, ul), shared.setdefault(dl, dl)))
             return
         ready = ready_after.get(placed)
         if ready is None:
@@ -174,27 +186,27 @@ def enumerate_level_functions(up: PlanarTree, down: PlanarTree) -> list:
 
 
 def pair_groups(m: int, n: int):
-    """Per tree pair (U, D) with m up-leaves and n down-leaves, the list
-    of its complementary pairs sorted by key.  The lists come in key
-    order, one at a time, so a caller that walks them holds one tree
-    pair's pairs, not all of them."""
+    """Per tree pair with m up-leaves and n down-leaves, in key order,
+    (up shape, down shape, its level tuples sorted by key), one at a
+    time, so a caller holds one tree pair's level tuples, not all."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     # a key starts with the two tree texts, no tree text is a prefix of
-    # another and enumerate_trees lists the trees in text order, so
-    # sorting the pairs of each tree pair sorts them all
-    ups, downs = enumerate_trees(m, "up"), enumerate_trees(n, "down")
+    # another and _shapes lists them in text order, so sorting each tree
+    # pair's keys sorts them all (on the key: "1,23;" is before "1,2;")
     return (
-        sorted(enumerate_level_functions(up, down), key=ComplementaryPair.key)
-        for up in ups
-        for down in downs
+        (up, down, sorted(enumerate_level_functions(up, down),
+                          key=lambda v: pair_key(up, down, *v)))
+        for up in _shapes(m)
+        for down in _shapes(n)
     )
 
 
 @cache
 def enumerate_leveled_pairs(m: int, n: int) -> tuple:
-    """All complementary pairs with m up-leaves and n down-leaves."""
-    return tuple(chain.from_iterable(pair_groups(m, n)))
+    """All complementary pairs with m up-leaves and n down-leaves, in
+    key order, each validated: a reference that no verb reads."""
+    return tuple(chain.from_iterable(pair_objects(*group) for group in pair_groups(m, n)))
 
 
 def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
@@ -234,31 +246,33 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
 
 def bipermutahedron_poset(m: int, n: int):
     """Face poset of the bipermutahedron, graded by (m+n-2) - h: the
-    coarsening poset whose classes are the pairs themselves.  It is not
-    cached: each caller holds only the posets it uses."""
-    return coarsening_poset(m, n, lambda group: (group, range(len(group))))
+    coarsening poset whose classes are the level functions themselves.
+    It is not cached: each caller holds only the posets it uses."""
+    return coarsening_poset(m, n, lambda up, down, levels: (levels, range(len(levels))))
 
 
 def coarsening_poset(m: int, n: int, classify):
     """The face poset of a quotient of the (m, n) bipermutahedron, built
-    in one walk of pair_groups.  classify(group) returns one tree pair's
-    classes in key order and, per pair, the number of its class among
-    them; the tree pairs come in key order, so their classes' keys are
-    the sorted elements.  The relation is the image of the one-step
-    moves of the pairs, merging two adjacent blocks of the gap code (an
-    OR of their masks); their closure is the block-merge order, which
-    is pair_leq.  The image of the whole block-merge order is already
-    transitive for every quotient built here (the tests check it for
-    m + n <= 7), so the closure of the image is the image of the order.
+    in one walk of pair_groups on plain tuples, with no pair object.
+    classify(up, down, levels) returns one tree pair's classes in key
+    order, as tuple pairs keyed by pair_key, and per level tuple the
+    number of its class; the tree pairs come in key order, so the keys
+    are the sorted elements.  The relation is the image of the one-step
+    moves, merging two adjacent blocks of the gap code (an OR of their
+    masks); their closure is the block-merge order, pair_leq.  The image
+    of the whole order is already transitive for every quotient built
+    here (the tests check it for m + n <= 7), so the closure of the
+    image is the image of the order.
     """
     if m + n < 2:
         raise ValueError("need m + n >= 2")
     keys, image = [], {}  # per pair, only its gap code and class number
-    for group in pair_groups(m, n):
-        classes, numbers = classify(group)
+    for up, down, levels in pair_groups(m, n):
+        classes, numbers = classify(up, down, levels)
         index = [len(keys) + k for k in range(len(classes))]  # one int per class
-        image.update(zip(map(gap_code, group), [index[k] for k in numbers]))
-        keys.extend([c.key() for c in classes])
+        codes = [gap_code(up, down, *v) for v in levels]
+        image.update(zip(codes, [index[k] for k in numbers]))
+        keys.extend([pair_key(up, down, *c) for c in classes])
     return posets.FinitePoset(
         tuple(keys),
         (
@@ -317,14 +331,9 @@ def _pair_from_intervals(up: dict, down: dict) -> ComplementaryPair:
     """The pair whose up and down trees have the leaf intervals keyed
     in `up` and `down`, at the levels they map to."""
 
-    def tree(orientation, levels):
-        shape = shape_from_intervals(levels)
-        return PlanarTree(orientation, shape), tuple(
-            levels[iv] for iv in leaf_intervals(shape)
-        )
-
-    (u, ul), (d, dl) = tree("up", up), tree("down", down)
-    return ComplementaryPair(u, d, ul, dl)
+    u, d = shape_from_intervals(up), shape_from_intervals(down)
+    levels = [tuple(lv[iv] for iv in leaf_intervals(s)) for lv, s in ((up, u), (down, d))]
+    return ComplementaryPair(PlanarTree("up", u), PlanarTree("down", d), *levels)
 
 
 def opet_iso_check(m: int, n: int) -> bool:
@@ -344,7 +353,8 @@ def opet_failure(m: int, n: int):
     while n >= 2:
         q = bipermutahedron_poset(m + 1, n - 1)
         failure = posets.isomorphism_failure(
-            p, q, {x.key(): opet_step(x).key() for g in pair_groups(m, n) for x in g}
+            p, q, {x.key(): opet_step(x).key()
+                   for group in pair_groups(m, n) for x in pair_objects(*group)}
         )
         if failure is not None:
             return "step (%d,%d) -> (%d,%d): %s" % (m, n, m + 1, n - 1, failure)
@@ -430,15 +440,15 @@ def _gap_vertices(shape) -> tuple:
     )
 
 
-def gap_code(x: ComplementaryPair) -> tuple:
-    """Per level 1..h, the leaf gaps merging on that level as one
+def gap_code(up, down, up_levels, down_levels) -> tuple:
+    """Per level 1..h of a pair's parts, the leaf gaps merging on it as one
     bitmask, bit i - 1 for gap i: up-leaf gap i (1..m-1) merges at the
     U vertex where the branches of leaves i and i+1 meet, and down-leaf
     gaps, numbered m..m+n-2, at the corresponding D vertex.  The label
     ranges are disjoint, so a block (U_j, D_j) is one int."""
-    code = [0] * x.h
+    code = [0] * max(up_levels + down_levels, default=0)
     bit = 1
-    for levels, shape in ((x.up_levels, x.up.shape), (x.down_levels, x.down.shape)):
+    for levels, shape in ((up_levels, up), (down_levels, down)):
         for v in _gap_vertices(shape):
             code[levels[v] - 1] |= bit
             bit <<= 1
@@ -452,7 +462,7 @@ def gamma_encode(x: ComplementaryPair) -> OrderedBipartition:
     return OrderedBipartition(
         tuple(
             tuple(tuple(i for i in gaps if b >> (i - 1) & 1) for gaps in (ugaps, dgaps))
-            for b in gap_code(x)
+            for b in gap_code(x.up.shape, x.down.shape, x.up_levels, x.down_levels)
         )
     )
 

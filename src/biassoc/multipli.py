@@ -88,12 +88,12 @@ def zone_to_diaphragm(z: ZonePair) -> DiaphragmTree:
     is the 2-corolla: compare each up vertex's zone with the corolla's."""
     if z.n != 2:
         raise ValueError("need the 2-corolla as down tree")
-    level = z.down_zones[0]
-    zeta = tuple(
-        ABOVE if zz < level else AT if zz == level else BELOW
-        for zz in z.up_zones
-    )
-    return DiaphragmTree(z.up, zeta)
+    return DiaphragmTree(z.up, membrane_marks(z.up_zones, z.down_zones[0]))
+
+
+def membrane_marks(zones, level) -> tuple:
+    """Each of the zones against the 2-corolla's zone, `level`."""
+    return tuple(ABOVE if z < level else AT if z == level else BELOW for z in zones)
 
 
 def diaphragm_leq(d1: DiaphragmTree, d2: DiaphragmTree) -> bool:
@@ -355,13 +355,15 @@ def prop_d_map(m: int) -> tuple:
     """(f, failure): the key map of prop_d_check, filled from the walk
     that builds the (m, 2) biassociahedron, and None when it is an
     order isomorphism onto the multiplihedron, else the first way it
-    fails (see posets.isomorphism_failure)."""
+    fails (see posets.isomorphism_failure).  The map is painted from
+    each class's zone tuples, with no object."""
     if m < 2:
         raise ValueError("need m >= 2")
     painted = []  # per class in key order, as the poset's elements
 
-    def paint(z):
-        painted.append(diaphragm_to_painted(zone_to_diaphragm(z)).key())
+    def paint(up, down, up_zones, down_zones):
+        zeta = membrane_marks(up_zones, down_zones[0])
+        painted.append(_painted_text(painted_shape(up, zeta)))
 
     p = biassociahedron_poset(m, 2, paint)
     f = dict(zip(p.elements, painted, strict=True))  # no key string held twice

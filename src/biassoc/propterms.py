@@ -40,9 +40,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, islice
+from itertools import islice
 
-from .leveled import ComplementaryPair, pair_groups
+from .leveled import ComplementaryPair, pair_groups, pair_key, pair_objects
 from .trees import LEAF, PlanarTree, shape_vertices, subshape
 
 # sources are ("g", i) for global input leg i, or ("v", vi, port)
@@ -636,11 +636,11 @@ def theorem_c_witness(m: int, n: int) -> tuple:
     # in key order, zone class z in key order
     by_term = {}
     i = classes = 0
-    for group in pair_groups(m, n):
-        found, numbers = zone_group(group)
+    for up, down, levels in pair_groups(m, n):
+        found, numbers = zone_group(up, down, levels)
         base, classes = classes, classes + len(found)
         by_zone = {}
-        for x, k in zip(group, numbers, strict=True):
+        for x, k in zip(pair_objects(up, down, levels), numbers, strict=True):
             t = term_code(varpi(x))
             z = base + k
             i1, z1 = by_term.setdefault(t, (i, z))
@@ -655,4 +655,5 @@ def theorem_c_witness(m: int, n: int) -> tuple:
 
 def _pair_key(m: int, n: int, i: int) -> str:
     """The key of the i-th (m, n) pair in key order."""
-    return next(islice(chain.from_iterable(pair_groups(m, n)), i, None)).key()
+    keys = (pair_key(u, d, *v) for u, d, levels in pair_groups(m, n) for v in levels)
+    return next(islice(keys, i, None))

@@ -340,7 +340,7 @@ def edge_contractions(shape) -> tuple:
     """The shapes made from `shape` by contracting one internal edge:
     its one-step moves in the associahedron.  Each drops the leaf
     interval of one non-root vertex."""
-    return tuple(drop_vertices(shape, (i,)) for i in range(1, len(shape_vertices(shape))))
+    return tuple(drop_vertices(shape, (i,)) for i in range(1, len(leaf_intervals(shape))))
 
 
 def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:

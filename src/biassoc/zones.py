@@ -8,19 +8,22 @@ the assignment must stay strict (no two comparable same-tree vertices
 share a barrier).  The zone pairs with m up-leaves and n down-leaves
 index the faces of the step-one biassociahedron; biassociahedron_poset
 is the one builder of its face poset, and it keeps no cache.
+Its walk, zone_group, projects level tuples to zone tuples; a ZonePair
+is built only where a verb writes JSON, and in the tests' references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 
 from .leveled import (
     ComplementaryPair,
     coarsening_poset,
+    enumerate_level_functions,
     enumerate_leveled_pairs,
-    values_text,
+    pair_key,
 )
 from .trees import (
     PlanarTree,
@@ -86,12 +89,7 @@ class ZonePair:
         return _kinds(self.up_zones, self.down_zones, self.l)
 
     def key(self) -> str:
-        return "%s;%s;%s;%s" % (
-            shape_text(self.up.shape),
-            shape_text(self.down.shape),
-            values_text(self.up_zones),
-            values_text(self.down_zones),
-        )
+        return pair_key(self.up.shape, self.down.shape, self.up_zones, self.down_zones)
 
     def to_json(self) -> str:
         # the text json.dumps gives the object {"up": ..., "down": ...,
@@ -164,16 +162,15 @@ def closure(zp: ZonePair, i: int) -> frozenset:
 def project(x: ComplementaryPair) -> ZonePair:
     """Collapse maximal runs of adjacent up-only levels and of adjacent
     down-only levels into single zones."""
-    return ZonePair(x.up, x.down, *_zone_tuples(x))
+    return ZonePair(x.up, x.down, *_zone_tuples(x.up_levels, x.down_levels))
 
 
-def _zone_tuples(x: ComplementaryPair) -> tuple:
-    """The zones of project(x): (up zones, down zones)."""
-    zone_of = _zone_numbers(_kinds(x.up_levels, x.down_levels, x.h))
-    return (
-        tuple([zone_of[l] for l in x.up_levels]),
-        tuple([zone_of[l] for l in x.down_levels]),
-    )
+def _zone_tuples(up_levels, down_levels) -> tuple:
+    """The zones of the pair with the given level tuples, as project
+    gives them: (up zones, down zones)."""
+    h = max(up_levels + down_levels, default=0)
+    zone_of = _zone_numbers(_kinds(up_levels, down_levels, h))
+    return tuple([zone_of[l] for l in up_levels]), tuple([zone_of[l] for l in down_levels])
 
 
 @cache
@@ -229,44 +226,34 @@ def zone_leq(z1: ZonePair, z2: ZonePair) -> bool:
 @cache
 def enumerate_zone_pairs(m: int, n: int) -> tuple:
     """The zone pairs with the given leaf counts, sorted by key: the
-    image of the canonical projection over all complementary pairs."""
-    classes = []
-    # the pairs come sorted by key, so grouped by tree pair in key order,
-    # and a zone pair's key starts with the same two tree texts
-    for _, group in groupby(enumerate_leveled_pairs(m, n), lambda x: (x.up, x.down)):
-        classes.extend(zone_group(group)[0])
-    return tuple(classes)
+    image of project over all complementary pairs, each validated.  It
+    is a reference for the tests, which no verb reads."""
+    found = {z.key(): z for z in map(project, enumerate_leveled_pairs(m, n))}
+    return tuple(found[key] for key in sorted(found))
 
 
-def zone_group(pairs) -> tuple:
-    """The zone pairs of one tree pair, sorted by key, and per
-    complementary pair of `pairs` the number of its projection among
-    them.  Each pair's zones are computed once, and a ZonePair is built
-    and validated once per class."""
-    found = {}  # per zone tuples met, its class
-    met = []
-    for x in pairs:
-        zones = _zone_tuples(x)
-        if zones not in found:
-            found[zones] = ZonePair(x.up, x.down, *zones)
-        met.append(zones)
-    classes = sorted(found.values(), key=ZonePair.key)
-    number = {(z.up_zones, z.down_zones): k for k, z in enumerate(classes)}
-    return classes, [number[zones] for zones in met]
+def zone_group(up, down, levels) -> tuple:
+    """One tree pair's distinct zone tuples, sorted by key, and per
+    level tuple of `levels` the number of its zones among them."""
+    met = [_zone_tuples(*v) for v in levels]
+    classes = sorted(set(met), key=lambda z: pair_key(up, down, *z))
+    number = {z: k for k, z in enumerate(classes)}
+    return classes, [number[z] for z in met]
 
 
 def biassociahedron_poset(m: int, n: int, each_class=None):
     """Face poset of the step-one biassociahedron: the image of the
     bipermutahedron order under project, whose classes are those of
-    zone_group.  When given, each_class(z) is called once per class, in
-    key order, from the walk that builds the poset.  The poset is not
-    cached: each caller holds only the posets it uses."""
+    zone_group.  When given, each_class(up, down, up_zones, down_zones)
+    is called once per class, in key order, from the walk that builds
+    the poset.  The poset is not cached: each caller holds only the
+    posets it uses."""
 
-    def classify(group):
-        classes, numbers = zone_group(group)
+    def classify(up, down, levels):
+        classes, numbers = zone_group(up, down, levels)
         if each_class is not None:
-            for z in classes:
-                each_class(z)
+            for zones in classes:
+                each_class(up, down, *zones)
         return classes, numbers
 
     return coarsening_poset(m, n, classify)
@@ -337,13 +324,8 @@ def relative_heights_check(x: ComplementaryPair) -> bool:
             if _sign(lp - lq) != _sign(zu[p] - zd[q]):
                 return False
     # all zone functions on this tree pair, via projection
-    from .leveled import enumerate_level_functions
-
-    zps = {}
-    for y in enumerate_level_functions(x.up, x.down):
-        w = project(y)
-        zps.setdefault(w.key(), w)
-    zlist = list(zps.values())
+    zones = {_zone_tuples(*v) for v in enumerate_level_functions(x.up.shape, x.down.shape)}
+    zlist = [ZonePair(x.up, x.down, *z) for z in zones]
     for i, a in enumerate(zlist):
         for b in zlist[i + 1 :]:
             if _trichotomies(a) == _trichotomies(b) and a != b:

@@ -30,6 +30,15 @@ from biassoc.posets import FinitePoset
 from biassoc.trees import LEAF, PlanarTree, subshape
 
 
+def parts(x):
+    """The plain parts of a ComplementaryPair or a ZonePair, as the
+    library's walks carry them: (up shape, down shape, up tuple, down
+    tuple)."""
+    if isinstance(x, ComplementaryPair):
+        return x.up.shape, x.down.shape, x.up_levels, x.down_levels
+    return x.up.shape, x.down.shape, x.up_zones, x.down_zones
+
+
 def closure(p):
     """The reflexive-transitive closure of p.covers(): per element, the
     frozenset of the indices above it, itself included."""

@@ -6,6 +6,7 @@ import shlex
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from biassoc import cli, leveled, multipli, propterms, trees, zones
@@ -195,6 +196,57 @@ def test_multipl_verbs_paint_each_face_once_from_shape_and_zeta(capsys, monkeypa
     assert built == ["PaintedTree"] * 67
 
 
+def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
+    # every ComplementaryPair and ZonePair built is counted: the poset
+    # verbs and the text keys walk plain level and zone tuples, JSON
+    # builds one object per line, to write it, and thmc and opet build
+    # a pair only to hand it to varpi or opet_step
+    pairs = len(enumerate_leveled_pairs(3, 2))
+    built, walked = Counter(), []
+    for cls in (ComplementaryPair, zones.ZonePair):
+        monkeypatch.setattr(
+            cls, "__post_init__",
+            lambda x, validate=cls.__post_init__: built.update([type(x).__name__])
+            or validate(x),
+        )
+    def count(argv):
+        built.clear()
+        walked.clear()
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out, argv
+        return out
+
+    for family in ("perm", "biperm", "biassoc"):
+        split = "-m 4" if family == "perm" else "-m 3 -n 2"
+        for verb in ("fvector", "hasse", "hasse --dot", "enumerate", "verify euler"):
+            count("%s --family %s %s" % (verb, family, split))
+            assert not built, (verb, family)
+        out = count("enumerate --format json --family %s %s" % (family, split))
+        name = "ZonePair" if family == "biassoc" else "ComplementaryPair"
+        assert built == {name: len(out.splitlines())}, family
+    count("verify propd -m 4")
+    assert not built
+    groups = leveled.pair_groups
+
+    def counted_groups(m, n):
+        for group in groups(m, n):
+            walked.append(len(group[2]))
+            yield group
+
+    for module in (leveled, propterms):
+        monkeypatch.setattr(module, "pair_groups", counted_groups)
+    # opet hands each pair of (3, 2) to opet_step, which builds its image
+    count("verify opet -m 3 -n 2")
+    assert built == {"ComplementaryPair": 2 * pairs} and sum(walked) == 3 * pairs
+    # thmc hands each pair to varpi, which builds a pair per cut piece on
+    # a cache miss only: the second run builds one pair per pair walked
+    count("verify thmc -m 3 -n 2")
+    count("verify thmc -m 3 -n 2")
+    assert built == {"ComplementaryPair": pairs} and walked == [
+        len(levels) for _, _, levels in groups(3, 2)
+    ]
+
+
 def test_isomorphism_failures_print_a_counterexample(capsys, monkeypatch):
     # a step sending every pair to one target: two keys share an image
     target = enumerate_leveled_pairs(3, 1)[0]
@@ -212,12 +264,14 @@ def test_isomorphism_failures_print_a_counterexample(capsys, monkeypatch):
     rank = q.ranks()
     low, high = q.elements[rank.index(0)], q.elements[rank.index(max(rank))]
     trade = {low: high, high: low}
-    paint = multipli.diaphragm_to_painted
+    paint = multipli.painted_shape
+
+    def traded(shape, zeta):
+        text = PaintedTree(paint(shape, zeta)).text()
+        return PaintedTree.from_text(trade.get(text, text)).shape
+
     monkeypatch.setattr(multipli, "multiplihedron_poset", lambda m: q)
-    monkeypatch.setattr(
-        multipli, "diaphragm_to_painted",
-        lambda d: PaintedTree.from_text(trade.get(paint(d).key(), paint(d).key())),
-    )
+    monkeypatch.setattr(multipli, "painted_shape", traded)
     code, out, _ = run(capsys, "verify", "propd", "-m", "3")
     f, failure = multipli.prop_d_map(3)
     assert failure is not None and sorted(f.values()) == sorted(q.elements)
@@ -427,10 +481,10 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
     # that has two: the witness has equal zones, different terms
     merged = []
 
-    def merging_zone_group(group):
-        found, numbers = zone_group(group)
+    def merging_zone_group(up, down, levels):
+        found, numbers = zone_group(up, down, levels)
         if not merged and len(found) > 1:
-            merged.extend(found[:2])
+            merged.extend(leveled.pair_key(up, down, *z) for z in found[:2])
             numbers = [0 if k == 1 else k for k in numbers]
         return found, numbers
 
@@ -443,7 +497,7 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
         r"different terms\n", out
     ).groups()
     x1, x2 = ComplementaryPair.from_key(k1), ComplementaryPair.from_key(k2)
-    assert {project(x1).key(), project(x2).key()} == {z.key() for z in merged}
+    assert {project(x1).key(), project(x2).key()} == set(merged)
     assert term(x1) != term(x2)
     assert len(set(calls)) == len(calls) and calls[-1] == k2
     monkeypatch.undo()

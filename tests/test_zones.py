@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from biassoc import leveled as L, trees as T, zones as Z
-from biassoc.posets import is_isomorphism, isomorphic
+from biassoc.posets import FinitePoset, is_isomorphism, isomorphic, isomorphism_failure
 from biassoc.trees import PlanarTree, enumerate_trees, face_poset_associahedron
 from biassoc.zones import ZonePair
 from oracles import (
@@ -12,6 +12,7 @@ from oracles import (
     closure,
     is_transitive,
     level_function_error,
+    parts,
     zone_function_error,
     zone_pair_json,
 )
@@ -171,37 +172,37 @@ def test_enumeration_counts():
 def test_zone_classes_hold_each_pairs_projection():
     # per tree pair, the classes are the distinct projections in key
     # order, the numbers cover them, and the k-th number is that of the
-    # class of project() of the k-th pair; the classes of all tree
-    # pairs, one after the other, are the zone pairs
+    # class of project() of the k-th pair, built and validated as
+    # objects; the classes of all tree pairs, one after the other, are
+    # the zone pairs
     for total in range(2, 8):
         for m in range(1, total):
             n = total - m
             classes = []
-            for group in L.pair_groups(m, n):
-                found, numbers = Z.zone_group(group)
-                keys = [z.key() for z in found]
+            for up, down, levels in L.pair_groups(m, n):
+                found, numbers = Z.zone_group(up, down, levels)
+                keys = [L.pair_key(up, down, *z) for z in found]
                 assert keys == sorted(set(keys))
-                assert len(numbers) == len(group)
+                assert len(numbers) == len(levels)
                 assert set(numbers) == set(range(len(found)))
-                for x, k in zip(group, numbers):
-                    assert found[k] == Z.project(x)
-                classes.extend(found)
-            assert [z.key() for z in classes] == [
-                z.key() for z in Z.enumerate_zone_pairs(m, n)
-            ]
+                for x, k in zip(L.pair_objects(up, down, levels), numbers, strict=True):
+                    assert parts(Z.project(x)) == (up, down, *found[k])
+                classes.extend(keys)
+            assert classes == [z.key() for z in Z.enumerate_zone_pairs(m, n)]
 
 
 def test_biassociahedron_poset_calls_each_class_once_per_class_in_key_order():
-    # the hook sees every class once, in key order, and the poset's
-    # elements are exactly the keys it saw
+    # the hook sees every class once, in key order, as the parts of the
+    # validated zone pairs of the reference, and the poset's elements
+    # are exactly the keys of what it saw
     for total in range(2, 7):
         for m in range(1, total):
             seen = []
-            p = Z.biassociahedron_poset(m, total - m, seen.append)
-            keys = [z.key() for z in seen]
+            p = Z.biassociahedron_poset(m, total - m, lambda *z: seen.append(z))
+            keys = [L.pair_key(*z) for z in seen]
             assert keys == sorted(set(keys))
             assert p.elements == tuple(keys)
-            assert keys == [z.key() for z in Z.enumerate_zone_pairs(m, total - m)]
+            assert seen == [parts(z) for z in Z.enumerate_zone_pairs(m, total - m)]
 
 
 def test_udu_type_occurs():
@@ -299,6 +300,49 @@ def test_boundary_maps_are_isomorphisms():
         down = {z.key(): z.down.text() for z in Z.enumerate_zone_pairs(1, m)}
         assert is_isomorphism(Z.biassociahedron_poset(m, 1), assoc, up)
         assert is_isomorphism(Z.biassociahedron_poset(1, m), assoc, down)
+
+
+def mirror_key(key):
+    """The key of the up/down mirror image of a pair or zone pair: the
+    two tree texts trade places, keeping their planar order, and each
+    level or zone l of h becomes h + 1 - l."""
+    up, down, a, b = key.split(";")
+    a, b = ([int(v) for v in t.split(",") if v] for t in (a, b))
+    h = max(a + b, default=0)
+    flip = lambda values: ",".join(str(h + 1 - v) for v in values)
+    return "%s;%s;%s;%s" % (down, up, flip(b), flip(a))
+
+
+def moved_cover(q):
+    """q with its first cover (i, j) that can move moved to (i, k), k
+    the first element of j's rank that i does not cover: every rank
+    stays, so q's f-vector and Euler characteristic stay too."""
+    covers, rank = q.covers(), q.ranks()
+    i, j, k = next(
+        (i, j, k)
+        for i, j in covers
+        for k in range(len(q))
+        if rank[k] == rank[j] and (i, k) not in covers
+    )
+    return FinitePoset(q.elements, [c for c in covers if c != (i, j)] + [(i, k)])
+
+
+@pytest.mark.parametrize("build", [L.bipermutahedron_poset, Z.biassociahedron_poset])
+def test_up_down_mirror_is_an_order_isomorphism(build):
+    # turning a pair upside down maps (m, n) onto (n, m), for every
+    # split with m + n <= 8
+    for total in range(2, 9):
+        for m in range(1, total):
+            p, q = build(m, total - m), build(total - m, m)
+            f = {key: mirror_key(key) for key in p.elements}
+            assert isomorphism_failure(p, q, f) is None, (m, total - m)
+    # the check sees one cover of the target moved, which euler does not
+    p, q = build(3, 2), build(2, 3)
+    f = {key: mirror_key(key) for key in p.elements}
+    moved = moved_cover(q)
+    assert moved.covers() != q.covers()
+    assert (moved.fvector(), moved.euler()) == (q.fvector(), 1)
+    assert isomorphism_failure(p, moved, f) is not None
 
 
 def test_pi_section_roundtrip():
