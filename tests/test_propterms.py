@@ -462,6 +462,26 @@ def test_term_keys_golden():
     assert hashlib.sha256("".join(rows).encode()).hexdigest() == TERM_KEYS_SHA256
 
 
+# sha256 of the sorted "pair key<TAB>term code in hex" lines over the
+# (4,4) and (4,3) pairs, recorded before the per-side cut, lower-half
+# and zone-tuple caches; those caches first matter above m + n = 7
+TERM_CODES_SHA256 = {
+    (4, 4): (4683, "9731d9ffc06c6b043cd0d6f3ddd5b6f5674474ee2fc109603065b3ca21a559ef"),
+    (4, 3): (541, "71bfb07819fa06c5215c1b89facf838d41386ea57cffa4091a988152f81a4ef7"),
+}
+
+
+@pytest.mark.parametrize("m, n", sorted(TERM_CODES_SHA256))
+def test_term_codes_golden(m, n):
+    rows = sorted(
+        "%s\t%s\n" % (x.key(), P.term_code(P.varpi(x)).hex())
+        for x in enumerate_leveled_pairs(m, n)
+    )
+    count, digest = TERM_CODES_SHA256[m, n]
+    assert len(rows) == count
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == digest
+
+
 def test_term_code_partitions_like_term_key():
     # over the same 3,685 pairs, equal codes <-> equal keys
     pairs = [
