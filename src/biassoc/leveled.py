@@ -122,6 +122,20 @@ def pair_key(up, down, a, b) -> str:
         shape_text(up), shape_text(down), values_text(a), values_text(b))
 
 
+@cache
+def _head_text(values) -> str:
+    """values_text(values) and the ";" that ends it in a key."""
+    return values_text(values) + ";"
+
+
+def key_order(v) -> tuple:
+    """A sort key of one tree pair's level or zone tuples v = (a, b)
+    that orders them as their pair_key strings, without writing them.
+    The keys share the two tree texts and go on "a;b", and no tuple's
+    text holds a ";", so comparing a + ";" and then b compares the keys."""
+    return _head_text(v[0]), values_text(v[1])
+
+
 def pair_objects(up, down, values, cls=ComplementaryPair) -> list:
     """cls(U, D, a, b), validated, per (a, b) of values, where U and D
     are the trees of the shapes up and down."""
@@ -195,8 +209,7 @@ def pair_groups(m: int, n: int):
     # another and _shapes lists them in text order, so sorting each tree
     # pair's keys sorts them all (on the key: "1,23;" is before "1,2;")
     return (
-        (up, down, sorted(enumerate_level_functions(up, down),
-                          key=lambda v: pair_key(up, down, *v)))
+        (up, down, sorted(enumerate_level_functions(up, down), key=key_order))
         for up in _shapes(m)
         for down in _shapes(n)
     )

@@ -41,6 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
+from operator import le
 
 from .leveled import ComplementaryPair, pair_groups, pair_key, pair_objects
 from .trees import LEAF, PlanarTree, shape_vertices, subshape
@@ -57,61 +58,58 @@ class PropTerm:
     outs: tuple  # per global output leg, its source
 
     def __post_init__(self):
-        if len(self.outs) != self.n or len(self.ins) != len(self.verts):
+        verts, ins, outs = self.verts, self.ins, self.outs
+        nv = len(verts)
+        if len(outs) != self.n or len(ins) != nv:
             raise ValueError("malformed term")
-        ports = self.m  # the global input legs and vertex output ports
-        for (b, a), srcs in zip(self.verts, self.ins):
+        ports = [("g", i) for i in range(self.m)]
+        starts, owners = [], []
+        sources, readers = list(outs), [nv] * len(outs)
+        for vi, (b, a), srcs in zip(range(nv), verts, ins):
             if a < 1 or b < 1 or (a, b) == (1, 1):
                 raise ValueError("invalid generator biarity (%d,%d)" % (b, a))
             if len(srcs) != a:
                 raise ValueError("input port count mismatch")
-            ports += b
-        consumer = {}  # source -> sink
-        for j, src in enumerate(self.outs):
-            if src in consumer:
-                raise ValueError("source %r wired twice" % (src,))
-            consumer[src] = ("o", j)
-        waiting = []  # per vertex, how many of its inputs leave a vertex
-        for vi, srcs in enumerate(self.ins):
-            k = 0
-            for p, src in enumerate(srcs):
-                if src in consumer:
+            starts.append(len(ports))
+            ports += [("v", vi, p) for p in range(b)]
+            owners += [vi] * b
+            sources += srcs
+            readers += [vi] * a
+        reader = dict(zip(sources, readers))
+        if len(reader) != len(sources):
+            seen = set()
+            for src in sources:
+                if src in seen:
                     raise ValueError("source %r wired twice" % (src,))
-                consumer[src] = ("i", vi, p)
-                k += src[0] == "v"
-            waiting.append(k)
-        legs, vertex_ids = range(self.m), range(len(self.verts))
-        for src in consumer:
-            if src[0] == "g":
-                if len(src) != 2 or src[1] not in legs:
-                    raise ValueError("bad global input %r" % (src,))
-            else:
-                tag, vi, port = src
-                if (
-                    tag != "v"
-                    or vi not in vertex_ids
-                    or port not in range(self.verts[vi][0])
-                ):
-                    raise ValueError("bad vertex output %r" % (src,))
-        # the sources are distinct ports, so every port is wired iff
-        # there are as many sources as ports
-        if len(consumer) != ports:
+                seen.add(src)
+        # the sources are distinct, so every port is wired once iff the
+        # sources are the ports
+        if reader.keys() != set(ports):
+            valid = set(ports)
+            for src in reader:
+                if src not in valid:
+                    kind = "global input" if src[0] == "g" else "vertex output"
+                    raise ValueError("bad %s %r" % (kind, src))
             raise ValueError("every output port and input leg must be wired once")
-        # acyclicity: remove vertices whose inputs all come from removed
-        # vertices or global legs (Kahn); a cycle leaves some behind
-        free = [vi for vi, k in enumerate(waiting) if not k]
-        for vi in free:  # grows while it is walked
-            for port in range(self.verts[vi][0]):
-                sink = consumer[("v", vi, port)]
-                if sink[0] == "i":
-                    w = sink[1]
+        consumer = [reader[p] for p in ports]
+        # acyclicity: the storage order is topological when every wire
+        # between vertices runs to a later vertex, as composites keep
+        # it; else remove vertices whose inputs all come from removed
+        # vertices or global legs (Kahn), and a cycle leaves some behind
+        if any(map(le, consumer[self.m :], owners)):
+            waiting = [0] * (nv + 1)  # per vertex, its inputs from vertices
+            for w in consumer[self.m :]:
+                waiting[w] += 1
+            free = [vi for vi in range(nv) if not waiting[vi]]
+            for vi in free:  # grows while it is walked
+                for w in consumer[starts[vi] : starts[vi] + verts[vi][0]]:
                     waiting[w] -= 1
-                    if not waiting[w]:
+                    if not waiting[w] and w < nv:
                         free.append(w)
-        if len(free) != len(self.verts):
-            raise ValueError("term graph has a cycle")
+            if len(free) != nv:
+                raise ValueError("term graph has a cycle")
         # kept for canonical(); not a field, so ==, hash and repr ignore it
-        object.__setattr__(self, "_consumer", consumer)
+        object.__setattr__(self, "_consumer", (consumer, starts))
 
     @property
     def biarity(self):
@@ -142,10 +140,15 @@ def generator(b: int, a: int) -> PropTerm:
     )
 
 
-def _offset_src(src, voff, goff):
-    if src[0] == "g":
-        return ("g", src[1] + goff)
-    return ("v", src[1] + voff, src[2])
+def _rewired(t: PropTerm, voff: int, inputs) -> tuple:
+    """t's input sources and output legs with vertex vi renumbered
+    vi + voff and global input i read from inputs[i]."""
+
+    def move(srcs):
+        return tuple([inputs[s[1]] if s[0] == "g" else ("v", s[1] + voff, s[2])
+                      for s in srcs])
+
+    return tuple([move(srcs) for srcs in t.ins]), move(t.outs)
 
 
 def vcompose(f: PropTerm, g: PropTerm) -> PropTerm:
@@ -154,32 +157,17 @@ def vcompose(f: PropTerm, g: PropTerm) -> PropTerm:
         raise ValueError(
             "inner arity mismatch: f has %d inputs, g has %d outputs" % (f.m, g.n)
         )
-    voff = len(g.verts)
-
-    def resolve(src):
-        # a source inside f; its global inputs pull from g's outputs
-        if src[0] == "g":
-            return g.outs[src[1]]
-        return ("v", src[1] + voff, src[2])
-
-    ins = tuple(g.ins) + tuple(
-        tuple(resolve(s) for s in srcs) for srcs in f.ins
-    )
-    outs = tuple(resolve(s) for s in f.outs)
-    return _trusted(g.m, f.n, g.verts + f.verts, ins, outs)
+    ins, outs = _rewired(f, len(g.verts), g.outs)
+    return _trusted(g.m, f.n, g.verts + f.verts, tuple(g.ins) + ins, outs)
 
 
 def hcompose(f: PropTerm, g: PropTerm) -> PropTerm:
     """Side-by-side juxtaposition, f's legs first."""
-    voff = len(f.verts)
-    goff = f.m
-    ins = tuple(f.ins) + tuple(
-        tuple(_offset_src(s, voff, goff) for s in srcs) for srcs in g.ins
+    legs = [("g", i) for i in range(f.m, f.m + g.m)]
+    ins, outs = _rewired(g, len(f.verts), legs)
+    return _trusted(
+        f.m + g.m, f.n + g.n, f.verts + g.verts, tuple(f.ins) + ins, tuple(f.outs) + outs
     )
-    outs = tuple(f.outs) + tuple(
-        _offset_src(s, voff, goff) for s in g.outs
-    )
-    return _trusted(f.m + g.m, f.n + g.n, f.verts + g.verts, ins, outs)
 
 
 def hfold(terms) -> PropTerm:
@@ -236,22 +224,32 @@ def fraction(bs, as_) -> PropTerm:
     """
     bs = list(bs)
     as_ = list(as_)
-    k = len(bs)
-    l = len(as_)
-    if k < 1 or l < 1:
+    _check_numerators(bs, len(as_))
+    return vcompose(hfold(bs), _lower_half(as_, len(bs)))
+
+
+def _check_numerators(bs, l):
+    """Each of the numerators bs of a fraction over l denominators
+    takes l inputs, and neither side is empty."""
+    if not bs or l < 1:
         raise ValueError("fraction needs at least one term on each side")
     for idx, b in enumerate(bs):
         if b.m != l:
             raise ValueError(
                 "numerator %d has %d inputs, expected %d" % (idx + 1, b.m, l)
             )
+
+
+def _lower_half(as_, k) -> PropTerm:
+    """The lower half of a fraction with k numerators: the juxtaposed
+    denominators as_, each with k outputs, output strand i sent to
+    sigma(i)."""
     for idx, a in enumerate(as_):
         if a.n != k:
             raise ValueError(
                 "denominator %d has %d outputs, expected %d" % (idx + 1, a.n, k)
             )
-    lower = permute_outputs(hfold(as_), sigma(l, k))
-    return vcompose(hfold(bs), lower)
+    return permute_outputs(hfold(as_), sigma(len(as_), k))
 
 
 # ---------------------------------------------------------------------------
@@ -266,36 +264,22 @@ def _canonical_order(t: PropTerm) -> dict:
     legs assigns each vertex a forced canonical index; no search over
     automorphisms is needed.
     """
-    consumer = t.__dict__.get("_consumer")
-    if consumer is None:  # a composite built without validation
-        consumer = PropTerm(t.m, t.n, t.verts, t.ins, t.outs)._consumer
+    wiring = t.__dict__.get("_consumer")
+    if wiring is None:  # a composite built without validation
+        wiring = PropTerm(t.m, t.n, t.verts, t.ins, t.outs)._consumer
+    consumer, starts = wiring
+    ins, verts = t.ins, t.verts
+    nv = len(verts)
     order = {}
-    queue = []
-
-    def discover(vi):
-        if vi not in order:
-            order[vi] = len(order)
-            queue.append(vi)
-
-    for i in range(t.m):
-        sink = consumer[("g", i)]
-        if sink[0] == "i":
-            discover(sink[1])
-    for src in t.outs:
-        if src[0] == "v":
-            discover(src[1])
-    qi = 0
-    while qi < len(queue):
-        vi = queue[qi]
-        qi += 1
-        for src in t.ins[vi]:
-            if src[0] == "v":
-                discover(src[1])
-        for port in range(t.verts[vi][0]):
-            sink = consumer[("v", vi, port)]
-            if sink[0] == "i":
-                discover(sink[1])
-    if len(order) != len(t.verts):
+    queue = [w for w in consumer[: t.m] if w < nv]
+    queue += [src[1] for src in t.outs if src[0] == "v"]
+    for vi in queue:  # grows while it is walked
+        if vi in order:
+            continue
+        order[vi] = len(order)
+        queue += [src[1] for src in ins[vi] if src[0] == "v"]
+        queue += [w for w in consumer[starts[vi] : starts[vi] + verts[vi][0]] if w < nv]
+    if len(order) != nv:
         raise AssertionError("disconnected vertex not anchored to any leg")
     return order
 
@@ -397,8 +381,11 @@ class Expr:
         if self.op == "h":
             return hfold(_term(e) for e in self.args)
         if self.op == "frac":
+            # fraction, with the lower half looked up by its denominators
             nums, dens = self.args
-            return fraction([_term(e) for e in nums], [_term(e) for e in dens])
+            bs = [_term(e) for e in nums]
+            _check_numerators(bs, len(dens))
+            return vcompose(hfold(bs), _lower(dens, len(bs)))
         raise ValueError(self.op)
 
     def is_identity(self) -> bool:
@@ -457,6 +444,13 @@ def _term(e: Expr) -> PropTerm:
     return e.to_term()
 
 
+@cache
+def _lower(dens: tuple, k: int) -> PropTerm:
+    """The lower half of a fraction with k numerators over the
+    denominator expressions dens; fractions share their denominators."""
+    return _lower_half([_term(e) for e in dens], k)
+
+
 def egen(b, a):
     return Expr("gen", biarity=(b, a))
 
@@ -481,6 +475,7 @@ def efrac(nums, dens):
 # tree embeddings and the map from pairs to terms
 
 
+@cache
 def _iota_up_expr(shape) -> Expr:
     """Operadic embedding of an up tree: vertices become x[1,a]."""
     if shape == LEAF:
@@ -490,6 +485,7 @@ def _iota_up_expr(shape) -> Expr:
     return ev(egen(1, a), eh(*children))
 
 
+@cache
 def _iota_down_expr(shape) -> Expr:
     """Co-operadic embedding of a down tree: vertices become x[a,1]."""
     if shape == LEAF:
@@ -542,17 +538,39 @@ def varpi_expr(x: ComplementaryPair) -> Expr:
         downs = [_iota_down_expr(c) for c in dshape]
         return ev(eh(*downs), egen(b, a), eh(*ups))
     # D's root hangs below U's root: cut U at D's root level
-    top, top_levels, hanging = _cut(ushape, x.up_levels, (), lambda lvl: lvl < root_d)
-    corolla = (LEAF,) * len(dshape)
-    dens = [
-        _piece(*_cut(ushape, x.up_levels, p)[:2], corolla, (root_d,))
-        for p in hanging
-    ]
+    top, top_levels, dens = _up_side(ushape, x.up_levels, root_d, len(dshape))
     nums = [
-        _piece(top, top_levels, *_cut(dshape, x.down_levels, (j,))[:2])
-        for j in range(len(dshape))
+        _piece(top, top_levels, *branch)
+        for branch in _down_branches(dshape, x.down_levels)
     ]
     return efrac(nums, dens)
+
+
+@cache
+def _up_side(shape, levels, root_d, k) -> tuple:
+    """The up side of a fraction whose down root, at level root_d, has
+    k branches: the top piece of _up_cut, its levels, and the
+    denominators, which pair each subtree hanging off it with the down
+    root's corolla."""
+    top, top_levels, hanging = _up_cut(shape, levels, root_d)
+    corolla = (LEAF,) * k
+    dens = tuple(_piece(*sub, corolla, (root_d,)) for sub in hanging)
+    return top, top_levels, dens
+
+
+@cache
+def _up_cut(shape, levels, root_d) -> tuple:
+    """The cut of an up tree at level root_d: the part above root_d
+    (its shape and levels) and each subtree hanging off that part (its
+    shape and levels), from left to right."""
+    top, top_levels, hanging = _cut(shape, levels, (), lambda lvl: lvl < root_d)
+    return top, top_levels, tuple(_cut(shape, levels, p)[:2] for p in hanging)
+
+
+@cache
+def _down_branches(shape, levels) -> tuple:
+    """Per branch of a down tree's root, the branch's shape and levels."""
+    return tuple(_cut(shape, levels, (j,))[:2] for j in range(len(shape)))
 
 
 def _cut(shape, levels, path, keep=lambda lvl: True):
@@ -606,8 +624,27 @@ def _piece_expr(up, up_levels, down, down_levels) -> Expr:
 
 def varpi(x: ComplementaryPair) -> PropTerm:
     """The term of a pair, fully validated."""
-    t = varpi_expr(x).to_term()
+    return _validated(varpi_expr(x))
+
+
+def _validated(e: Expr) -> PropTerm:
+    """The term of e, rebuilt through the full validation."""
+    t = e.to_term()
     return PropTerm(t.m, t.n, t.verts, t.ins, t.outs)
+
+
+def _term_codes(up, down, levels):
+    """Per level tuple of `levels` on the shapes up and down, one at a
+    time, the term_code of the varpi of its validated pair.  Equal
+    expressions denote equal terms, so the pairs of one tree pair with
+    equal expressions share one validated term and its code."""
+    codes = {}  # per distinct expression of this tree pair, its code
+    for x in pair_objects(up, down, levels):
+        e = varpi_expr(x)
+        code = codes.get(e)
+        if code is None:
+            code = codes[e] = term_code(_validated(e))
+        yield code
 
 
 # ---------------------------------------------------------------------------
@@ -640,15 +677,14 @@ def theorem_c_witness(m: int, n: int) -> tuple:
         found, numbers = zone_group(up, down, levels)
         base, classes = classes, classes + len(found)
         by_zone = {}
-        for x, k in zip(pair_objects(up, down, levels), numbers, strict=True):
-            t = term_code(varpi(x))
+        for v, t, k in zip(levels, _term_codes(up, down, levels), numbers, strict=True):
             z = base + k
             i1, z1 = by_term.setdefault(t, (i, z))
             if z1 != z:
-                return classes, (_pair_key(m, n, i1), x.key(), "term")
+                return classes, (_pair_key(m, n, i1), pair_key(up, down, *v), "term")
             i1, t1 = by_zone.setdefault(z, (i, t))
             if t1 != t:
-                return classes, (_pair_key(m, n, i1), x.key(), "zone")
+                return classes, (_pair_key(m, n, i1), pair_key(up, down, *v), "zone")
             i += 1
     return classes, None
 

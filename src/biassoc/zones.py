@@ -23,6 +23,7 @@ from .leveled import (
     coarsening_poset,
     enumerate_level_functions,
     enumerate_leveled_pairs,
+    key_order,
     pair_key,
 )
 from .trees import (
@@ -165,9 +166,11 @@ def project(x: ComplementaryPair) -> ZonePair:
     return ZonePair(x.up, x.down, *_zone_tuples(x.up_levels, x.down_levels))
 
 
+@cache
 def _zone_tuples(up_levels, down_levels) -> tuple:
     """The zones of the pair with the given level tuples, as project
-    gives them: (up zones, down zones)."""
+    gives them: (up zones, down zones).  Memoized: the zones depend on
+    the two level tuples alone, which recur across tree pairs."""
     h = max(up_levels + down_levels, default=0)
     zone_of = _zone_numbers(_kinds(up_levels, down_levels, h))
     return tuple([zone_of[l] for l in up_levels]), tuple([zone_of[l] for l in down_levels])
@@ -236,7 +239,7 @@ def zone_group(up, down, levels) -> tuple:
     """One tree pair's distinct zone tuples, sorted by key, and per
     level tuple of `levels` the number of its zones among them."""
     met = [_zone_tuples(*v) for v in levels]
-    classes = sorted(set(met), key=lambda z: pair_key(up, down, *z))
+    classes = sorted(set(met), key=key_order)
     number = {z: k for k, z in enumerate(classes)}
     return classes, [number[z] for z in met]
 

@@ -39,6 +39,37 @@ def parts(x):
     return x.up.shape, x.down.shape, x.up_zones, x.down_zones
 
 
+def mirror_key(key):
+    """The key of the up/down mirror image of a pair or zone pair: the
+    two tree texts trade places, keeping their planar order, and each
+    level or zone l of h becomes h + 1 - l."""
+    up, down, a, b = key.split(";")
+    a, b = ([int(v) for v in t.split(",") if v] for t in (a, b))
+    h = max(a + b, default=0)
+    flip = lambda values: ",".join(str(h + 1 - v) for v in values)
+    return "%s;%s;%s;%s" % (down, up, flip(b), flip(a))
+
+
+def opposite(t: P.PropTerm) -> P.PropTerm:
+    """The opposite of a term: each x[b,a] becomes x[a,b] and every wire
+    runs the other way, so global input i becomes global output i and
+    output j input j, in the same leg order.  A vertex's input ports
+    become its output ports in the same order, and the other way round."""
+    sink = {}  # per source of t, the port that reads it, as a source of the opposite
+    for j, src in enumerate(t.outs):
+        sink[src] = ("g", j)
+    for vi, srcs in enumerate(t.ins):
+        for q, src in enumerate(srcs):
+            sink[src] = ("v", vi, q)
+    return P.PropTerm(
+        t.n,
+        t.m,
+        tuple((a, b) for b, a in t.verts),
+        tuple(tuple(sink["v", vi, p] for p in range(b)) for vi, (b, _) in enumerate(t.verts)),
+        tuple(sink["g", i] for i in range(t.m)),
+    )
+
+
 def closure(p):
     """The reflexive-transitive closure of p.covers(): per element, the
     frozenset of the indices above it, itself included."""

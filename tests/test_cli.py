@@ -238,13 +238,26 @@ def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
     # opet hands each pair of (3, 2) to opet_step, which builds its image
     count("verify opet -m 3 -n 2")
     assert built == {"ComplementaryPair": 2 * pairs} and sum(walked) == 3 * pairs
-    # thmc hands each pair to varpi, which builds a pair per cut piece on
-    # a cache miss only: the second run builds one pair per pair walked
+    # thmc hands each pair to varpi_expr, which builds a pair per cut
+    # piece on a cache miss only: the second run builds one pair per
+    # pair walked
     count("verify thmc -m 3 -n 2")
     count("verify thmc -m 3 -n 2")
     assert built == {"ComplementaryPair": pairs} and walked == [
         len(levels) for _, _, levels in groups(3, 2)
     ]
+
+
+def test_text_enumerate_writes_each_key_once(capsys, monkeypatch):
+    # the walks sort on the tuples' texts, so a key is written only for
+    # its line
+    calls = []
+    pair_key = leveled.pair_key
+    monkeypatch.setattr(leveled, "pair_key", lambda *parts: calls.append(parts) or pair_key(*parts))
+    for family in ("perm", "biperm", "biassoc"):
+        calls.clear()
+        code, out, _ = run(capsys, "enumerate", "--family", family, "-m", "3", "-n", "3")
+        assert code == 0 and len(calls) == out.count("\n") > 1, family
 
 
 def test_isomorphism_failures_print_a_counterexample(capsys, monkeypatch):
@@ -459,23 +472,35 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
     pairs = enumerate_leveled_pairs(3, 2)
     project, varpi = zones.project, propterms.varpi
     term_code, zone_group = propterms.term_code, zones.zone_group
+    varpi_expr, validated = propterms.varpi_expr, propterms._validated
 
     def term(x):
         return term_code(varpi(x))
 
-    # one kernel pass: every pair's term is computed once on success,
-    # and at most once before the witness on failure
-    calls = []
+    # one kernel pass: every pair is walked once on success, and at most
+    # once before the witness on failure; a term is validated once per
+    # distinct expression of a tree pair.  A cut piece of a (3, 2) pair
+    # has fewer leaves on one side, so its varpi_expr is not counted
+    calls, validations = [], []
 
     def count_varpi():
         calls.clear()
-        monkeypatch.setattr(propterms, "varpi", lambda x: calls.append(x.key()) or varpi(x))
+        validations.clear()
+        monkeypatch.setattr(
+            propterms, "varpi_expr",
+            lambda x: (x.m, x.n) == (3, 2) and calls.append(x.key()) or varpi_expr(x),
+        )
+        monkeypatch.setattr(
+            propterms, "_validated", lambda e: validations.append(e) or validated(e)
+        )
 
     count_varpi()
     code, out, _ = run(capsys, "verify", "thmc", "-m", "3", "-n", "2")
     classes = len(zones.enumerate_zone_pairs(3, 2))
     assert (code, out) == (0, "thmc (3,2): %d classes, kernels agree\n" % classes)
     assert sorted(calls) == sorted(x.key() for x in pairs)
+    distinct = {(x.up, x.down, varpi_expr(x)) for x in pairs}
+    assert len(validations) == len(distinct)
 
     # merge two zone classes in the projections of the first tree pair
     # that has two: the witness has equal zones, different terms
@@ -496,10 +521,10 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
         r"thmc \(3,2\): FAILED: (.+) and (.+) have equal zones but "
         r"different terms\n", out
     ).groups()
+    assert len(set(calls)) == len(calls) and calls[-1] == k2
     x1, x2 = ComplementaryPair.from_key(k1), ComplementaryPair.from_key(k2)
     assert {project(x1).key(), project(x2).key()} == set(merged)
     assert term(x1) != term(x2)
-    assert len(set(calls)) == len(calls) and calls[-1] == k2
     monkeypatch.undo()
 
     # merge two term classes: the witness has equal terms, different zones
@@ -514,10 +539,10 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
         r"thmc \(3,2\): FAILED: (.+) and (.+) have equal terms but "
         r"different zones\n", out
     ).groups()
+    assert len(set(calls)) == len(calls) and calls[-1] == k2
     x1, x2 = ComplementaryPair.from_key(k1), ComplementaryPair.from_key(k2)
     assert {term_code(varpi(x)) for x in (x1, x2)} == {t1, t2}
     assert project(x1).key() != project(x2).key()
-    assert len(set(calls)) == len(calls) and calls[-1] == k2
 
 
 def test_poset_output_byte_identical(capsys):

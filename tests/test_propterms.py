@@ -5,15 +5,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from biassoc import propterms as P
-from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs
+from biassoc import propterms as P, zones as Z
+from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs, pair_groups, pair_key
 from biassoc.trees import PlanarTree
 from gen_helpers import (
     nonspecial_gadget,
     pinched_fraction_instance,
     rand_term_with_inputs,
 )
-from oracles import parse_expr
+from oracles import mirror_key, opposite, parse_expr
 
 x12 = lambda: P.generator(1, 2)
 x21 = lambda: P.generator(2, 1)
@@ -440,6 +440,33 @@ def test_varpi_specialness_by_root_order():
             assert P.is_special(P.varpi(x)) == (root_d <= root_u)
 
 
+def reversed_legs(t: P.PropTerm) -> P.PropTerm:
+    """t with the order of its global inputs and of its outputs reversed."""
+    flip = lambda src: ("g", t.m - 1 - src[1]) if src[0] == "g" else src
+    return P.PropTerm(
+        t.m, t.n, t.verts,
+        tuple(tuple(map(flip, srcs)) for srcs in t.ins),
+        tuple(map(flip, reversed(t.outs))),
+    )
+
+
+def test_mirror_maps_to_the_opposite_term():
+    # turning a pair upside down (the trees trade places, level l of h
+    # becomes h + 1 - l) turns its term into the opposite term, for
+    # every pair with m + n <= 7.  An opposite that also reverses the
+    # leg order misses some pair, so the check sees a wrong opposite
+    wrong = 0
+    for s in range(2, 8):
+        for m in range(1, s):
+            for x in enumerate_leveled_pairs(m, s - m):
+                t = P.varpi(x)
+                mirrored = P.term_code(P.varpi(ComplementaryPair.from_key(mirror_key(x.key()))))
+                assert mirrored == P.term_code(opposite(t)), x.key()
+                assert P.term_code(opposite(opposite(t))) == P.term_code(t)
+                wrong += mirrored != P.term_code(reversed_legs(opposite(t)))
+    assert wrong > 0
+
+
 def test_theorem_c_small():
     for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2)]:
         assert P.theorem_c_check(m, n)
@@ -473,10 +500,18 @@ TERM_CODES_SHA256 = {
 
 @pytest.mark.parametrize("m, n", sorted(TERM_CODES_SHA256))
 def test_term_codes_golden(m, n):
+    # each pair's own term, and the Theorem C walk, which codes each
+    # distinct expression of a tree pair once
     rows = sorted(
         "%s\t%s\n" % (x.key(), P.term_code(P.varpi(x)).hex())
         for x in enumerate_leveled_pairs(m, n)
     )
+    walk = sorted(
+        "%s\t%s\n" % (pair_key(up, down, *v), code.hex())
+        for up, down, levels in pair_groups(m, n)
+        for v, code in zip(levels, P._term_codes(up, down, levels), strict=True)
+    )
+    assert walk == rows
     count, digest = TERM_CODES_SHA256[m, n]
     assert len(rows) == count
     assert hashlib.sha256("".join(rows).encode()).hexdigest() == digest
@@ -555,16 +590,25 @@ def test_expr_hash_is_kept_and_structural():
     assert len(hashed) == len(set(map(id, hashed))) + 2
 
 
+def clear_caches(*modules):
+    """Empty every memo of the given modules."""
+    for module in modules:
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+
+
 def test_theorem_c_builds_each_piece_once(monkeypatch):
     # cold, varpi_expr runs once per pair and once per distinct cut
-    # piece, a piece's pair is built only on a cache miss, and the full
-    # validation runs at most twice per pair
-    P._piece_expr.cache_clear()
-    P._term.cache_clear()
-    exprs = validations = pieces = 0
+    # piece, and a piece's pair is built only on a cache miss; the full
+    # validation runs once per distinct expression of a tree pair, and
+    # once per generator or unit that a term is built from
+    clear_caches(P)
+    exprs = validations = pieces = leaves = 0
     varpi_expr = P.varpi_expr
     validate = P.PropTerm.__post_init__
     pair = P.ComplementaryPair
+    generator, unit = P.generator, P.unit
 
     def counted_expr(x):
         nonlocal exprs
@@ -581,13 +625,50 @@ def test_theorem_c_builds_each_piece_once(monkeypatch):
         validations += 1
         validate(self)
 
+    def counted_leaf(build):
+        def run(*args):
+            nonlocal leaves
+            leaves += 1
+            return build(*args)
+
+        return run
+
     monkeypatch.setattr(P, "varpi_expr", counted_expr)
     monkeypatch.setattr(P, "ComplementaryPair", counted_pair)
     monkeypatch.setattr(P.PropTerm, "__post_init__", counted_validate)
+    monkeypatch.setattr(P, "generator", counted_leaf(generator))
+    monkeypatch.setattr(P, "unit", counted_leaf(unit))
     assert P.theorem_c_check(4, 3)
-    pairs = len(enumerate_leveled_pairs(4, 3))
-    assert pairs == 541
+    monkeypatch.undo()
+    pairs = enumerate_leveled_pairs(4, 3)
+    assert len(pairs) == 541
     misses = P._piece_expr.cache_info().misses
-    assert exprs == pairs + misses
+    assert exprs == len(pairs) + misses
     assert pieces == misses < P._piece_expr.cache_info().hits
-    assert pairs <= validations <= 2 * pairs
+    distinct = {(x.up, x.down, P.varpi_expr(x)) for x in pairs}
+    assert (len(distinct), leaves) == (497, 12)
+    assert validations == len(distinct) + leaves
+
+
+def test_theorem_c_computes_each_side_piece_once():
+    # cold, at (4,4): the zones of each distinct pair of level tuples,
+    # the cut of each distinct up side and the lower half of each
+    # distinct denominator tuple are each computed once.  The fractions
+    # of the 4,683 pairs need 420 cuts and 69 lower halves; the rest
+    # serve fractions inside cut pieces
+    clear_caches(P, Z)
+    assert P.theorem_c_check(4, 4)
+    assert Z._zone_tuples.cache_info().misses == 555
+    assert P._up_cut.cache_info().misses == 420 + 26
+    assert P._lower.cache_info().misses == 69 + 12
+    cuts, lowers = set(), set()
+    for x in enumerate_leveled_pairs(4, 4):
+        if x.up.exceptional or x.down.exceptional:
+            continue
+        root_d = x.down_levels[0]
+        if root_d > x.up_levels[0]:
+            cuts.add((x.up.shape, x.up_levels, root_d))
+            lowers.add(P.varpi_expr(x).args[1])
+    assert (len(cuts), len(lowers)) == (420, 69)
+
+

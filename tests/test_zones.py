@@ -12,6 +12,7 @@ from oracles import (
     closure,
     is_transitive,
     level_function_error,
+    mirror_key,
     parts,
     zone_function_error,
     zone_pair_json,
@@ -300,17 +301,6 @@ def test_boundary_maps_are_isomorphisms():
         down = {z.key(): z.down.text() for z in Z.enumerate_zone_pairs(1, m)}
         assert is_isomorphism(Z.biassociahedron_poset(m, 1), assoc, up)
         assert is_isomorphism(Z.biassociahedron_poset(1, m), assoc, down)
-
-
-def mirror_key(key):
-    """The key of the up/down mirror image of a pair or zone pair: the
-    two tree texts trade places, keeping their planar order, and each
-    level or zone l of h becomes h + 1 - l."""
-    up, down, a, b = key.split(";")
-    a, b = ([int(v) for v in t.split(",") if v] for t in (a, b))
-    h = max(a + b, default=0)
-    flip = lambda values: ",".join(str(h + 1 - v) for v in values)
-    return "%s;%s;%s;%s" % (down, up, flip(b), flip(a))
 
 
 def moved_cover(q):
