@@ -207,7 +207,8 @@ def pair_groups(m: int, n: int):
         raise ValueError("need m, n >= 1")
     # a key starts with the two tree texts, no tree text is a prefix of
     # another and _shapes lists them in text order, so sorting each tree
-    # pair's keys sorts them all (on the key: "1,23;" is before "1,2;")
+    # pair's keys sorts them all; key_order sorts as the keys do ("1,23;"
+    # is before "1,2;") without writing them
     return (
         (up, down, sorted(enumerate_level_functions(up, down), key=key_order))
         for up in _shapes(m)

@@ -18,21 +18,37 @@ Generators and the unit are validated when they are built.  Composites
 of valid terms (``vcompose``, ``hcompose``, ``permute_outputs`` and so
 ``fraction``) are valid by construction: they check only their arities
 and permutations and skip the full validation.  ``varpi`` validates
-its result once, so every term it returns is fully checked.  A
-validated term keeps the source-to-sink map of its wires, and
-``canonical`` reads it instead of scanning the wires again.
+its result once, so every term it returns is fully checked.  The
+validation takes a storage order in which every wire between vertices
+runs to a later vertex, as composites keep it, as its certificate of
+acyclicity, and runs Kahn's pass on any other order.  A validated term
+keeps, per source port, the vertex that reads it, and ``canonical``
+reads that instead of scanning the wires again.
 
 A pair whose down root lies below its up root maps to a fraction.  Its
 pieces are cut from the pair at the down root's level: the part of the
 up tree above that level paired with each branch of the down tree, and
 each subtree hanging below it paired with the down root's corolla.
 
-Two results are memoized for the life of the process: the expression
-of each piece (many pairs share pieces), keyed on its shapes and
-renumbered levels so that a piece seen before is not rebuilt, and the
-term of each sub-expression.  The expression and term of the pair
-passed to ``varpi`` are not cached, since a caller visits each pair
-once.
+Memoized for the life of the process, since many pairs share them (the
+counts are the entries that ``theorem_c_witness(5, 5)`` leaves):
+  * the expression of each piece, keyed on its shapes and renumbered
+    levels, so a piece seen before is not rebuilt, and the term of each
+    sub-expression (58,666 and 45,719 entries);
+  * the embedding expression of each plain shape (61 up, 61 down);
+  * per (up shape, up levels, down root level), the cut of the up tree
+    there (8,930), and per branch count of the down root too, the up
+    side of the fraction: the top piece, its levels and the
+    denominators (15,126);
+  * per (down shape, down levels), the branches of the down root
+    (3,496);
+  * per denominator tuple, the lower half of the fraction: the
+    juxtaposed denominators, their outputs interleaved by sigma (515).
+By tracemalloc they hold 135 MB, 11 MB of it in the last three.  The
+numerators of a fraction, the expression and term of a pair and its
+code are not cached: they seldom recur across tree pairs.  The Theorem
+C walk codes each distinct expression of one tree pair once, in a dict
+dropped with the tree pair.
 """
 
 from __future__ import annotations
@@ -62,6 +78,10 @@ class PropTerm:
         nv = len(verts)
         if len(outs) != self.n or len(ins) != nv:
             raise ValueError("malformed term")
+        # every source port in order, the global input legs and then each
+        # vertex's output ports (vertex vi's from starts[vi]) and per
+        # port its vertex; every sink's source, and the vertex reading it
+        # (nv for a global output leg)
         ports = [("g", i) for i in range(self.m)]
         starts, owners = [], []
         sources, readers = list(outs), [nv] * len(outs)
@@ -97,7 +117,9 @@ class PropTerm:
         # it; else remove vertices whose inputs all come from removed
         # vertices or global legs (Kahn), and a cycle leaves some behind
         if any(map(le, consumer[self.m :], owners)):
-            waiting = [0] * (nv + 1)  # per vertex, its inputs from vertices
+            # per vertex, its inputs read from vertices (slot nv: the
+            # output legs read from vertices, never freed)
+            waiting = [0] * (nv + 1)
             for w in consumer[self.m :]:
                 waiting[w] += 1
             free = [vi for vi in range(nv) if not waiting[vi]]
@@ -166,7 +188,8 @@ def hcompose(f: PropTerm, g: PropTerm) -> PropTerm:
     legs = [("g", i) for i in range(f.m, f.m + g.m)]
     ins, outs = _rewired(g, len(f.verts), legs)
     return _trusted(
-        f.m + g.m, f.n + g.n, f.verts + g.verts, tuple(f.ins) + ins, tuple(f.outs) + outs
+        f.m + g.m, f.n + g.n, f.verts + g.verts,
+        tuple(f.ins) + ins, tuple(f.outs) + outs,
     )
 
 

@@ -10,6 +10,10 @@ index the faces of the step-one biassociahedron; biassociahedron_poset
 is the one builder of its face poset, and it keeps no cache.
 Its walk, zone_group, projects level tuples to zone tuples; a ZonePair
 is built only where a verb writes JSON, and in the tests' references.
+The projection of a pair of level tuples is memoized on the two tuples,
+which recur across tree pairs (3,032 entries for the 47,293 pairs at
+(5,4), 19,702 (3.0 MB) for the 545,835 at (5,5)); equal zone tuples
+are one object (460 at (5,5)).
 """
 
 from __future__ import annotations
@@ -170,10 +174,15 @@ def project(x: ComplementaryPair) -> ZonePair:
 def _zone_tuples(up_levels, down_levels) -> tuple:
     """The zones of the pair with the given level tuples, as project
     gives them: (up zones, down zones).  Memoized: the zones depend on
-    the two level tuples alone, which recur across tree pairs."""
+    the two level tuples alone, which recur across tree pairs, and
+    the zone pairs of all tree pairs share each distinct zone tuple."""
     h = max(up_levels + down_levels, default=0)
     zone_of = _zone_numbers(_kinds(up_levels, down_levels, h))
-    return tuple([zone_of[l] for l in up_levels]), tuple([zone_of[l] for l in down_levels])
+    return (_shared(tuple([zone_of[l] for l in up_levels])),
+            _shared(tuple([zone_of[l] for l in down_levels])))
+
+
+_shared = cache(lambda values: values)  # one object per distinct zone tuple
 
 
 @cache
