@@ -177,28 +177,16 @@ def _zone_tuples(up_levels, down_levels) -> tuple:
     the two level tuples alone, which recur across tree pairs, and
     the zone pairs of all tree pairs share each distinct zone tuple."""
     h = max(up_levels + down_levels, default=0)
-    zone_of = _zone_numbers(_kinds(up_levels, down_levels, h))
+    zone_of = [0]  # per level 0..h, its zone; no vertex has level 0
+    prev = None
+    for kind in _kinds(up_levels, down_levels, h):
+        zone_of.append(zone_of[-1] + (kind != prev or kind == "B"))
+        prev = kind
     return (_shared(tuple([zone_of[l] for l in up_levels])),
             _shared(tuple([zone_of[l] for l in down_levels])))
 
 
 _shared = cache(lambda values: values)  # one object per distinct zone tuple
-
-
-@cache
-def _zone_numbers(kinds: str) -> tuple:
-    """Per level 0..len(kinds) of the given kinds, its zone (0 for
-    level 0, which no vertex has); few kinds strings recur over many
-    pairs."""
-    zone_of = [0]
-    zone = 0
-    prev = None
-    for kind in kinds:
-        if kind != prev or kind == "B":
-            zone += 1
-        zone_of.append(zone)
-        prev = kind
-    return tuple(zone_of)
 
 
 def zone_leq(z1: ZonePair, z2: ZonePair) -> bool:
