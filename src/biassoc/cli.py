@@ -5,11 +5,12 @@ perm (permutahedron, n forced to 1), biperm, assoc, biassoc, multipl.
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 internal error (an unexpected exception; never a verdict).
 
-`enumerate` writes its lines as they are made, one tree pair at a time
-for perm, biperm and biassoc, so its memory does not grow with the
-number of lines.  `main` restores the default SIGPIPE action: when the
-reader closes stdout early (as `head` does), the tool ends quietly, as
-`cat` does, with no traceback.  `run` leaves the signal alone.
+`enumerate` writes its lines as they are made, from each pair's parts
+with no pair object, one tree pair at a time for perm, biperm and
+biassoc, so its memory does not grow with the number of lines.  `main`
+restores the default SIGPIPE action: when the reader closes stdout
+early (as `head` does), the tool ends quietly, as `cat` does, with no
+traceback.  `run` leaves the signal alone.
 """
 
 from __future__ import annotations
@@ -53,14 +54,13 @@ def _blocks(family, m, n, fmt):
     perm, biperm and biassoc, which are walked one tree pair at a time,
     and one line per block for assoc and multipl."""
     if family in ("perm", "biperm", "biassoc"):
-        cls = zones.ZonePair if family == "biassoc" else leveled.ComplementaryPair
+        write = leveled.pair_key
+        if fmt == "json":
+            write = zones.zone_json if family == "biassoc" else leveled.pair_json
         for up, down, values in leveled.pair_groups(m, n):
             if family == "biassoc":
                 values = zones.zone_group(up, down, values)[0]
-            if fmt == "json":  # the one place enumerate builds objects
-                yield [x.to_json() for x in leveled.pair_objects(up, down, values, cls)]
-            else:
-                yield [leveled.pair_key(up, down, *v) for v in values]
+            yield [write(up, down, *v) for v in values]
     elif family == "assoc":
         for x in trees.enumerate_trees(m, "up"):
             yield [x.to_json() if fmt == "json" else x.text()]
@@ -173,7 +173,7 @@ def run(argv) -> int:
 
         # the subparsers admit no other verb: this is varpi
         x = _pair_from_args(args)
-        print(propterms.varpi_expr(x).simplify().text())
+        print(propterms.varpi_expr(*x.parts).simplify().text())
         return 0
     except (ValueError, KeyError) as exc:  # UsageError is a ValueError
         print("error: %s" % exc, file=sys.stderr)

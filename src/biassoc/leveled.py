@@ -12,9 +12,11 @@ Pairs with U having m leaves and D having n leaves index the faces of
 the (m, n) bipermutahedron; the n = 1 case is the classical
 permutahedron on ordered set partitions.  bipermutahedron_poset is the
 one builder of its face poset, and it keeps no cache.
-The walks carry a pair as its two shapes and its level tuples, and
-pair_key writes every key; a ComplementaryPair is built (pair_objects)
-only where a verb writes JSON or hands a pair to opet_step or varpi.
+Every walk carries a pair as its parts (up shape, down shape, up
+levels, down levels): pair_key and pair_json write its key and JSON
+text, and opet_step maps parts to parts.  A ComplementaryPair is built
+only from outside input (from_key, from_json, gamma_decode, the CLI's
+pair options) and in the tests' reference enumerate_leveled_pairs.
 """
 
 from __future__ import annotations
@@ -75,8 +77,13 @@ class ComplementaryPair:
     def h(self) -> int:
         return max(self.up_levels + self.down_levels, default=0)
 
+    @property
+    def parts(self) -> tuple:
+        """The pair as the walks carry it: (up, down, up_levels, down_levels)."""
+        return self.up.shape, self.down.shape, self.up_levels, self.down_levels
+
     def key(self) -> str:
-        return pair_key(self.up.shape, self.down.shape, self.up_levels, self.down_levels)
+        return pair_key(*self.parts)
 
     @classmethod
     def from_key(cls, key: str) -> "ComplementaryPair":
@@ -89,14 +96,7 @@ class ComplementaryPair:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "up": shape_text(self.up.shape),
-                "down": shape_text(self.down.shape),
-                "up_levels": list(self.up_levels),
-                "down_levels": list(self.down_levels),
-            }
-        )
+        return pair_json(*self.parts)
 
     @classmethod
     def from_json(cls, data: str) -> "ComplementaryPair":
@@ -122,6 +122,12 @@ def pair_key(up, down, a, b) -> str:
         shape_text(up), shape_text(down), values_text(a), values_text(b))
 
 
+def pair_json(up, down, up_levels, down_levels) -> str:
+    """The one writer of a pair's JSON text, from its parts."""
+    return json.dumps({"up": shape_text(up), "down": shape_text(down),
+                       "up_levels": list(up_levels), "down_levels": list(down_levels)})
+
+
 @cache
 def _head_text(values) -> str:
     """values_text(values) and the ";" that ends it in a key."""
@@ -136,11 +142,10 @@ def key_order(v) -> tuple:
     return _head_text(v[0]), values_text(v[1])
 
 
-def pair_objects(up, down, values, cls=ComplementaryPair) -> list:
-    """cls(U, D, a, b), validated, per (a, b) of values, where U and D
-    are the trees of the shapes up and down."""
+def pair_objects(up, down, values) -> list:
+    """The validated pair of the shapes up and down per (a, b) of values."""
     u, d = PlanarTree("up", up), PlanarTree("down", down)
-    return [cls(u, d, a, b) for a, b in values]
+    return [ComplementaryPair(u, d, a, b) for a, b in values]
 
 
 def enumerate_level_functions(up, down) -> list:
@@ -258,20 +263,23 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
     return all(a <= b for a, b in zip(seq, seq[1:]))
 
 
-def bipermutahedron_poset(m: int, n: int):
+def bipermutahedron_poset(m: int, n: int, each_class=None):
     """Face poset of the bipermutahedron, graded by (m+n-2) - h: the
     coarsening poset whose classes are the level functions themselves.
     It is not cached: each caller holds only the posets it uses."""
-    return coarsening_poset(m, n, lambda up, down, levels: (levels, range(len(levels))))
+    classes = lambda up, down, levels: (levels, range(len(levels)))
+    return coarsening_poset(m, n, classes, each_class)
 
 
-def coarsening_poset(m: int, n: int, classify):
+def coarsening_poset(m: int, n: int, classify, each_class=None):
     """The face poset of a quotient of the (m, n) bipermutahedron, built
     in one walk of pair_groups on plain tuples, with no pair object.
     classify(up, down, levels) returns one tree pair's classes in key
     order, as tuple pairs keyed by pair_key, and per level tuple the
     number of its class; the tree pairs come in key order, so the keys
-    are the sorted elements.  The relation is the image of the one-step
+    are the sorted elements.  When given, each_class(up, down, a, b) is
+    called once per class, in key order, with its parts, from the walk
+    that builds the poset.  The relation is the image of the one-step
     moves, merging two adjacent blocks of the gap code (an OR of their
     masks); their closure is the block-merge order, pair_leq.  The image
     of the whole order is already transitive for every quotient built
@@ -283,6 +291,9 @@ def coarsening_poset(m: int, n: int, classify):
     keys, image = [], {}  # per pair, only its gap code and class number
     for up, down, levels in pair_groups(m, n):
         classes, numbers = classify(up, down, levels)
+        if each_class is not None:
+            for c in classes:
+                each_class(up, down, *c)
         index = [len(keys) + k for k in range(len(classes))]  # one int per class
         codes = [gap_code(up, down, *v) for v in levels]
         image.update(zip(codes, [index[k] for k in numbers]))
@@ -301,8 +312,8 @@ def coarsening_poset(m: int, n: int, classify):
 # leaf-shift isomorphism (m, n) -> (m+1, n-1)
 
 
-def opet_step(x: ComplementaryPair) -> ComplementaryPair:
-    """Move one leaf from the down tree to the up tree.
+def opet_step(up, down, up_levels, down_levels) -> tuple:
+    """Move one leaf from the down tree to the up tree: parts to parts.
 
     The leftmost leaf of D is amputated at its initial vertex v (v is
     erased when the amputation leaves it with a single child), and a new
@@ -312,42 +323,40 @@ def opet_step(x: ComplementaryPair) -> ComplementaryPair:
     are rewritten as maps from leaf intervals to levels.  The levels in
     use do not change: v's level moves to U.
     """
-    if x.n < 2:
+    if leaf_count(down) < 2:
         raise ValueError("need n >= 2")
-    m = x.m
-    down = dict(zip(leaf_intervals(x.down.shape), x.down_levels))
+    m = leaf_count(up)
+    lower = dict(zip(leaf_intervals(down), down_levels))
     # v spans the smallest interval holding leaf 0
-    v = min(iv for iv in down if iv[0] == 0)
-    level = down[v]
-    if v[1] == 2 or (1, v[1]) in down:  # v keeps one child
-        del down[v]
-    down = {(max(a - 1, 0), b - 1): lvl for (a, b), lvl in down.items()}
+    v = min(iv for iv in lower if iv[0] == 0)
+    level = lower[v]
+    if v[1] == 2 or (1, v[1]) in lower:  # v keeps one child
+        del lower[v]
+    lower = {(max(a - 1, 0), b - 1): lvl for (a, b), lvl in lower.items()}
 
     # the right-spine vertices at or above v's level stretch over the
     # new leaf m; when none is at v's level, a new vertex at that level
     # joins the new leaf to the highest right-spine child below it
-    up = {}
+    upper = {}
     start = m - 1
     absorbed = False
-    for (a, b), lvl in zip(leaf_intervals(x.up.shape), x.up_levels):
+    for (a, b), lvl in zip(leaf_intervals(up), up_levels):
         if b == m and lvl <= level:
             b = m + 1
             absorbed = absorbed or lvl == level
         elif b == m:
             start = min(start, a)
-        up[a, b] = lvl
+        upper[a, b] = lvl
     if not absorbed:
-        up[start, m + 1] = level
-    return _pair_from_intervals(up, down)
+        upper[start, m + 1] = level
+    return _pair_from_intervals(upper, lower)
 
 
-def _pair_from_intervals(up: dict, down: dict) -> ComplementaryPair:
-    """The pair whose up and down trees have the leaf intervals keyed
-    in `up` and `down`, at the levels they map to."""
-
+def _pair_from_intervals(up: dict, down: dict) -> tuple:
+    """The parts of the pair whose up and down trees have the leaf
+    intervals keyed in `up` and `down`, at the levels they map to."""
     u, d = shape_from_intervals(up), shape_from_intervals(down)
-    levels = [tuple(lv[iv] for iv in leaf_intervals(s)) for lv, s in ((up, u), (down, d))]
-    return ComplementaryPair(PlanarTree("up", u), PlanarTree("down", d), *levels)
+    return u, d, *(tuple(lv[iv] for iv in leaf_intervals(s)) for lv, s in ((up, u), (down, d)))
 
 
 def opet_iso_check(m: int, n: int) -> bool:
@@ -359,17 +368,23 @@ def opet_iso_check(m: int, n: int) -> bool:
 def opet_failure(m: int, n: int):
     """None when opet_iso_check holds, else the first step whose map
     is not an order isomorphism and how it fails (see
-    posets.isomorphism_failure).  Only the posets of the two splits
-    being compared are alive at a time."""
+    posets.isomorphism_failure).  Each split is walked once: the walk
+    that builds its poset steps each of its pairs, so a step's image
+    keys are collected as its source is built; an image that is no
+    valid pair is not a key of the target.  Only the posets of the two splits being
+    compared are alive at a time."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    p = bipermutahedron_poset(m, n) if n >= 2 else None
+    images = []  # per element of the split being built, its image's key
+
+    def shift(*x):
+        images.append(pair_key(*opet_step(*x)))
+
+    p = bipermutahedron_poset(m, n, shift) if n >= 2 else None
     while n >= 2:
-        q = bipermutahedron_poset(m + 1, n - 1)
-        failure = posets.isomorphism_failure(
-            p, q, {x.key(): opet_step(x).key()
-                   for group in pair_groups(m, n) for x in pair_objects(*group)}
-        )
+        source, images = images, []  # p's images; shift now collects q's
+        q = bipermutahedron_poset(m + 1, n - 1, shift if n > 2 else None)
+        failure = posets.isomorphism_failure(p, q, dict(zip(p.elements, source, strict=True)))
         if failure is not None:
             return "step (%d,%d) -> (%d,%d): %s" % (m, n, m + 1, n - 1, failure)
         p, m, n = q, m + 1, n - 1
@@ -476,7 +491,7 @@ def gamma_encode(x: ComplementaryPair) -> OrderedBipartition:
     return OrderedBipartition(
         tuple(
             tuple(tuple(i for i in gaps if b >> (i - 1) & 1) for gaps in (ugaps, dgaps))
-            for b in gap_code(x.up.shape, x.down.shape, x.up_levels, x.down_levels)
+            for b in gap_code(*x.parts)
         )
     )
 
@@ -502,7 +517,8 @@ def gamma_decode(b: OrderedBipartition, m: int, n: int) -> ComplementaryPair:
             udepth[i - 1] = j
         for i in ds:
             ddepth[i - m] = -j
-    return _pair_from_intervals(_gap_intervals(udepth), _gap_intervals(ddepth))
+    up, down, *levels = _pair_from_intervals(_gap_intervals(udepth), _gap_intervals(ddepth))
+    return ComplementaryPair(PlanarTree("up", up), PlanarTree("down", down), *levels)
 
 
 def _gap_intervals(depths) -> dict:

@@ -48,7 +48,7 @@ from functools import cache
 from itertools import islice
 from operator import le
 
-from .leveled import ComplementaryPair, pair_groups, pair_key, pair_objects
+from .leveled import ComplementaryPair, pair_groups, pair_key
 from .trees import LEAF, PlanarTree, shape_vertices, subshape
 
 # sources are ("g", i) for global input leg i, or ("v", vi, port)
@@ -518,8 +518,9 @@ def iota_embed(t: PlanarTree) -> PropTerm:
     return iota(t.shape).to_term()
 
 
-def varpi_expr(x: ComplementaryPair) -> Expr:
-    """Expression form of the term of a complementary pair.
+def varpi_expr(up, down, up_levels, down_levels) -> Expr:
+    """Expression form of the term of the complementary pair with the
+    given parts.
 
     Dispatch on the relative height of the two root vertices (levels
     count from the top, the up tree's root is its highest vertex and
@@ -537,28 +538,21 @@ def varpi_expr(x: ComplementaryPair) -> Expr:
       pair each subtree hanging off the top part with D's root
       corolla.
     """
-    ushape = x.up.shape
-    dshape = x.down.shape
-    if dshape == LEAF:
-        return _iota_up_expr(ushape)
-    if ushape == LEAF:
-        return _iota_down_expr(dshape)
-    root_u = x.up_levels[0]
-    root_d = x.down_levels[0]
+    if down == LEAF:
+        return _iota_up_expr(up)
+    if up == LEAF:
+        return _iota_down_expr(down)
+    root_u, root_d = up_levels[0], down_levels[0]
     if root_d < root_u:
-        return ev(_iota_down_expr(dshape), _iota_up_expr(ushape))
+        return ev(_iota_down_expr(down), _iota_up_expr(up))
     if root_d == root_u:
-        a = len(ushape)
-        b = len(dshape)
-        ups = [_iota_up_expr(c) for c in ushape]
-        downs = [_iota_down_expr(c) for c in dshape]
-        return ev(eh(*downs), egen(b, a), eh(*ups))
+        ups = [_iota_up_expr(c) for c in up]
+        downs = [_iota_down_expr(c) for c in down]
+        return ev(eh(*downs), egen(len(down), len(up)), eh(*ups))
     # D's root hangs below U's root: cut U at D's root level
-    top, top_levels, dens = _up_side(ushape, x.up_levels, root_d, len(dshape))
-    nums = [
-        _piece(top, top_levels, *branch)
-        for branch in _down_branches(dshape, x.down_levels)
-    ]
+    top, top_levels, dens = _up_side(up, up_levels, root_d, len(down))
+    nums = [_piece(top, branch, top_levels, levels)
+            for branch, levels in _down_branches(down, down_levels)]
     return efrac(nums, dens)
 
 
@@ -570,7 +564,7 @@ def _up_side(shape, levels, root_d, k) -> tuple:
     root's corolla (15,126 entries after theorem_c_witness(5, 5))."""
     top, top_levels, hanging = _up_cut(shape, levels, root_d)
     corolla = (LEAF,) * k
-    dens = tuple(_piece(*sub, corolla, (root_d,)) for sub in hanging)
+    dens = tuple(_piece(sub, corolla, levels, (root_d,)) for sub, levels in hanging)
     return top, top_levels, dens
 
 
@@ -617,32 +611,23 @@ def _cut(shape, levels, path, keep=lambda lvl: True):
     return walk(subshape(shape, path), path), tuple(piece_levels), cut_off
 
 
-def _piece(up, up_levels, down, down_levels) -> Expr:
+def _piece(up, down, up_levels, down_levels) -> Expr:
     """varpi_expr of the pair of two cut pieces, its levels renumbered
     without gaps."""
     renum = {lvl: i for i, lvl in enumerate(sorted({*up_levels, *down_levels}), 1)}
-    return _piece_expr(
-        up,
-        tuple(renum[lvl] for lvl in up_levels),
-        down,
-        tuple(renum[lvl] for lvl in down_levels),
-    )
+    return _piece_expr(up, down, *(tuple(map(renum.get, t)) for t in (up_levels, down_levels)))
 
 
 @cache
-def _piece_expr(up, up_levels, down, down_levels) -> Expr:
-    """varpi_expr of the pair of two renumbered cut pieces; pieces
-    recur across pairs, so the pair is built and validated only on a
-    cache miss (58,666 entries after theorem_c_witness(5, 5))."""
-    pair = ComplementaryPair(
-        PlanarTree("up", up), PlanarTree("down", down), up_levels, down_levels
-    )
-    return varpi_expr(pair)
+def _piece_expr(up, down, up_levels, down_levels) -> Expr:
+    """varpi_expr of the pair of two renumbered cut pieces, which recur
+    across pairs (58,666 entries after theorem_c_witness(5, 5))."""
+    return varpi_expr(up, down, up_levels, down_levels)
 
 
 def varpi(x: ComplementaryPair) -> PropTerm:
     """The term of a pair, fully validated."""
-    return _validated(varpi_expr(x))
+    return _validated(varpi_expr(*x.parts))
 
 
 def _validated(e: Expr) -> PropTerm:
@@ -653,12 +638,12 @@ def _validated(e: Expr) -> PropTerm:
 
 def _term_codes(up, down, levels):
     """Per level tuple of `levels` on the shapes up and down, one at a
-    time, the term_code of the varpi of its validated pair.  Equal
-    expressions denote equal terms, so the pairs of one tree pair with
-    equal expressions share one validated term and its code."""
+    time, the term_code of its pair's validated term.  Equal expressions
+    denote equal terms, so the pairs of one tree pair with equal
+    expressions share one validated term and its code."""
     codes = {}  # per distinct expression of this tree pair, its code
-    for x in pair_objects(up, down, levels):
-        e = varpi_expr(x)
+    for v in levels:
+        e = varpi_expr(up, down, *v)
         code = codes.get(e)
         if code is None:
             code = codes[e] = term_code(_validated(e))

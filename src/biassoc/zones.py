@@ -8,8 +8,9 @@ the assignment must stay strict (no two comparable same-tree vertices
 share a barrier).  The zone pairs with m up-leaves and n down-leaves
 index the faces of the step-one biassociahedron; biassociahedron_poset
 is the one builder of its face poset, and it keeps no cache.
-Its walk, zone_group, projects level tuples to zone tuples; a ZonePair
-is built only where a verb writes JSON, and in the tests' references.
+Its walk, zone_group, projects level tuples to zone tuples; every walk
+carries a zone pair as its parts, and pair_key and zone_json write its
+key and JSON text.  A ZonePair is built only in the tests' references.
 The projection of a pair of level tuples is memoized on the two tuples,
 which recur across tree pairs (3,032 entries for the 47,293 pairs at
 (5,4), 19,702 (3.0 MB) for the 545,835 at (5,5)); equal zone tuples
@@ -93,29 +94,34 @@ class ZonePair:
         """Per-zone classification: U, D, or B (meets both trees)."""
         return _kinds(self.up_zones, self.down_zones, self.l)
 
+    @property
+    def parts(self) -> tuple:
+        """The pair as the walks carry it: (up, down, up_zones, down_zones)."""
+        return self.up.shape, self.down.shape, self.up_zones, self.down_zones
+
     def key(self) -> str:
-        return pair_key(self.up.shape, self.down.shape, self.up_zones, self.down_zones)
+        return pair_key(*self.parts)
 
     def to_json(self) -> str:
-        # the text json.dumps gives the object {"up": ..., "down": ...,
-        # "zones": per zone its tagged vertex paths, "type": ...}; no
-        # part of it needs escaping
-        ups = _zone_members(self.up.shape, self.up_zones, "u")
-        downs = _zone_members(self.down.shape, self.down_zones, "d")
-        zones, kinds = [], []
-        for u, d in zip_longest(ups, downs, fillvalue=""):
-            if u and d:
-                zones.append("[%s, %s]" % (u, d))
-                kinds.append("B")
-            else:
-                zones.append("[%s]" % (u or d))
-                kinds.append("U" if u else "D")
-        return '{"up": "%s", "down": "%s", "zones": [%s], "type": "%s"}' % (
-            shape_text(self.up.shape),
-            shape_text(self.down.shape),
-            ", ".join(zones),
-            "".join(kinds),
-        )
+        return zone_json(*self.parts)
+
+
+def zone_json(up, down, up_zones, down_zones) -> str:
+    """The one writer of a zone pair's JSON text, from its parts: the
+    text json.dumps gives the object {"up": ..., "down": ..., "zones":
+    per zone its tagged vertex paths, "type": ...}; no part of it needs
+    escaping."""
+    zones, kinds = [], []
+    for u, d in zip_longest(_zone_members(up, up_zones, "u"),
+                            _zone_members(down, down_zones, "d"), fillvalue=""):
+        if u and d:
+            zones.append("[%s, %s]" % (u, d))
+            kinds.append("B")
+        else:
+            zones.append("[%s]" % (u or d))
+            kinds.append("U" if u else "D")
+    return '{"up": "%s", "down": "%s", "zones": [%s], "type": "%s"}' % (
+        shape_text(up), shape_text(down), ", ".join(zones), "".join(kinds))
 
 
 @cache
@@ -248,15 +254,7 @@ def biassociahedron_poset(m: int, n: int, each_class=None):
     is called once per class, in key order, from the walk that builds
     the poset.  The poset is not cached: each caller holds only the
     posets it uses."""
-
-    def classify(up, down, levels):
-        classes, numbers = zone_group(up, down, levels)
-        if each_class is not None:
-            for zones in classes:
-                each_class(up, down, *zones)
-        return classes, numbers
-
-    return coarsening_poset(m, n, classify)
+    return coarsening_poset(m, n, zone_group, each_class)
 
 
 def pi_section(z: ZonePair) -> ComplementaryPair:

@@ -34,9 +34,7 @@ def parts(x):
     """The plain parts of a ComplementaryPair or a ZonePair, as the
     library's walks carry them: (up shape, down shape, up tuple, down
     tuple)."""
-    if isinstance(x, ComplementaryPair):
-        return x.up.shape, x.down.shape, x.up_levels, x.down_levels
-    return x.up.shape, x.down.shape, x.up_zones, x.down_zones
+    return x.parts
 
 
 def mirror_key(key):

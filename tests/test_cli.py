@@ -197,10 +197,9 @@ def test_multipl_verbs_paint_each_face_once_from_shape_and_zeta(capsys, monkeypa
 
 
 def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
-    # every ComplementaryPair and ZonePair built is counted: the poset
-    # verbs and the text keys walk plain level and zone tuples, JSON
-    # builds one object per line, to write it, and thmc and opet build
-    # a pair only to hand it to varpi or opet_step
+    # every ComplementaryPair and ZonePair built is counted: every verb
+    # that walks pairs carries them as plain parts, so none is built.
+    # The edges are input from outside: the pair options and --decode
     pairs = len(enumerate_leveled_pairs(3, 2))
     built, walked = Counter(), []
     for cls in (ComplementaryPair, zones.ZonePair):
@@ -212,20 +211,20 @@ def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
     def count(argv):
         built.clear()
         walked.clear()
-        code, out, _ = run(capsys, *argv.split())
+        code, out, _ = run(capsys, *shlex.split(argv))
         assert code == 0 and out, argv
         return out
 
     for family in ("perm", "biperm", "biassoc"):
         split = "-m 4" if family == "perm" else "-m 3 -n 2"
-        for verb in ("fvector", "hasse", "hasse --dot", "enumerate", "verify euler"):
+        for verb in ("fvector", "hasse", "hasse --dot", "enumerate",
+                     "enumerate --format json", "verify euler"):
             count("%s --family %s %s" % (verb, family, split))
             assert not built, (verb, family)
-        out = count("enumerate --format json --family %s %s" % (family, split))
-        name = "ZonePair" if family == "biassoc" else "ComplementaryPair"
-        assert built == {name: len(out.splitlines())}, family
     count("verify propd -m 4")
     assert not built
+    count("varpi --up '(* *)' --up-levels 1")
+    assert built == {"ComplementaryPair": 1}
     groups = leveled.pair_groups
 
     def counted_groups(m, n):
@@ -235,17 +234,14 @@ def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
 
     for module in (leveled, propterms):
         monkeypatch.setattr(module, "pair_groups", counted_groups)
-    # opet hands each pair of (3, 2) to opet_step, which builds its image
+    # opet walks each split once, building its poset and stepping its
+    # pairs in the same walk: (3, 2) and (4, 1)
     count("verify opet -m 3 -n 2")
-    assert built == {"ComplementaryPair": 2 * pairs} and sum(walked) == 3 * pairs
-    # thmc hands each pair to varpi_expr, which builds a pair per cut
-    # piece on a cache miss only: the second run builds one pair per
-    # pair walked
-    count("verify thmc -m 3 -n 2")
-    count("verify thmc -m 3 -n 2")
-    assert built == {"ComplementaryPair": pairs} and walked == [
-        len(levels) for _, _, levels in groups(3, 2)
-    ]
+    assert not built and sum(walked) == 2 * pairs
+    # thmc hands each pair's parts to varpi_expr, cold and warm
+    for _ in range(2):
+        count("verify thmc -m 3 -n 2")
+        assert not built and walked == [len(levels) for _, _, levels in groups(3, 2)]
 
 
 def test_text_enumerate_writes_each_key_once(capsys, monkeypatch):
@@ -263,11 +259,26 @@ def test_text_enumerate_writes_each_key_once(capsys, monkeypatch):
 def test_isomorphism_failures_print_a_counterexample(capsys, monkeypatch):
     # a step sending every pair to one target: two keys share an image
     target = enumerate_leveled_pairs(3, 1)[0]
-    monkeypatch.setattr(leveled, "opet_step", lambda x: target)
+    monkeypatch.setattr(leveled, "opet_step", lambda *x: target.parts)
     first, second = (x.key() for x in enumerate_leveled_pairs(2, 2)[:2])
     code, out, _ = run(capsys, "verify", "opet", "-m", "2", "-n", "2")
     assert (code, out) == (1, "opet (2,2): FAILED: step (2,2) -> (3,1): "
                               "%s and %s both map to %s\n" % (first, second, target.key()))
+    monkeypatch.undo()
+
+    # a step whose image is no pair, its levels having a gap at 2 (the
+    # first pair has one level and keeps its image): not a key of the
+    # target, as no invalid image is
+    step = leveled.opet_step
+
+    def gap(*x):
+        up, down, a, b = step(*x)
+        return up, down, tuple(v + (v > 1) for v in a), tuple(v + (v > 1) for v in b)
+
+    monkeypatch.setattr(leveled, "opet_step", gap)
+    code, out, _ = run(capsys, "verify", "opet", "-m", "2", "-n", "2")
+    assert (code, out) == (1, "opet (2,2): FAILED: step (2,2) -> (3,1): %s maps to "
+                              "'(* (* *));*;1,3;', which is not in the target\n" % second)
     monkeypatch.undo()
 
     # a map f trading the images of a minimal and a maximal zone pair;
@@ -488,7 +499,8 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
         validations.clear()
         monkeypatch.setattr(
             propterms, "varpi_expr",
-            lambda x: (x.m, x.n) == (3, 2) and calls.append(x.key()) or varpi_expr(x),
+            lambda *x: (trees.leaf_count(x[0]), trees.leaf_count(x[1])) == (3, 2)
+            and calls.append(leveled.pair_key(*x)) or varpi_expr(*x),
         )
         monkeypatch.setattr(
             propterms, "_validated", lambda e: validations.append(e) or validated(e)
@@ -499,7 +511,7 @@ def test_thmc_failure_prints_a_witness(capsys, monkeypatch):
     classes = len(zones.enumerate_zone_pairs(3, 2))
     assert (code, out) == (0, "thmc (3,2): %d classes, kernels agree\n" % classes)
     assert sorted(calls) == sorted(x.key() for x in pairs)
-    distinct = {(x.up, x.down, varpi_expr(x)) for x in pairs}
+    distinct = {(x.up, x.down, varpi_expr(*x.parts)) for x in pairs}
     assert len(validations) == len(distinct)
 
     # merge two zone classes in the projections of the first tree pair

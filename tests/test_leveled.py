@@ -14,6 +14,12 @@ def gap_code(x):
     return L.gap_code(*parts(x))
 
 
+def stepped(x):
+    """opet_step of the pair x, as a validated pair."""
+    up, down, a, b = L.opet_step(*parts(x))
+    return ComplementaryPair(PlanarTree("up", up), PlanarTree("down", down), a, b)
+
+
 # ---------------------------------------------------------------------------
 # independent oracle: ordered set partitions
 
@@ -207,15 +213,15 @@ def test_bipermutahedron_fvectors_and_grading():
 
 def test_opet_step_base():
     (x,) = L.enumerate_leveled_pairs(1, 2)
-    assert L.opet_step(x).key() == "(* *);*;1;"
+    assert stepped(x).key() == "(* *);*;1;"
     with pytest.raises(ValueError):
-        L.opet_step(L.opet_step(x))
+        stepped(stepped(x))
 
 
 def test_opet_step_preserves_height_and_sizes():
     for m, n in [(1, 3), (2, 2), (3, 2), (1, 4), (2, 3)]:
         for x in L.enumerate_leveled_pairs(m, n):
-            y = L.opet_step(x)
+            y = stepped(x)
             assert (y.m, y.n) == (m + 1, n - 1)
             assert y.h == x.h
 
@@ -232,7 +238,7 @@ def test_opet_step_moves_gap_m_to_the_up_side():
                     for us, ds in L.gamma_encode(x).blocks
                 )
                 shifted = L.gamma_decode(OrderedBipartition(blocks), m + 1, s - m - 1)
-                assert shifted == L.opet_step(x)
+                assert shifted == stepped(x)
                 count += 1
     assert count == 3051
 
@@ -245,7 +251,7 @@ def test_opet_step_keeps_the_gap_code():
     for s in range(3, 8):
         for m in range(1, s - 1):
             for x in L.enumerate_leveled_pairs(m, s - m):
-                assert gap_code(L.opet_step(x)) == gap_code(x), x.key()
+                assert gap_code(stepped(x)) == gap_code(x), x.key()
                 count += 1
     assert count == 3051
 
@@ -262,11 +268,13 @@ def test_opet_iso_rejects_broken_steps(monkeypatch):
     bottom, top = targets[0].key(), targets[-1].key()
     swap = {bottom: top, top: bottom}
 
-    def swapped(x):
-        y = step(x)
-        return ComplementaryPair.from_key(swap.get(y.key(), y.key()))
+    def swapped(*x):
+        key = L.pair_key(*step(*x))
+        return parts(ComplementaryPair.from_key(swap.get(key, key)))
 
-    for broken in (lambda x: targets[0], lambda x: x, swapped):
+    # one image for all, each pair its own image (outside the target),
+    # and two images traded
+    for broken in (lambda *x: parts(targets[0]), lambda *x: x, swapped):
         monkeypatch.setattr(L, "opet_step", broken)
         assert L.opet_iso_check(2, 2) is False
 

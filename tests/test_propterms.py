@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from biassoc import propterms as P, zones as Z
 from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs, pair_groups, pair_key
-from biassoc.trees import PlanarTree
+from biassoc.trees import PlanarTree, leaf_count
 from gen_helpers import (
     nonspecial_gadget,
     pinched_fraction_instance,
     rand_term_with_inputs,
 )
-from oracles import mirror_key, opposite, parse_expr
+from oracles import level_function_error, mirror_key, opposite, parse_expr
 
 x12 = lambda: P.generator(1, 2)
 x21 = lambda: P.generator(2, 1)
@@ -289,7 +289,7 @@ def test_varpi_validates_its_result(monkeypatch):
         return P._trusted(t.m, t.n, t.verts, t.ins, (t.outs[0],) * t.n)
 
     monkeypatch.setattr(P, "vcompose", broken)
-    assert P.varpi_expr(stacked).to_term().outs == (("v", 1, 0),) * 2
+    assert P.varpi_expr(*stacked.parts).to_term().outs == (("v", 1, 0),) * 2
     with pytest.raises(ValueError, match="wired twice"):
         P.varpi(stacked)
 
@@ -421,7 +421,7 @@ def test_varpi_worked_fraction():
     )
     assert P.term_eq(P.varpi(WORKED_PAIR), hand)
     assert (
-        P.varpi_expr(WORKED_PAIR).simplify().text()
+        P.varpi_expr(*WORKED_PAIR.parts).simplify().text()
         == "F{ x[1,2] x[1,2] / V(x[2,1],x[1,2]) x[2,1] }"
     )
     assert not P.is_special(P.varpi(WORKED_PAIR))
@@ -558,7 +558,7 @@ def test_expressions_golden():
     for s in range(2, 8):
         for m in range(1, s):
             for x in enumerate_leveled_pairs(m, s - m):
-                e = P.varpi_expr(x)
+                e = P.varpi_expr(*x.parts)
                 rows.append("%s\t%s\t%s\n" % (x.key(), e.text(), e.simplify().text()))
     rows.sort()
     assert len(rows) == 3685
@@ -600,25 +600,22 @@ def clear_caches(*modules):
 
 def test_theorem_c_builds_each_piece_once(monkeypatch):
     # cold, varpi_expr runs once per pair and once per distinct cut
-    # piece, and a piece's pair is built only on a cache miss; the full
-    # validation runs once per distinct expression of a tree pair, and
-    # once per generator or unit that a term is built from
+    # piece: a piece's expression is built only on a cache miss.  A cut
+    # piece of a (4, 3) pair has fewer leaves on one side, so the pieces
+    # are the calls of other sizes.  The full validation runs once per
+    # distinct expression of a tree pair, and once per generator or unit
+    # that a term is built from
     clear_caches(P)
     exprs = validations = pieces = leaves = 0
     varpi_expr = P.varpi_expr
     validate = P.PropTerm.__post_init__
-    pair = P.ComplementaryPair
     generator, unit = P.generator, P.unit
 
-    def counted_expr(x):
-        nonlocal exprs
+    def counted_expr(up, down, *levels):
+        nonlocal exprs, pieces
         exprs += 1
-        return varpi_expr(x)
-
-    def counted_pair(*args):
-        nonlocal pieces
-        pieces += 1
-        return pair(*args)
+        pieces += (leaf_count(up), leaf_count(down)) != (4, 3)
+        return varpi_expr(up, down, *levels)
 
     def counted_validate(self):
         nonlocal validations
@@ -634,7 +631,6 @@ def test_theorem_c_builds_each_piece_once(monkeypatch):
         return run
 
     monkeypatch.setattr(P, "varpi_expr", counted_expr)
-    monkeypatch.setattr(P, "ComplementaryPair", counted_pair)
     monkeypatch.setattr(P.PropTerm, "__post_init__", counted_validate)
     monkeypatch.setattr(P, "generator", counted_leaf(generator))
     monkeypatch.setattr(P, "unit", counted_leaf(unit))
@@ -643,11 +639,39 @@ def test_theorem_c_builds_each_piece_once(monkeypatch):
     pairs = enumerate_leveled_pairs(4, 3)
     assert len(pairs) == 541
     misses = P._piece_expr.cache_info().misses
-    assert exprs == len(pairs) + misses
+    assert exprs == len(pairs) + pieces
     assert pieces == misses < P._piece_expr.cache_info().hits
-    distinct = {(x.up, x.down, P.varpi_expr(x)) for x in pairs}
+    distinct = {(x.up, x.down, P.varpi_expr(*x.parts)) for x in pairs}
     assert (len(distinct), leaves) == (497, 12)
     assert validations == len(distinct) + leaves
+
+
+def test_every_cut_piece_is_a_valid_pair(monkeypatch):
+    # the pieces are cut from plain parts and never built as pairs: each
+    # that reaches _piece_expr, over every pair with m + n <= 7, passes
+    # the full validation of a ComplementaryPair.  Without the
+    # renumbering of its levels, a piece can have a gap
+    def pieces_of(piece):
+        clear_caches(P)
+        seen = set()
+        piece_expr = P._piece_expr
+        monkeypatch.setattr(P, "_piece", piece)
+        monkeypatch.setattr(
+            P, "_piece_expr", lambda *x: seen.add(x) or piece_expr(*x))
+        for s in range(2, 8):
+            for m in range(1, s):
+                for up, down, levels in pair_groups(m, s - m):
+                    for v in levels:
+                        P.varpi_expr(up, down, *v)
+        monkeypatch.undo()
+        clear_caches(P)
+        return {x: level_function_error(PlanarTree("up", x[0]), PlanarTree("down", x[1]), *x[2:])
+                for x in seen}
+
+    errors = pieces_of(P._piece)
+    assert len(errors) == 350 and set(errors.values()) == {None}
+    errors = pieces_of(lambda *x: P._piece_expr(*x))
+    assert "levels must be exactly 1..h with no gaps" in errors.values()
 
 
 def test_theorem_c_computes_each_side_piece_once():
@@ -668,7 +692,7 @@ def test_theorem_c_computes_each_side_piece_once():
         root_d = x.down_levels[0]
         if root_d > x.up_levels[0]:
             cuts.add((x.up.shape, x.up_levels, root_d))
-            lowers.add(P.varpi_expr(x).args[1])
+            lowers.add(P.varpi_expr(*x.parts).args[1])
     assert (len(cuts), len(lowers)) == (420, 69)
 
 

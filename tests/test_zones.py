@@ -192,18 +192,22 @@ def test_zone_classes_hold_each_pairs_projection():
             assert classes == [z.key() for z in Z.enumerate_zone_pairs(m, n)]
 
 
-def test_biassociahedron_poset_calls_each_class_once_per_class_in_key_order():
+@pytest.mark.parametrize("build, reference", [
+    (L.bipermutahedron_poset, L.enumerate_leveled_pairs),
+    (Z.biassociahedron_poset, Z.enumerate_zone_pairs),
+], ids=["bipermutahedron_poset", "biassociahedron_poset"])
+def test_poset_calls_each_class_once_per_class_in_key_order(build, reference):
     # the hook sees every class once, in key order, as the parts of the
-    # validated zone pairs of the reference, and the poset's elements
-    # are exactly the keys of what it saw
+    # validated pairs or zone pairs of the reference, and the poset's
+    # elements are exactly the keys of what it saw
     for total in range(2, 7):
         for m in range(1, total):
             seen = []
-            p = Z.biassociahedron_poset(m, total - m, lambda *z: seen.append(z))
+            p = build(m, total - m, lambda *z: seen.append(z))
             keys = [L.pair_key(*z) for z in seen]
             assert keys == sorted(set(keys))
             assert p.elements == tuple(keys)
-            assert seen == [parts(z) for z in Z.enumerate_zone_pairs(m, total - m)]
+            assert seen == [parts(z) for z in reference(m, total - m)]
 
 
 def test_udu_type_occurs():
