@@ -67,7 +67,7 @@ def _blocks(family, m, n, fmt):
     else:  # the choices admit no other family: this is multipl
         for key, shape, zeta in multipli.painted_faces(m):
             if fmt == "json":
-                key = multipli.PaintedTree(multipli.painted_shape(shape, zeta)).to_json()
+                key = multipli.painted_json(multipli.painted_shape(shape, zeta))
             yield [key]
 
 

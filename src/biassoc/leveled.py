@@ -30,7 +30,7 @@ from . import posets
 from .trees import (
     PlanarTree,
     _shapes,
-    contraction_map,
+    contracted_values,
     edge_ties,
     leaf_count,
     leaf_intervals,
@@ -234,7 +234,8 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
     Formally there must be contraction morphisms on both trees and an
     order-preserving map on level scales making the square with the two
     level functions commute.  Contraction morphisms are unique when they
-    exist, so it suffices to check that the induced level map is well
+    exist, so it suffices to check that the induced level map, from
+    each vertex's level to its image's (contracted_values), is well
     defined (single-valued per level) and monotone.
 
     This is the reference order: bipermutahedron_poset builds the same
@@ -242,25 +243,12 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
     """
     if (x1.m, x1.n) != (x2.m, x2.n):
         raise ValueError("pair shape mismatch")
-    cu = contraction_map(x1.up.shape, x2.up.shape)
-    if cu is None:
+    up = contracted_values(x1.up.shape, x2.up.shape, x2.up_levels)
+    down = contracted_values(x1.down.shape, x2.down.shape, x2.down_levels)
+    if up is None or down is None:
         return False
-    cd = contraction_map(x1.down.shape, x2.down.shape)
-    if cd is None:
-        return False
-    lu2 = dict(zip(x2.up.vertices(), x2.up_levels))
-    ld2 = dict(zip(x2.down.vertices(), x2.down_levels))
-    image = {}
-    for p, lvl in zip(x1.up.vertices(), x1.up_levels):
-        t = lu2[cu[p]]
-        if image.setdefault(lvl, t) != t:
-            return False
-    for p, lvl in zip(x1.down.vertices(), x1.down_levels):
-        t = ld2[cd[p]]
-        if image.setdefault(lvl, t) != t:
-            return False
-    seq = [image[i] for i in sorted(image)]
-    return all(a <= b for a, b in zip(seq, seq[1:]))
+    seq = sorted(set(zip(x1.up_levels + x1.down_levels, up + down)))
+    return all(a < c and b <= d for (a, b), (c, d) in zip(seq, seq[1:]))
 
 
 def bipermutahedron_poset(m: int, n: int, each_class=None):

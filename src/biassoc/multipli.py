@@ -34,7 +34,7 @@ from .trees import (
     _shapes,
     child_tuples,
     children_prefix,
-    contraction_map,
+    contracted_values,
     drop_vertices,
     edge_ties,
     leaf_count,
@@ -99,18 +99,12 @@ def membrane_marks(zones, level) -> tuple:
 def diaphragm_leq(d1: DiaphragmTree, d2: DiaphragmTree) -> bool:
     """True iff a tree contraction exists that keeps membrane vertices
     on the membrane and lets strictly-above/strictly-below vertices at
-    most land on it."""
+    most land on it: each vertex's image (contracted_values) carries its
+    mark or AT."""
     if d1.m != d2.m:
         raise ValueError("leaf count mismatch")
-    cm = contraction_map(d1.tree.shape, d2.tree.shape)
-    if cm is None:
-        return False
-    marks2 = dict(zip(d2.tree.vertices(), d2.zeta))
-    for p, v in zip(d1.tree.vertices(), d1.zeta):
-        w = marks2[cm[p]]
-        if w != v and w != AT:
-            return False
-    return True
+    image = contracted_values(d1.tree.shape, d2.tree.shape, d2.zeta)
+    return image is not None and all(w in (v, AT) for v, w in zip(d1.zeta, image))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +153,7 @@ class PaintedTree:
         return self.text()
 
     def to_json(self) -> str:
-        return json.dumps(_painted_jsonable(self.shape))
+        return painted_json(self.shape)
 
 
 def _painted_leaves(shape):
@@ -177,13 +171,20 @@ def _painted_text(shape):
 
 
 def _painted_parse(text, pos):
-    """One painted shape from text with no spaces at pos: (shape, the
+    """One painted shape from text with no whitespace at pos: (shape, the
     position after it).  An application vertex's inputs are tree text."""
     if text.startswith("!", pos):
         inputs, pos = children_prefix(text, pos + 1, shape_prefix)
         return ("!", inputs), pos
     children, pos = children_prefix(text, pos, _painted_parse)
     return (".", children), pos
+
+
+def painted_json(shape) -> str:
+    """The one writer of a painted tree's JSON text, from its painted
+    shape: enumerate writes each face's from painted_shape, with no
+    PaintedTree."""
+    return json.dumps(_painted_jsonable(shape))
 
 
 def _painted_jsonable(shape):

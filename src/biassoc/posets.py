@@ -26,12 +26,13 @@ class PosetError(ValueError):
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """relation: index pairs (i, j) with elements[i] <= elements[j]."""
+    """relation: index pairs (i, j) with elements[i] <= elements[j].
+    == and hash see the elements and the covers, which fix the ranks."""
 
     elements: tuple
     relation: InitVar[object]
     _index: dict = field(init=False, repr=False, compare=False)
-    _covers: tuple = field(init=False, repr=False, compare=False)
+    _covers: tuple = field(init=False, repr=False)
     _ranks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, relation):

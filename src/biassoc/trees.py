@@ -83,7 +83,7 @@ def shape_text(shape) -> str:
 def children_prefix(text, pos, read):
     """Read "(" child ... ")" from text at pos, each child by
     read(text, pos) -> (child, the position after it): (the children,
-    the position after ")").  The text holds no spaces.  This is the one
+    the position after ")").  The text holds no whitespace.  This is the one
     character loop of tree text; painted trees read theirs with it."""
     if not text.startswith("(", pos):
         raise ValueError("bad tree text %r at position %d" % (text, pos))
@@ -97,7 +97,7 @@ def children_prefix(text, pos, read):
 
 
 def shape_prefix(text, pos=0):
-    """Read one shape from text with no spaces at pos: (shape, the
+    """Read one shape from text with no whitespace at pos: (shape, the
     position after it).  What follows it is left to the caller."""
     if text.startswith(LEAF, pos):
         return LEAF, pos + 1
@@ -108,7 +108,7 @@ def shape_prefix(text, pos=0):
 
 
 def shape_from_text(text: str):
-    text = text.strip().replace(" ", "")  # spaces only separate tokens
+    text = "".join(text.split())  # whitespace only separates tokens
     shape, pos = shape_prefix(text)
     if pos != len(text):
         raise ValueError("trailing garbage in tree text")
@@ -176,17 +176,12 @@ def vertex_order(t: PlanarTree) -> frozenset:
     So descendants are smaller than ancestors in an up tree, and larger
     in a down tree.
     """
-    verts = t.vertices()
-    pairs = set()
-    for u in verts:
-        for v in verts:
-            if u != v and v == u[: len(v)]:
-                # v is a proper ancestor (prefix) of u
-                if t.orientation == "up":
-                    pairs.add((u, v))
-                else:
-                    pairs.add((v, u))
-    return frozenset(pairs)
+    verts, up = t.vertices(), t.orientation == "up"
+    # v is a proper ancestor (prefix) of u
+    return frozenset(
+        (u, v) if up else (v, u)
+        for u in verts for v in verts if len(v) < len(u) and u[: len(v)] == v
+    )
 
 
 @cache
@@ -209,11 +204,6 @@ def edge_ties(edges, values, up: bool):
         elif (a > b) == up:
             return None
     return tuple(sorted(ties))
-
-
-def is_ancestor(p, q) -> bool:
-    """True iff p is a proper ancestor (proper prefix) of q."""
-    return len(p) < len(q) and q[: len(p)] == p
 
 
 def contract_edge(t: PlanarTree, edge) -> PlanarTree:
@@ -334,6 +324,18 @@ def contraction_map(s1, s2):
         p: [q for q, (c, d) in zip(paths2, iv2) if c <= a and b <= d][-1]
         for p, (a, b) in zip(shape_vertices(s1), iv1)
     }
+
+
+def contracted_values(s1, s2, values):
+    """Per vertex of s1 in path order, the value that `values`, one per
+    vertex of s2 in path order, gives its image under contraction_map,
+    or None when s1 does not refine s2.  The reference orders compare a
+    finer face's levels, zones or marks with these."""
+    cm = contraction_map(s1, s2)
+    if cm is None:
+        return None
+    value = dict(zip(shape_vertices(s2), values))
+    return tuple(value[q] for q in cm.values())
 
 
 def edge_contractions(shape) -> tuple:

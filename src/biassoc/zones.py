@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
+from math import inf
 
 from .leveled import (
     ComplementaryPair,
@@ -33,9 +34,8 @@ from .leveled import (
 )
 from .trees import (
     PlanarTree,
-    contraction_map,
+    contracted_values,
     edge_ties,
-    is_ancestor,
     shape_edges,
     shape_text,
     shape_vertices,
@@ -162,12 +162,7 @@ def closure(zp: ZonePair, i: int) -> frozenset:
         raise IndexError("zone index out of range")
     if t[i - 1] == "B":
         return frozenset({i})
-    out = {i}
-    if i > 1 and t[i - 2] == "B":
-        out.add(i - 1)
-    if i < len(t) and t[i] == "B":
-        out.add(i + 1)
-    return frozenset(out)
+    return frozenset(j for j in (i - 1, i, i + 1) if j == i or 0 < j <= len(t) and t[j - 1] == "B")
 
 
 def project(x: ComplementaryPair) -> ZonePair:
@@ -204,7 +199,9 @@ def zone_leq(z1: ZonePair, z2: ZonePair) -> bool:
     them up to collapse: a shared barrier stays shared, while a strict
     above/below relation may at most flatten onto a barrier (it can
     never flip).  This is the zone analogue of requiring the square of
-    zone scales to commute up to closures.
+    zone scales to commute up to closures.  The heights after are those
+    of the zones of z2 that contracted_values reads at each vertex's
+    image.
 
     This is the reference order: biassociahedron_poset builds the same
     order as the image of the block-merge order under project, and the
@@ -212,21 +209,19 @@ def zone_leq(z1: ZonePair, z2: ZonePair) -> bool:
     """
     if (z1.m, z1.n) != (z2.m, z2.n):
         raise ValueError("pair shape mismatch")
-    cu = contraction_map(z1.up.shape, z2.up.shape)
-    if cu is None:
+    up = contracted_values(z1.up.shape, z2.up.shape, z2.up_zones)
+    down = contracted_values(z1.down.shape, z2.down.shape, z2.down_zones)
+    if up is None or down is None:
         return False
-    cd = contraction_map(z1.down.shape, z2.down.shape)
-    if cd is None:
-        return False
-    zu2 = dict(zip(z2.up.vertices(), z2.up_zones))
-    zd2 = dict(zip(z2.down.vertices(), z2.down_zones))
-    for p, zp in zip(z1.up.vertices(), z1.up_zones):
-        for q, zq in zip(z1.down.vertices(), z1.down_zones):
-            before = _sign(zp - zq)
-            after = _sign(zu2[cu[p]] - zd2[cd[q]])
-            if after != before and after != 0:
-                return False
-    return True
+    before = _heights(z1.up_zones, z1.down_zones)
+    return all(h in (0, g) for g, h in zip(before, _heights(up, down)))
+
+
+def _heights(up_values, down_values) -> tuple:
+    """Per (up vertex, down vertex), in path order with the up vertex
+    outer, the sign of the up vertex's level or zone minus the down
+    vertex's: -1 when the up vertex sits higher, 0 level with it, 1 lower."""
+    return tuple((a > b) - (a < b) for a in up_values for b in down_values)
 
 
 @cache
@@ -259,87 +254,30 @@ def biassociahedron_poset(m: int, n: int, each_class=None):
 
 def pi_section(z: ZonePair) -> ComplementaryPair:
     """A level function projecting onto z: each barrier becomes one
-    level; each plain zone expands into the lexicographically least
-    linear extension of its vertices, one per level."""
+    level; each plain zone, which holds vertices of one tree only,
+    expands into the lexicographically least linear extension of its
+    vertices, one per level.  That is one sort by zone and then path:
+    up-tree vertices in path order, which puts ancestors first, and
+    down-tree vertices in path order with each vertex after its
+    descendants (its path padded past every child index)."""
     t = z.type()
-    zu = list(zip(z.up.vertices(), z.up_zones))
-    zd = list(zip(z.down.vertices(), z.down_zones))
-    up_levels = {}
-    down_levels = {}
-    level = 0
-    for i in range(1, z.l + 1):
-        members_u = [p for p, zz in zu if zz == i]
-        members_d = [p for p, zz in zd if zz == i]
-        if t[i - 1] == "B":
-            level += 1
-            for p in members_u:
-                up_levels[p] = level
-            for p in members_d:
-                down_levels[p] = level
-        else:
-            # linear extension: up-tree vertices must follow their
-            # ancestors, down-tree vertices their descendants
-            tagged = [("u", p) for p in members_u] + [("d", p) for p in members_d]
-            while tagged:
-                ready = [
-                    (tag, p)
-                    for tag, p in tagged
-                    if not any(
-                        tag == tag2
-                        and (
-                            is_ancestor(q, p) if tag == "u" else is_ancestor(p, q)
-                        )
-                        for tag2, q in tagged
-                        if tag2 == tag
-                    )
-                ]
-                choice = min(ready)
-                tagged.remove(choice)
-                level += 1
-                tag, p = choice
-                if tag == "u":
-                    up_levels[p] = level
-                else:
-                    down_levels[p] = level
-    return ComplementaryPair(
-        z.up,
-        z.down,
-        tuple(up_levels[p] for p in z.up.vertices()),
-        tuple(down_levels[p] for p in z.down.vertices()),
-    )
+    vertices = [(zone, p, 0, i) for i, (p, zone) in enumerate(zip(z.up.vertices(), z.up_zones))]
+    vertices += [(zone, (*p, inf), 1, i)
+                 for i, (p, zone) in enumerate(zip(z.down.vertices(), z.down_zones))]
+    levels = ([0] * len(z.up_zones), [0] * len(z.down_zones))
+    level, last = 0, None
+    for zone, _, side, i in sorted(vertices):
+        level += zone != last or t[zone - 1] != "B"
+        levels[side][i], last = level, zone
+    return ComplementaryPair(z.up, z.down, *map(tuple, levels))
 
 
 def relative_heights_check(x: ComplementaryPair) -> bool:
-    """Cross-tree height trichotomies survive projection, and determine
-    the zone function uniquely among all zone functions on (U, D)."""
-    z = project(x)
-    lu = dict(zip(x.up.vertices(), x.up_levels))
-    ld = dict(zip(x.down.vertices(), x.down_levels))
-    zu = dict(zip(z.up.vertices(), z.up_zones))
-    zd = dict(zip(z.down.vertices(), z.down_zones))
-    for p, lp in lu.items():
-        for q, lq in ld.items():
-            if _sign(lp - lq) != _sign(zu[p] - zd[q]):
-                return False
-    # all zone functions on this tree pair, via projection
+    """Cross-tree height trichotomies (_heights) survive projection, and
+    determine the zone function uniquely among all zone functions on
+    (U, D): no two distinct zone tuples of the tree pair have one sign
+    vector."""
+    if _heights(x.up_levels, x.down_levels) != _heights(*_zone_tuples(x.up_levels, x.down_levels)):
+        return False
     zones = {_zone_tuples(*v) for v in enumerate_level_functions(x.up.shape, x.down.shape)}
-    zlist = [ZonePair(x.up, x.down, *z) for z in zones]
-    for i, a in enumerate(zlist):
-        for b in zlist[i + 1 :]:
-            if _trichotomies(a) == _trichotomies(b) and a != b:
-                return False
-    return True
-
-
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _trichotomies(z: ZonePair) -> tuple:
-    zu = dict(zip(z.up.vertices(), z.up_zones))
-    zd = dict(zip(z.down.vertices(), z.down_zones))
-    return tuple(
-        _sign(zu[p] - zd[q])
-        for p in z.up.vertices()
-        for q in z.down.vertices()
-    )
+    return len({_heights(*z) for z in zones}) == len(zones)

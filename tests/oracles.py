@@ -13,7 +13,8 @@ inverses of zone_to_diaphragm, diaphragm_to_painted and Expr.text are
 here too: the library never needs them.  So is the recursive
 level-function enumerator that the library's bitmask enumerator
 replaced, kept as its reference, and the edge-by-edge validation of
-level and zone functions that the cached per-part verdicts replaced.
+level and zone functions that the cached per-part verdicts replaced,
+and the greedy linear extension that pi_section's one sort replaced.
 """
 
 import json
@@ -427,6 +428,46 @@ def enumerate_level_functions(up: PlanarTree, down: PlanarTree):
 
     step({}, 1)
     return results
+
+
+def greedy_pi_section(z: Z.ZonePair) -> ComplementaryPair:
+    """The section zones.pi_section gave before it became one sort, its
+    reference: each barrier one level, and each plain zone expanded by
+    repeatedly taking the least (tag, path) of its vertices that no
+    remaining vertex of the zone must precede (an up vertex waits for
+    its ancestors, a down vertex for its descendants)."""
+    def is_ancestor(p, q):
+        return len(p) < len(q) and q[: len(p)] == p
+
+    t = z.type()
+    zu = list(zip(z.up.vertices(), z.up_zones))
+    zd = list(zip(z.down.vertices(), z.down_zones))
+    levels = {"u": {}, "d": {}}
+    level = 0
+    for i in range(1, z.l + 1):
+        tagged = [("u", p) for p, zz in zu if zz == i] + [("d", p) for p, zz in zd if zz == i]
+        if t[i - 1] == "B":
+            level += 1
+            for tag, p in tagged:
+                levels[tag][p] = level
+            continue
+        while tagged:
+            ready = [
+                (tag, p) for tag, p in tagged
+                if not any(
+                    tag2 == tag and (is_ancestor(q, p) if tag == "u" else is_ancestor(p, q))
+                    for tag2, q in tagged
+                )
+            ]
+            tag, p = min(ready)
+            tagged.remove((tag, p))
+            level += 1
+            levels[tag][p] = level
+    return ComplementaryPair(
+        z.up, z.down,
+        tuple(levels["u"][p] for p in z.up.vertices()),
+        tuple(levels["d"][p] for p in z.down.vertices()),
+    )
 
 
 # ---------------------------------------------------------------------------

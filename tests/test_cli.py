@@ -173,9 +173,9 @@ def test_multipl_verbs_build_no_painted_trees_from_vertex_rules(capsys):
 
 
 def test_multipl_verbs_paint_each_face_once_from_shape_and_zeta(capsys, monkeypatch):
-    # every tree class bound in multipli is counted: the poset verbs and
-    # the text keys paint (shape, zeta) with no tree object, and JSON
-    # builds one PaintedTree per face, to write it
+    # every tree class bound in multipli is counted: the poset verbs,
+    # the text keys and the JSON lines paint (shape, zeta) with no tree
+    # object; JSON is written from the painted shape by painted_json
     built = []
     for name in ("PlanarTree", "DiaphragmTree", "PaintedTree"):
         cls = getattr(multipli, name)
@@ -193,7 +193,7 @@ def test_multipl_verbs_paint_each_face_once_from_shape_and_zeta(capsys, monkeypa
     built.clear()
     code, out, _ = run(capsys, *"enumerate --family multipl --format json -m 4".split())
     assert code == 0 and len(out.splitlines()) == 67
-    assert built == ["PaintedTree"] * 67
+    assert built == []
 
 
 def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):

@@ -50,6 +50,17 @@ def test_validation():
             FinitePoset(("a", "b"), [bad])
 
 
+def test_equality_and_hash_see_the_order():
+    chain, antichain = FinitePoset(("x", "y"), [(0, 1)]), FinitePoset(("x", "y"), [])
+    assert chain != antichain
+    assert hash(chain) != hash(antichain)
+    # one order from two relations: the covers are what is compared
+    again = FinitePoset(("x", "y"), [(0, 1), (0, 0)])
+    assert chain == again and hash(chain) == hash(again)
+    assert len({chain, antichain, again}) == 2
+    assert FinitePoset(("y", "x"), [(1, 0)]) != chain
+
+
 def test_cycles_are_rejected():
     with pytest.raises(PosetError, match="antisymmetric"):
         FinitePoset(("a", "b"), [(0, 1), (1, 0)])

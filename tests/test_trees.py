@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from biassoc import trees as T
 from biassoc.leveled import ComplementaryPair
-from biassoc.multipli import ABOVE, AT, BELOW, DiaphragmTree
+from biassoc.multipli import ABOVE, AT, BELOW, DiaphragmTree, PaintedTree
 from biassoc.zones import ZonePair
 from oracles import associahedron_up_sets, block_merge_up_sets, closure
 
@@ -209,6 +209,28 @@ def test_text_roundtrip(m, pick):
     t = ts[pick % len(ts)]
     assert T.PlanarTree.from_text(t.text()).shape == t.shape
     assert T.PlanarTree.from_json(t.to_json()) == t
+
+
+def test_tree_text_whitespace_only_separates_tokens():
+    # tree text skips any whitespace, as str.split does and as painted
+    # tree text does: tabs and newlines as well as spaces
+    for text, clean in (("(*\t*)", "(* *)"), ("(*\n(* *))", "(* (* *))"),
+                        (" ( * \t( *\n* ) ) \n", "(* (* *))")):
+        assert T.PlanarTree.from_text(text).text() == clean
+        assert PaintedTree.from_text("!" + text).text() == "!" + clean
+    with pytest.raises(ValueError):
+        T.PlanarTree.from_text("(*\t*) *")
+
+
+def test_contracted_values_reads_the_image_of_each_vertex():
+    # contracting the edge above the vertex (1,) of (* (* *) *) merges
+    # it into the root, so it reads the root's value
+    fine, coarse = T.shape_from_text("(* (* *) *)"), T.shape_from_text("(* * * *)")
+    assert T.contracted_values(fine, coarse, ("r",)) == ("r", "r")
+    mid = T.shape_from_text("((* *) (* *))")
+    assert T.contracted_values(mid, mid, (1, 2, 3)) == (1, 2, 3)
+    assert T.contracted_values(coarse, fine, (1, 2)) is None
+    assert T.contracted_values(mid, fine, (1, 2)) is None
 
 
 def test_contraction_map_is_identity_on_equal():

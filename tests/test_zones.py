@@ -10,6 +10,7 @@ from biassoc.zones import ZonePair
 from oracles import (
     biassociahedron_up_sets,
     closure,
+    greedy_pi_section,
     is_transitive,
     level_function_error,
     mirror_key,
@@ -339,6 +340,11 @@ def test_up_down_mirror_is_an_order_isomorphism(build):
     assert isomorphism_failure(p, moved, f) is not None
 
 
+def splits(largest):
+    """Every (m, n) with m, n >= 1 and m + n <= largest."""
+    return [(m, s - m) for s in range(2, largest + 1) for m in range(1, s)]
+
+
 def test_pi_section_roundtrip():
     for m, n in [(2, 2), (3, 2), (4, 1), (2, 3)]:
         for z in Z.enumerate_zone_pairs(m, n):
@@ -346,13 +352,47 @@ def test_pi_section_roundtrip():
             assert Z.project(x).key() == z.key()
 
 
+def test_pi_section_is_the_least_linear_extension():
+    # any linear extension projects back onto z; the one sort must give
+    # the greedy's lexicographically least one, on every zone pair with
+    # m + n <= 7.  A down vertex padded too little to sort after all its
+    # children first goes wrong at (1, 4)
+    count = 0
+    for m, n in splits(7):
+        for z in Z.enumerate_zone_pairs(m, n):
+            assert Z.pi_section(z) == greedy_pi_section(z), z.key()
+            count += 1
+    assert count == 2509
+    z = ZonePair(PlanarTree("up", "*"), PlanarTree.from_text("(* * (* *))", "down"), (), (1, 1))
+    assert Z.pi_section(z).down_levels == (2, 1)
+
+
 def test_pi_section_staircase():
     x = Z.pi_section(STAIR)
     assert Z.project(x) == STAIR
     assert x.h >= STAIR.l
+    assert x == greedy_pi_section(STAIR)
 
 
 def test_relative_heights():
-    for m, n in [(2, 2), (3, 2)]:
+    count = 0
+    for m, n in splits(6):
         for x in L.enumerate_leveled_pairs(m, n):
-            assert Z.relative_heights_check(x)
+            assert Z.relative_heights_check(x), x.key()
+            count += 1
+    assert count == 439
+
+
+def test_relative_heights_sees_a_broken_projection(monkeypatch):
+    # zones 1 and 2 traded: every pair with two or more zones has a
+    # cross-tree pair of vertices in those zones, whose height flips
+    project = Z._zone_tuples
+
+    def swapped(a, b):
+        return tuple(tuple(3 - v if v <= 2 else v for v in t) for t in project(a, b))
+
+    pairs = [x for m, n in splits(6) for x in L.enumerate_leveled_pairs(m, n)]
+    several = [x for x in pairs if Z.project(x).l >= 2]
+    assert len(several) == 248
+    monkeypatch.setattr(Z, "_zone_tuples", swapped)
+    assert not any(Z.relative_heights_check(x) for x in several)
