@@ -19,11 +19,11 @@ import argparse
 import signal
 import sys
 import traceback
+from collections import Counter
 
 from . import leveled, multipli, propterms, trees, zones
 
 DEFAULT_MAX = 8
-FAMILIES = ("perm", "biperm", "assoc", "biassoc", "multipl")
 
 
 class UsageError(ValueError):
@@ -38,15 +38,31 @@ def _check_size(m, n, limit):
         )
 
 
-def _poset(family, m, n):
-    if family == "assoc":
-        return trees.face_poset_associahedron(m)
-    if family in ("perm", "biperm"):
-        return leveled.bipermutahedron_poset(m, n)
-    if family == "biassoc":
-        return zones.biassociahedron_poset(m, n)
-    # the choices admit no other family: this is multipl
-    return multipli.multiplihedron_poset(m)
+def _associahedron(m, n, each):
+    # the builder takes no hook: its elements are _shapes(m), in order
+    for shape in trees._shapes(m) if each else ():
+        each(shape)
+    return trees.face_poset_associahedron(m)
+
+
+# Per family: its poset builder, which calls each(*face) per element in
+# element order when each is given, looked up when called so that a
+# patched builder runs; its faces' parts from the walk of enumerate, with
+# no poset or sort; and a face's dimension from its parts.
+_PERM = (lambda m, n, each: leveled.bipermutahedron_poset(m, n, each),
+         lambda m, n: leveled.coarsening_faces(m, n, lambda levels: levels),
+         leveled.level_dimension)
+FAMILY = {
+    "perm": _PERM,
+    "biperm": _PERM,
+    "assoc": (_associahedron, lambda m, n: ((s,) for s in trees._shapes(m)), trees.tree_dimension),
+    "biassoc": (lambda m, n, each: zones.biassociahedron_poset(m, n, each),
+                lambda m, n: leveled.coarsening_faces(
+                    m, n, lambda levels: {zones._zone_tuples(*v) for v in levels}),
+                zones.zone_dimension),
+    "multipl": (lambda m, n, each: multipli.multiplihedron_poset(m, each),
+                lambda m, n: multipli.shape_diaphragms(m), multipli.diaphragm_dimension),
+}
 
 
 def _blocks(family, m, n, fmt):
@@ -95,16 +111,16 @@ def run(argv) -> int:
         return p
 
     p = add("enumerate")
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=FAMILY)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p = add("fvector")
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=FAMILY)
     p = add("hasse")
-    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--family", required=True, choices=FAMILY)
     p.add_argument("--dot", action="store_true")
     p = add("verify")
     p.add_argument("check", choices=("opet", "thmc", "propd", "euler"))
-    p.add_argument("--family", choices=FAMILIES, default="biperm")
+    p.add_argument("--family", choices=FAMILY, default="biperm")
     p = add("encode")
     p.add_argument("--gamma", action="store_true")
     p.add_argument("--up")
@@ -143,15 +159,14 @@ def run(argv) -> int:
             return 0
 
         if args.verb == "fvector":
-            print(" ".join(map(str, _poset(args.family, args.m, args.n).fvector())))
+            _, faces, dimension = FAMILY[args.family]
+            counts = Counter(dimension(*face) for face in faces(args.m, args.n))
+            print(" ".join(str(counts[d]) for d in range(max(counts) + 1)))
             return 0
 
         if args.verb == "hasse":
-            p = _poset(args.family, args.m, args.n)
-            if args.dot:
-                print(p.dot())
-            else:
-                print(p.to_json())
+            p = FAMILY[args.family][0](args.m, args.n, None)
+            print(p.dot() if args.dot else p.to_json())
             return 0
 
         if args.verb == "verify":
@@ -208,9 +223,14 @@ def _verify(args) -> int:
         verdict = "posets isomorphic" if failure is None else "FAILED: " + failure
         print("propd m=%d: %s" % (m, verdict))
         return 0 if failure is None else 1
-    # the choices admit no other check: this is euler
-    p = _poset(args.family, m, n)
-    failure = p.grading_failure()  # face posets are graded: a bad cover is a verdict
+    # the choices admit no other check: this is euler.  Face posets are
+    # graded by their faces' dimensions: a bad cover or rank is a verdict
+    build, _, dimension = FAMILY[args.family]
+    dims = []
+    p = build(m, n, lambda *face: dims.append(dimension(*face)))
+    failure = p.grading_failure() or next((
+        "%s has rank %d but dimension %d" % (key, r, d)
+        for key, r, d in zip(p.elements, p.ranks(), dims, strict=True) if r != d), None)
     verdict = "FAILED: " + failure if failure else p.euler()
     print("euler %s (%d,%d): %s" % (args.family, m, n, verdict))
     return 0 if verdict == 1 else 1

@@ -251,6 +251,11 @@ def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
     return all(a < c and b <= d for (a, b), (c, d) in zip(seq, seq[1:]))
 
 
+def level_dimension(up, down, up_levels, down_levels) -> int:
+    """A pair's face dimension: (m+n-2) - h, h its number of levels."""
+    return leaf_count(up) + leaf_count(down) - 2 - max((0, *up_levels, *down_levels))
+
+
 def bipermutahedron_poset(m: int, n: int, each_class=None):
     """Face poset of the bipermutahedron, graded by (m+n-2) - h: the
     coarsening poset whose classes are the level functions themselves.
@@ -294,6 +299,16 @@ def coarsening_poset(m: int, n: int, classify, each_class=None):
             for k in range(len(code) - 1)
         ),
     )
+
+
+def coarsening_faces(m: int, n: int, classes):
+    """Every face of a quotient of the (m, n) bipermutahedron as its
+    parts, in no set order, with no poset, key or sort: per tree pair,
+    (up, down, a, b) for each (a, b) of classes(its level tuples)."""
+    if m < 1 or n < 1:  # the messages of coarsening_poset
+        raise ValueError("need m + n >= 2" if m + n < 2 else "need m, n >= 1")
+    return ((up, down, *c) for up in _shapes(m) for down in _shapes(n)
+            for c in classes(enumerate_level_functions(up, down)))
 
 
 # ---------------------------------------------------------------------------

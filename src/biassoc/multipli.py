@@ -239,8 +239,6 @@ def shape_diaphragms(m: int):
     lists a parent before its children, so each vertex's mark is chosen
     once its parent's is known.  Neither painted trees nor zone pairs
     are read."""
-    if m < 1:
-        raise ValueError("need m >= 1")
     for shape in _shapes(m):
         zetas = [()] if shape == LEAF else [(ABOVE,), (AT,), (BELOW,)]
         for p, _ in shape_edges(shape):  # listed by child, in path order
@@ -318,13 +316,19 @@ def diaphragm_moves(shape, zeta):
             yield move([c for p, c in edges if p == v and zeta[c] == AT], v)
 
 
-def multiplihedron_poset(m: int):
+def diaphragm_dimension(shape, zeta) -> int:
+    """A diaphragm's face dimension: (m - 1) - #vertices off the membrane."""
+    return leaf_count(shape) - 1 - len(zeta) + zeta.count(AT)
+
+
+def multiplihedron_poset(m: int, each_face=None):
     """Face poset of the multiplihedron on the painted-tree keys of
     painted_faces, ordered by diaphragm_leq on their diaphragms.
     The relation is each diaphragm's diaphragm_moves, looked up by
     (shape, zeta); the tests compare its closure with diaphragm_leq.
     Only the keys and the (shape, zeta) index are held while it is
-    built: no tree object outlives its key.
+    built: no tree object outlives its key.  When given,
+    each_face(shape, zeta) is called once per element, in key order.
 
     Neither the elements nor the order come from zone pairs or block
     merges, so prop_d_check compares two independently built posets.
@@ -333,6 +337,8 @@ def multiplihedron_poset(m: int):
     for key, shape, zeta in painted_faces(m):
         index[shape, zeta] = len(keys)
         keys.append(key)
+        if each_face is not None:
+            each_face(shape, zeta)
     return posets.FinitePoset(
         tuple(keys),
         ((i, index[t]) for (s, z), i in index.items() for t in diaphragm_moves(s, z)),

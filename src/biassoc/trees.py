@@ -222,6 +222,8 @@ def contract_edge(t: PlanarTree, edge) -> PlanarTree:
 
 @cache
 def _shapes(m: int) -> tuple:
+    if m < 1:
+        raise ValueError("need m >= 1")
     if m == 1:
         return (LEAF,)
     return tuple(sorted(child_tuples(m, _shapes), key=shape_text))
@@ -359,6 +361,11 @@ def tree_leq(t1: PlanarTree, t2: PlanarTree) -> bool:
     return contraction_map(t1.shape, t2.shape) is not None
 
 
+def tree_dimension(shape) -> int:
+    """A tree's face dimension: m - 1 - #vertices."""
+    return leaf_count(shape) - 1 - len(leaf_intervals(shape))
+
+
 def face_poset_associahedron(m: int):
     """Face poset of the associahedron on trees with m leaves, ordered
     by edge contraction: the relation is edge_contractions.
@@ -367,8 +374,6 @@ def face_poset_associahedron(m: int):
     vertices and the corolla is the top cell.  At m = 1 it is the
     one-point poset on the leaf "*".
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
     shapes = _shapes(m)
     index = {s: i for i, s in enumerate(shapes)}
     return posets.FinitePoset(

@@ -36,6 +36,7 @@ from .trees import (
     PlanarTree,
     contracted_values,
     edge_ties,
+    leaf_count,
     shape_edges,
     shape_text,
     shape_vertices,
@@ -240,6 +241,17 @@ def zone_group(up, down, levels) -> tuple:
     classes = sorted(set(met), key=key_order)
     number = {z: k for k, z in enumerate(classes)}
     return classes, [number[z] for z in met]
+
+
+def zone_dimension(up, down, up_zones, down_zones) -> int:
+    """A zone pair's face dimension: (m+n-2) minus the number of levels
+    of pi_section, one per barrier zone and one per vertex of a plain
+    zone.  This formula has not been found stated in the paper; the
+    tests check it against the longest-chain rank of every face with
+    m + n <= 8."""
+    barriers = set(up_zones).intersection(down_zones)
+    plain = sum(z not in barriers for z in up_zones + down_zones)
+    return leaf_count(up) + leaf_count(down) - 2 - len(barriers) - plain
 
 
 def biassociahedron_poset(m: int, n: int, each_class=None):

@@ -469,6 +469,92 @@ def test_assoc_at_one_leaf_is_the_one_point_poset(capsys):
         assert (code, out) == (0, want)
 
 
+def test_fvector_at_the_smallest_split_and_below(capsys):
+    # m + n = 2 is one point in every family, level and zone tuples
+    # empty; m = 0 is a usage error with each family's own message
+    for family, split in (("perm", "-m 1"), ("biperm", "-m 1 -n 1"),
+                          ("biassoc", "-m 1 -n 1"), ("assoc", "-m 1"),
+                          ("multipl", "-m 1")):
+        assert run(capsys, "fvector", "--family", family, *split.split()) == (0, "1\n", "")
+    for family, message in (("perm", "need m + n >= 2"), ("biperm", "need m + n >= 2"),
+                            ("biassoc", "need m + n >= 2"), ("assoc", "need m >= 1"),
+                            ("multipl", "need m >= 1")):
+        code, out, err = run(capsys, "fvector", "--family", family, "-m", "0")
+        assert (code, out, err) == (2, "", "error: %s\n" % message), family
+    code, out, err = run(capsys, "fvector", "--family", "biperm", "-m", "0", "-n", "3")
+    assert (code, out, err) == (2, "", "error: need m, n >= 1\n")
+
+
+def family_splits(family, top=8):
+    """Every split of the family with m + n <= top; perm, assoc and
+    multipl have n = 1."""
+    if family in ("biperm", "biassoc"):
+        return [(m, k - m) for k in range(2, top + 1) for m in range(1, k)]
+    return [(m, 1) for m in range(1, top)]
+
+
+def fvector_mismatches(capsys, families):
+    """(family, m, n) for each split with m + n <= 8 whose streamed
+    fvector line is not the f-vector of the poset its builder makes."""
+    out = []
+    for family in families:
+        for m, n in family_splits(family):
+            code, line, _ = run(capsys, "fvector", "--family", family, "-m", str(m), "-n", str(n))
+            want = " ".join(map(str, cli.FAMILY[family][0](m, n, None).fvector())) + "\n"
+            if (code, line) != (0, want):
+                out.append((family, m, n))
+    return out
+
+
+def test_each_face_dimension_is_its_longest_chain_rank():
+    # the ranks come from the Kahn pass over each builder's moves, the
+    # dimensions from each face's own parts, in the order the builder's
+    # hook walks them: every split with m + n <= 8, assoc up to m = 8
+    for family, (build, _, dimension) in cli.FAMILY.items():
+        for m, n in family_splits(family, 9 if family == "assoc" else 8):
+            dims = []
+            p = build(m, n, lambda *face: dims.append(dimension(*face)))
+            assert p.ranks() == dims, (family, m, n)
+
+
+def test_streamed_fvector_is_the_posets(capsys):
+    assert fvector_mismatches(capsys, cli.FAMILY) == []
+
+
+def test_a_dimension_off_on_barriers_fails_both_checks(capsys, monkeypatch):
+    # a mutant zone_dimension that counts one barrier zone twice: the
+    # streamed f-vectors differ from the posets', and verify euler names
+    # the first face in key order whose rank is not its dimension
+    build, faces, dimension = cli.FAMILY["biassoc"]
+
+    def twice(up, down, up_zones, down_zones):
+        return dimension(up, down, up_zones, down_zones) - bool(set(up_zones) & set(down_zones))
+
+    monkeypatch.setitem(cli.FAMILY, "biassoc", (build, faces, twice))
+    assert ("biassoc", 2, 2) in fvector_mismatches(capsys, ["biassoc"])
+    code, out, err = run(capsys, "verify", "euler", "--family", "biassoc", "-m", "2", "-n", "2")
+    p = zones.biassociahedron_poset(2, 2)
+    key = next(k for k in p.elements if set(k.split(";")[2]) & set(k.split(";")[3]))
+    r = p.ranks()[p.index(key)]
+    assert (code, out, err) == (
+        1, "euler biassoc (2,2): FAILED: %s has rank %d but dimension %d\n" % (key, r, r - 1), "")
+
+
+def test_fvector_builds_no_poset(capsys, monkeypatch):
+    # every FinitePoset built is counted; fvector counts each face by
+    # its dimension as it walks them, and builds none
+    built = []
+    validate = FinitePoset.__post_init__
+    monkeypatch.setattr(FinitePoset, "__post_init__",
+                        lambda p, relation: built.append(len(p.elements)) or validate(p, relation))
+    for family in cli.FAMILY:
+        code, out, _ = run(capsys, "fvector", "--family", family, "-m", "3", "-n", "3")
+        assert code == 0 and out and built == [], family
+    # the count sees the poset another verb builds
+    run(capsys, "hasse", "--family", "assoc", "-m", "4")
+    assert built == [11]
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def boom(m):
         raise RuntimeError("boom")

@@ -367,6 +367,14 @@ def test_pi_section_is_the_least_linear_extension():
     assert Z.pi_section(z).down_levels == (2, 1)
 
 
+def test_zone_dimension_is_the_level_count_of_pi_section():
+    # the closed form reads the zones alone: one level per barrier zone
+    # and one per vertex of a plain zone, as pi_section lays them out
+    for m, n in splits(7):
+        for z in Z.enumerate_zone_pairs(m, n):
+            assert Z.zone_dimension(*z.parts) == m + n - 2 - Z.pi_section(z).h, z.key()
+
+
 def test_pi_section_staircase():
     x = Z.pi_section(STAIR)
     assert Z.project(x) == STAIR
