@@ -428,6 +428,28 @@ def test_encode_decode(capsys):
     assert code == 0 and out.strip() == up + ";*;1,2;"
 
 
+# `encode --gamma --decode` argv -> exit code and stdout, or the last
+# line of stderr on an error
+DECODE_EDGES = [
+    (["(12/4|3/)", "-m", "4", "-n", "2"], 0, "(* * (* *));(* *);1,2;1"),
+    (["3|2|1", "-m", "4"], 2, "error: bipartition text must be parenthesized"),
+    (["(21|3)", "-m", "4"], 2, "error: block labels must be sorted"),
+    (["(|12)", "-m", "3"], 2, "error: block empty on both sides"),
+    (["(1|1|2)", "-m", "3"], 2, "error: bipartition does not match (m, n) = (3, 1)"),
+    (["(1/2)", "-m", "2"], 2, "error: bipartition does not match (m, n) = (2, 1)"),
+    (["(1)", "-m", "3"], 2, "error: bipartition does not match (m, n) = (3, 1)"),
+    (["(bad)", "-m", "3"], 2, "error: invalid literal for int() with base 10: 'b'"),
+    (["(1/)", "-m", "2", "-n", "0"], 2, "error: need m, n >= 1"),
+    (["(3|2|1)"], 2, "error: need -m (and -n) to decode"),
+]
+
+
+def test_decode_edges(capsys):
+    for argv, want_code, want in DECODE_EDGES:
+        code, out, err = run(capsys, "encode", "--gamma", "--decode", *argv)
+        assert (code, (out if code == 0 else err).splitlines()[-1]) == (want_code, want), argv
+
+
 def test_varpi_command(capsys):
     code, out, _ = run(
         capsys, "varpi", "--up", "((* *) *)", "--down", "(* *)",
