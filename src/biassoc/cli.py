@@ -38,13 +38,6 @@ def _check_size(m, n, limit):
         )
 
 
-def _associahedron(m, n, each):
-    # the builder takes no hook: its elements are _shapes(m), in order
-    for shape in trees._shapes(m) if each else ():
-        each(shape)
-    return trees.face_poset_associahedron(m)
-
-
 # Per family: its poset builder, which calls each(*face) per element in
 # element order when each is given, looked up when called so that a
 # patched builder runs; its faces' parts from the walk of enumerate, with
@@ -55,7 +48,8 @@ _PERM = (lambda m, n, each: leveled.bipermutahedron_poset(m, n, each),
 FAMILY = {
     "perm": _PERM,
     "biperm": _PERM,
-    "assoc": (_associahedron, lambda m, n: ((s,) for s in trees._shapes(m)), trees.tree_dimension),
+    "assoc": (lambda m, n, each: trees.face_poset_associahedron(m, each),
+              lambda m, n: ((s,) for s in trees._shapes(m)), trees.tree_dimension),
     "biassoc": (lambda m, n, each: zones.biassociahedron_poset(m, n, each),
                 lambda m, n: leveled.coarsening_faces(
                     m, n, lambda levels: {zones._zone_tuples(*v) for v in levels}),
@@ -176,14 +170,13 @@ def run(argv) -> int:
             if not args.gamma:
                 raise UsageError("only --gamma encoding is available")
             if args.decode:
-                b = leveled.OrderedBipartition.from_text(args.decode)
-                if args.m is None:
+                if args.m is None:  # a label's side depends on m
                     raise UsageError("need -m (and -n) to decode")
-                x = leveled.gamma_decode(b, args.m, args.n)
-                print(x.key())
+                code = leveled.gamma_parse(args.decode, args.m, args.n)
+                print(leveled.gamma_decode(code, args.m, args.n).key())
             else:
                 x = _pair_from_args(args)
-                print(leveled.gamma_encode(x).text())
+                print(leveled.gamma_text(leveled.gap_code(*x.parts), x.m, x.n))
             return 0
 
         # the subparsers admit no other verb: this is varpi

@@ -395,69 +395,7 @@ def opet_failure(m: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# ordered-bipartition codec
-
-
-@dataclass(frozen=True)
-class OrderedBipartition:
-    """Blocks (U_j, D_j): the U_j partition the up-leaf gaps 1..m-1 and
-    the D_j partition the down-leaf gaps m..m+n-2; no block is empty on
-    both sides."""
-
-    blocks: tuple  # of (tuple of ints, tuple of ints), each sorted
-
-    def __post_init__(self):
-        for us, ds in self.blocks:
-            if not us and not ds:
-                raise ValueError("block empty on both sides")
-            if tuple(sorted(us)) != tuple(us) or tuple(sorted(ds)) != tuple(ds):
-                raise ValueError("block labels must be sorted")
-
-    def text(self) -> str:
-        has_down = any(ds for _, ds in self.blocks)
-        parts = []
-        for us, ds in self.blocks:
-            u = _labels_text(us)
-            d = _labels_text(ds)
-            parts.append("%s/%s" % (u, d) if has_down else u)
-        return "(" + "|".join(parts) + ")"
-
-    @classmethod
-    def from_text(cls, text: str) -> "OrderedBipartition":
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ValueError("bipartition text must be parenthesized")
-        inner = text[1:-1]
-        blocks = []
-        # "()" has no blocks: it is the code of the (1, 1) pair
-        for part in inner.split("|") if inner.strip() else ():
-            if "/" in part:
-                u, d = part.split("/")
-            else:
-                u, d = part, ""
-            blocks.append((_labels_parse(u), _labels_parse(d)))
-        return cls(tuple(blocks))
-
-
-def _labels_text(labels) -> str:
-    # a lone label above 9 takes a trailing comma: "11," is not 1, 1
-    if any(x > 9 for x in labels):
-        return ",".join(map(str, labels)) + ("," if len(labels) == 1 else "")
-    return "".join(map(str, labels))
-
-
-def _labels_parse(s: str) -> tuple:
-    s = s.strip()
-    if not s:
-        return ()
-    if "," in s:
-        return tuple(int(x) for x in s.removesuffix(",").split(","))
-    return tuple(int(c) for c in s)
-
-
-def tau(p: OrderedBipartition) -> OrderedBipartition:
-    """Reverse the block order."""
-    return OrderedBipartition(tuple(reversed(p.blocks)))
+# the gap code and its text, the paper's gamma
 
 
 @cache
@@ -487,40 +425,74 @@ def gap_code(up, down, up_levels, down_levels) -> tuple:
     return tuple(code)
 
 
-def gamma_encode(x: ComplementaryPair) -> OrderedBipartition:
-    """Encode a pair as an ordered bipartition of leaf gaps by level:
-    gap_code with each block split into its U and D labels."""
-    ugaps, dgaps = range(1, x.m), range(x.m, x.m + x.n - 1)
-    return OrderedBipartition(
-        tuple(
-            tuple(tuple(i for i in gaps if b >> (i - 1) & 1) for gaps in (ugaps, dgaps))
-            for b in gap_code(*x.parts)
-        )
+def tau(code) -> tuple:
+    """Reverse the block order."""
+    return code[::-1]
+
+
+def gamma_text(code, m: int, n: int) -> str:
+    """The paper's text of the gap code of an (m, n) pair: per block its
+    up labels, then, when n > 1, "/" and its down labels: "(12/4|3/)"."""
+    sides = (range(1, m), range(m, m + n - 1))[: 1 + (n > 1)]
+    return "(%s)" % "|".join(
+        "/".join(_labels_text([i for i in side if b >> (i - 1) & 1]) for side in sides)
+        for b in code
     )
 
 
-def gamma_decode(b: OrderedBipartition, m: int, n: int) -> ComplementaryPair:
-    """Inverse of gamma_encode."""
+def _labels_text(labels) -> str:
+    # a lone label above 9 takes a trailing comma: "11," is not 1, 1
+    if any(x > 9 for x in labels):
+        return ",".join(map(str, labels)) + ("," if len(labels) == 1 else "")
+    return "".join(map(str, labels))
+
+
+def gamma_parse(text: str, m: int, n: int) -> tuple:
+    """The gap code of an (m, n) pair from its gamma_text.  Each block's
+    labels are sorted and not all empty, a block with no "/" holds up
+    labels only, and the up labels are 1..m-1 and the down labels
+    m..m+n-2, each once."""
+    text = text.strip()
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ValueError("bipartition text must be parenthesized")
+    inner = text[1:-1]
+    blocks = []
+    # "()" has no blocks: it is the code of the (1, 1) pair
+    for part in inner.split("|") if inner.strip() else ():
+        u, d = part.split("/") if "/" in part else (part, "")
+        blocks.append((_labels_parse(u), _labels_parse(d)))
+    for us, ds in blocks:
+        if not us and not ds:
+            raise ValueError("block empty on both sides")
+        if sorted(us) != us or sorted(ds) != ds:
+            raise ValueError("block labels must be sorted")
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    useen, dseen = [], []
-    for us, ds in b.blocks:
-        useen.extend(us)
-        dseen.extend(ds)
-    if sorted(useen) != list(range(1, m)) or sorted(dseen) != list(
-        range(m, m + n - 1)
-    ):
-        raise ValueError("bipartition does not match (m, n) = (%d, %d)" % (m, n))
-    # the depth of each gap, indexed from 0 in each tree: a vertex lies
-    # deeper than its parent, so a U gap's depth is its level and a D
-    # gap's is minus its level
-    udepth, ddepth = [0] * (m - 1), [0] * (n - 1)
-    for j, (us, ds) in enumerate(b.blocks, start=1):
-        for i in us:
-            udepth[i - 1] = j
-        for i in ds:
-            ddepth[i - m] = -j
-    up, down, *levels = _pair_from_intervals(_gap_intervals(udepth), _gap_intervals(ddepth))
+    for side, labels in enumerate((range(1, m), range(m, m + n - 1))):
+        if sorted(chain.from_iterable(b[side] for b in blocks)) != list(labels):
+            raise ValueError("bipartition does not match (m, n) = (%d, %d)" % (m, n))
+    return tuple(sum(1 << (i - 1) for i in us + ds) for us, ds in blocks)
+
+
+def _labels_parse(s: str) -> list:
+    s = s.strip()
+    if "," in s:
+        return [int(x) for x in s.removesuffix(",").split(",")]
+    return [int(c) for c in s]
+
+
+def gamma_decode(code, m: int, n: int) -> ComplementaryPair:
+    """The validated (m, n) pair whose gap code is `code`, as gap_code or
+    gamma_parse return it: the checks on the labels are gamma_parse's."""
+    # the depth of each gap, from 0: a vertex lies deeper than its
+    # parent, so a U gap's depth is its level and a D gap's is minus it
+    depths = [0] * (m + n - 2)
+    for j, b in enumerate(code, start=1):
+        for i in range(m + n - 2):
+            if b >> i & 1:
+                depths[i] = j if i < m - 1 else -j
+    up, down, *levels = _pair_from_intervals(
+        _gap_intervals(depths[: m - 1]), _gap_intervals(depths[m - 1 :]))
     return ComplementaryPair(PlanarTree("up", up), PlanarTree("down", down), *levels)
 
 

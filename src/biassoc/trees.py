@@ -366,15 +366,18 @@ def tree_dimension(shape) -> int:
     return leaf_count(shape) - 1 - len(leaf_intervals(shape))
 
 
-def face_poset_associahedron(m: int):
+def face_poset_associahedron(m: int, each=None):
     """Face poset of the associahedron on trees with m leaves, ordered
     by edge contraction: the relation is edge_contractions.
 
     Graded with dim(t) = m - 1 - #vertices; binary trees are the
     vertices and the corolla is the top cell.  At m = 1 it is the
-    one-point poset on the leaf "*".
+    one-point poset on the leaf "*".  When given, each(shape) is called
+    once per element, in element order.
     """
     shapes = _shapes(m)
+    for s in shapes if each else ():
+        each(s)
     index = {s: i for i, s in enumerate(shapes)}
     return posets.FinitePoset(
         tuple(map(shape_text, shapes)),

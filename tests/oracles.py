@@ -121,15 +121,47 @@ def block_merges(blocks):
     return out
 
 
+def leaf_paths(shape, path=()) -> list:
+    """The path of child indices from the root to each leaf, left to right."""
+    if shape == LEAF:
+        return [path]
+    return [q for i, c in enumerate(shape) for q in leaf_paths(c, path + (i,))]
+
+
+def meet(a, b) -> tuple:
+    """The longest common prefix of two distinct leaf paths: the path of
+    the vertex where the two leaves' branches meet."""
+    k = 0
+    while a[k] == b[k]:
+        k += 1
+    return a[:k]
+
+
+def gap_blocks(x: ComplementaryPair) -> tuple:
+    """Per level 1..h of the pair x, (up labels, down labels) merging
+    there, from the meets of leaf paths: up gap i (1..m-1) lies between
+    up leaves i and i+1 and merges at the level of their meet; down gap
+    m - 1 + i likewise between down leaves i and i+1."""
+    blocks = [([], []) for _ in range(x.h)]
+    label = 1
+    for side, (tree, levels) in enumerate(((x.up, x.up_levels), (x.down, x.down_levels))):
+        level = dict(zip(tree.vertices(), levels))
+        paths = leaf_paths(tree.shape)
+        for a, b in zip(paths, paths[1:]):
+            blocks[level[meet(a, b)] - 1][side].append(label)
+            label += 1
+    return tuple((tuple(us), tuple(ds)) for us, ds in blocks)
+
+
 def block_merge_up_sets(m, n, label):
     """(sorted labels, up-sets): the image under `label` of the whole
     block-merge order on the (m, n) pairs, merging the label tuples of
-    gamma_encode: the reference for the library's integer gap codes."""
+    gap_blocks: the reference for the library's integer gap codes."""
     pairs = L.enumerate_leveled_pairs(m, n)
     labels = [label(x) for x in pairs]
     keys = tuple(sorted(set(labels)))
     index = {k: i for i, k in enumerate(keys)}
-    blocks = [L.gamma_encode(x).blocks for x in pairs]
+    blocks = [gap_blocks(x) for x in pairs]
     image = {b: index[lab] for b, lab in zip(blocks, labels)}
     up = [set() for _ in keys]
     for b in blocks:

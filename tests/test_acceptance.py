@@ -15,7 +15,8 @@ from biassoc import (
     enumerate_leveled_pairs,
     face_poset_associahedron,
     gamma_decode,
-    gamma_encode,
+    gamma_text,
+    gap_code,
 )
 from biassoc import propterms as P
 from biassoc import leveled, multipli, posets
@@ -143,11 +144,11 @@ def test_criterion_09_codec():
         (1, 3, 4, 2, 4),
         (),
     )
-    enc = gamma_encode(fig)
-    ok = enc.text() == "(4|57|12|36)"
-    ok = ok and leveled.tau(enc).text() == "(36|12|57|4)"
+    enc = gap_code(*fig.parts)
+    ok = gamma_text(enc, 8, 1) == "(4|57|12|36)"
+    ok = ok and gamma_text(leveled.tau(enc), 8, 1) == "(36|12|57|4)"
     ok = ok and all(
-        gamma_decode(gamma_encode(x), 2, 3) == x
+        gamma_decode(gap_code(*x.parts), 2, 3) == x
         for x in enumerate_leveled_pairs(2, 3)
     )
     report(9, "gap codec golden values and round trip", ok, t0)

@@ -364,7 +364,13 @@ def test_verify_euler_on_a_non_graded_poset_names_a_cover(capsys, monkeypatch):
     # a <= b <= c and d <= c: the cover d < c raises the rank by 2, so
     # the poset has no Euler sum; that is a verdict, not a usage error
     ungraded = FinitePoset(("a", "b", "c", "d"), [(0, 1), (1, 2), (3, 2)])
-    monkeypatch.setattr(trees, "face_poset_associahedron", lambda m: ungraded)
+
+    def stand_in(m, each=None):
+        for _ in ungraded.elements if each else ():
+            each(trees.LEAF)  # any shape: the grading check fails first
+        return ungraded
+
+    monkeypatch.setattr(trees, "face_poset_associahedron", stand_in)
     code, out, err = run(capsys, "verify", "euler", "--family", "assoc", "-m", "3")
     assert (code, out, err) == (
         1, "euler assoc (3,1): FAILED: d < c is a cover but raises the rank by 2\n", ""

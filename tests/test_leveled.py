@@ -5,13 +5,26 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from biassoc import leveled as L
-from biassoc.leveled import ComplementaryPair, OrderedBipartition
+from biassoc.leveled import ComplementaryPair
 from biassoc.trees import PlanarTree, enumerate_trees
-from oracles import bipermutahedron_up_sets, closure, enumerate_level_functions, parts
+from oracles import (
+    bipermutahedron_up_sets,
+    closure,
+    enumerate_level_functions,
+    gap_blocks,
+    leaf_paths,
+    meet,
+    parts,
+)
 
 
 def gap_code(x):
     return L.gap_code(*parts(x))
+
+
+def decode(text, m, n):
+    """The validated (m, n) pair of a gamma text."""
+    return L.gamma_decode(L.gamma_parse(text, m, n), m, n)
 
 
 def stepped(x):
@@ -59,8 +72,12 @@ def merge_coarsenings(blocks):
     return out
 
 
-def ublocks(b: OrderedBipartition):
-    return tuple(us for us, _ in b.blocks)
+def label_blocks(x):
+    """The gap code of x as label tuples, label i for bit i - 1."""
+    return tuple(
+        tuple(i for i in range(1, b.bit_length() + 1) if b >> (i - 1) & 1)
+        for b in gap_code(x)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +90,7 @@ def test_fubini_counts_against_partition_oracle():
         pairs = L.enumerate_leveled_pairs(m, 1)
         oracle = set(ordered_partitions(range(1, m)))
         assert len(pairs) == len(oracle)
-        encoded = {ublocks(L.gamma_encode(x)) for x in pairs}
+        encoded = {label_blocks(x) for x in pairs}
         assert encoded == oracle
 
 
@@ -161,7 +178,7 @@ def test_key_and_json_roundtrip():
 def test_pair_leq_matches_block_merge_oracle():
     for m in range(2, 6):
         pairs = L.enumerate_leveled_pairs(m, 1)
-        enc = {x.key(): ublocks(L.gamma_encode(x)) for x in pairs}
+        enc = {x.key(): label_blocks(x) for x in pairs}
         coars = {k: merge_coarsenings(b) for k, b in enc.items()}
         for x1 in pairs:
             for x2 in pairs:
@@ -182,9 +199,9 @@ def test_bipermutahedron_order_is_pair_leq():
 
 
 def test_pair_leq_golden():
-    lo = L.gamma_decode(OrderedBipartition.from_text("(3|2|1)"), 4, 1)
-    hi = L.gamma_decode(OrderedBipartition.from_text("(3|12)"), 4, 1)
-    other = L.gamma_decode(OrderedBipartition.from_text("(2|3|1)"), 4, 1)
+    lo = decode("(3|2|1)", 4, 1)
+    hi = decode("(3|12)", 4, 1)
+    other = decode("(2|3|1)", 4, 1)
     assert L.pair_leq(lo, hi)
     assert not L.pair_leq(hi, lo)
     assert not L.pair_leq(other, hi)
@@ -228,17 +245,13 @@ def test_opet_step_preserves_height_and_sizes():
 
 def test_opet_step_moves_gap_m_to_the_up_side():
     # in the gap code the leaf shift relabels nothing: down gap m, the one
-    # between the first two down leaves, becomes the last up gap
+    # between the first two down leaves, becomes the last up gap, so
+    # decoding x's code as an (m + 1, n - 1) code gives the step
     count = 0
     for s in range(3, 8):
         for m in range(1, s - 1):
             for x in L.enumerate_leveled_pairs(m, s - m):
-                blocks = tuple(
-                    (us + (m,), ds[1:]) if ds[:1] == (m,) else (us, ds)
-                    for us, ds in L.gamma_encode(x).blocks
-                )
-                shifted = L.gamma_decode(OrderedBipartition(blocks), m + 1, s - m - 1)
-                assert shifted == stepped(x)
+                assert L.gamma_decode(gap_code(x), m + 1, s - m - 1) == stepped(x)
                 count += 1
     assert count == 3051
 
@@ -280,7 +293,7 @@ def test_opet_iso_rejects_broken_steps(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# ordered-bipartition codec
+# the gap code and its text
 
 
 FIG_PAIR = ComplementaryPair(
@@ -292,10 +305,10 @@ FIG_PAIR = ComplementaryPair(
 
 
 def test_gamma_golden():
-    b = L.gamma_encode(FIG_PAIR)
-    assert b.text() == "(4|57|12|36)"
-    assert L.tau(b).text() == "(36|12|57|4)"
-    assert L.gamma_decode(b, 8, 1) == FIG_PAIR
+    code = gap_code(FIG_PAIR)
+    assert L.gamma_text(code, 8, 1) == "(4|57|12|36)"
+    assert L.gamma_text(L.tau(code), 8, 1) == "(36|12|57|4)"
+    assert L.gamma_decode(code, 8, 1) == FIG_PAIR
 
 
 def test_gamma_roundtrip_exhaustive():
@@ -304,7 +317,7 @@ def test_gamma_roundtrip_exhaustive():
         for m in range(1, total):
             n = total - m
             for x in L.enumerate_leveled_pairs(m, n):
-                assert L.gamma_decode(L.gamma_encode(x), m, n) == x
+                assert L.gamma_decode(gap_code(x), m, n) == x
                 count += 1
     assert count == 3685
 
@@ -312,7 +325,7 @@ def test_gamma_roundtrip_exhaustive():
 def test_gap_codes_are_one_int_per_block():
     # every pair with m + n <= 7: one mask per level, the masks together
     # hold every gap bit, no two pairs share a code, and bit i - 1 of a
-    # block is gap label i of gamma_encode's block
+    # block is gap label i of the block that the leaf-path meets give
     for total in range(2, 8):
         for m in range(1, total):
             pairs = L.enumerate_leveled_pairs(m, total - m)
@@ -332,7 +345,7 @@ def test_gap_codes_are_one_int_per_block():
                     )
                     for b in code
                 )
-                assert blocks == L.gamma_encode(x).blocks, x.key()
+                assert blocks == gap_blocks(x), x.key()
             assert len(codes) == len(pairs)
 
 
@@ -340,26 +353,16 @@ def test_gamma_text_roundtrip_exhaustive():
     # the (1, 1) pair has no gaps, so its code "()" has no blocks
     for total in range(2, 8):
         for m in range(1, total):
-            for x in L.enumerate_leveled_pairs(m, total - m):
-                b = L.gamma_encode(x)
-                assert OrderedBipartition.from_text(b.text()) == b
-    assert OrderedBipartition.from_text("()").blocks == ()
+            n = total - m
+            for x in L.enumerate_leveled_pairs(m, n):
+                code = gap_code(x)
+                assert L.gamma_parse(L.gamma_text(code, m, n), m, n) == code
+    assert L.gamma_parse("()", 1, 1) == ()
 
 
 def test_gap_vertices_are_leaf_meets():
     # the cached per-shape gap vertices against the meet of the paths of
-    # leaves i and i+1, computed here from the shape
-    def leaf_paths(shape, path=()):
-        if shape == "*":
-            return [path]
-        return [q for i, c in enumerate(shape) for q in leaf_paths(c, path + (i,))]
-
-    def meet(a, b):
-        k = 0
-        while a[k] == b[k]:
-            k += 1
-        return a[:k]
-
+    # leaves i and i+1, computed in the tests from the shape
     for m in range(1, 7):
         for t in enumerate_trees(m):
             paths = leaf_paths(t.shape)
@@ -370,26 +373,30 @@ def test_gap_vertices_are_leaf_meets():
 
 
 def test_gamma_decode_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        L.gamma_decode(OrderedBipartition.from_text("(3|2|1)"), 5, 1)
+    with pytest.raises(ValueError, match="does not match"):
+        decode("(3|2|1)", 5, 1)
+    # a label on the wrong side of "/" is no label of that side
+    with pytest.raises(ValueError, match="does not match"):
+        decode("(1/|/2)", 3, 1)
     # (/0) matches (m, n) = (0, 2) gap for gap, and (1/) matches (2, 0)
     with pytest.raises(ValueError, match="need m, n >= 1"):
-        L.gamma_decode(OrderedBipartition.from_text("(/0)"), 0, 2)
+        decode("(/0)", 0, 2)
     with pytest.raises(ValueError, match="need m, n >= 1"):
-        L.gamma_decode(OrderedBipartition.from_text("(1/)"), 2, 0)
+        decode("(1/)", 2, 0)
 
 
 def test_bipartition_text_forms():
-    two_sided = OrderedBipartition((((1, 2), (4,)), ((3,), ())))
-    assert two_sided.text() == "(12/4|3/)"
-    assert OrderedBipartition.from_text("(12/4|3/)") == two_sided
-    wide = OrderedBipartition((((10, 11), ()),))
-    assert wide.text() == "(10,11)"
-    assert OrderedBipartition.from_text("(10,11)") == wide
-    with pytest.raises(ValueError):
-        OrderedBipartition((((), ()),))
-    with pytest.raises(ValueError):
-        OrderedBipartition((((2, 1), ()),))
+    # blocks ((1, 2), (4,)) and ((3,), ()) of a (4, 2) pair
+    two_sided = (0b1011, 0b100)
+    assert L.gamma_text(two_sided, 4, 2) == "(12/4|3/)"
+    assert L.gamma_parse("(12/4|3/)", 4, 2) == two_sided
+    wide = (0b111111111, 0b11 << 9)  # (1..9 | 10, 11) of a (12, 1) pair
+    assert L.gamma_text(wide, 12, 1) == "(123456789|10,11)"
+    assert L.gamma_parse("(123456789|10,11)", 12, 1) == wide
+    with pytest.raises(ValueError, match="block empty on both sides"):
+        L.gamma_parse("(/|12)", 3, 1)
+    with pytest.raises(ValueError, match="block labels must be sorted"):
+        L.gamma_parse("(21)", 3, 1)
 
 
 @given(st.permutations(range(1, 14)), st.sets(st.integers(1, 12)), st.integers(1, 14))
@@ -398,22 +405,17 @@ def test_bipartition_text_forms():
 @example(list(range(1, 12)) + [12, 13], {9, 10}, 14)  # (123456789|10,|11,12,13)
 def test_bipartition_text_roundtrip(perm, cuts, split):
     # an ordered partition of 1..13: blocks end at the cut positions, and
-    # labels >= split sit on the down side
+    # labels >= split sit on the down side, the gaps of an (m, n) pair
+    # with m = split and m + n - 2 = 13
     bounds = [0, *sorted(cuts), 13]
-    blocks = []
-    for a, b in zip(bounds, bounds[1:]):
-        labels = sorted(perm[a:b])
-        blocks.append((
-            tuple(x for x in labels if x < split),
-            tuple(x for x in labels if x >= split),
-        ))
-    b = OrderedBipartition(tuple(blocks))
-    assert OrderedBipartition.from_text(b.text()) == b
+    code = tuple(sum(1 << (i - 1) for i in perm[a:b]) for a, b in zip(bounds, bounds[1:]))
+    m, n = split, 15 - split
+    assert L.gamma_parse(L.gamma_text(code, m, n), m, n) == code
 
 
 @given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 10**6))
 def test_tau_is_an_involution(m, n, pick):
     pairs = L.enumerate_leveled_pairs(m, n)
-    b = L.gamma_encode(pairs[pick % len(pairs)])
-    assert L.tau(L.tau(b)) == b
-    assert OrderedBipartition.from_text(b.text()) == b
+    code = gap_code(pairs[pick % len(pairs)])
+    assert L.tau(L.tau(code)) == code
+    assert L.gamma_parse(L.gamma_text(code, m, n), m, n) == code
