@@ -84,13 +84,8 @@ def _blocks(family, m, n, fmt):
 def _pair_from_args(args) -> leveled.ComplementaryPair:
     if not args.up or args.up_levels is None:
         raise UsageError("need --up and --up-levels")
-    up = trees.PlanarTree.from_text(args.up, "up")
-    down = trees.PlanarTree.from_text(args.down or "*", "down")
-    ul = tuple(int(v) for v in args.up_levels.split(",") if v)
-    dl = tuple(
-        int(v) for v in (args.down_levels or "").split(",") if v
-    )
-    return leveled.ComplementaryPair(up, down, ul, dl)
+    return leveled.ComplementaryPair.from_key(
+        ";".join((args.up, args.down or "*", args.up_levels, args.down_levels or "")))
 
 
 def run(argv) -> int:
@@ -115,18 +110,12 @@ def run(argv) -> int:
     p = add("verify")
     p.add_argument("check", choices=("opet", "thmc", "propd", "euler"))
     p.add_argument("--family", choices=FAMILY, default="biperm")
-    p = add("encode")
-    p.add_argument("--gamma", action="store_true")
-    p.add_argument("--up")
-    p.add_argument("--down")
-    p.add_argument("--up-levels")
-    p.add_argument("--down-levels")
-    p.add_argument("--decode")
-    p = add("varpi")
-    p.add_argument("--up")
-    p.add_argument("--down")
-    p.add_argument("--up-levels")
-    p.add_argument("--down-levels")
+    encode, varpi = add("encode"), add("varpi")
+    encode.add_argument("--gamma", action="store_true")
+    for p in (encode, varpi):  # the pair options
+        for option in ("--up", "--down", "--up-levels", "--down-levels"):
+            p.add_argument(option)
+    encode.add_argument("--decode")
 
     try:
         args = parser.parse_args(argv)
@@ -193,40 +182,28 @@ def run(argv) -> int:
 
 
 def _verify(args) -> int:
+    """Run one check and print its one verdict line, "FAILED: " and the
+    first fault when there is one; an Euler sum other than 1 exits 1."""
     m, n = args.m, args.n
+    head = "%s (%d,%d)" % (args.check, m, n)
     if args.check == "opet":
-        failure = leveled.opet_failure(m, n)
-        verdict = "isomorphism verified" if failure is None else "FAILED: " + failure
-        print("opet (%d,%d): %s" % (m, n, verdict))
-        return 0 if failure is None else 1
-    if args.check == "thmc":
-        classes, witness = propterms.theorem_c_witness(m, n)
-        if witness is None:
-            print("thmc (%d,%d): %d classes, kernels agree" % (m, n, classes))
-            return 0
-        k1, k2, shared = witness
-        other = "zones" if shared == "term" else "terms"
-        print(
-            "thmc (%d,%d): FAILED: %s and %s have equal %ss but different %s"
-            % (m, n, k1, k2, shared, other)
-        )
-        return 1
-    if args.check == "propd":
-        failure = multipli.prop_d_map(m)[1]
-        verdict = "posets isomorphic" if failure is None else "FAILED: " + failure
-        print("propd m=%d: %s" % (m, verdict))
-        return 0 if failure is None else 1
-    # the choices admit no other check: this is euler.  Face posets are
-    # graded by their faces' dimensions: a bad cover or rank is a verdict
-    build, _, dimension = FAMILY[args.family]
-    dims = []
-    p = build(m, n, lambda *face: dims.append(dimension(*face)))
-    failure = p.grading_failure() or next((
-        "%s has rank %d but dimension %d" % (key, r, d)
-        for key, r, d in zip(p.elements, p.ranks(), dims, strict=True) if r != d), None)
-    verdict = "FAILED: " + failure if failure else p.euler()
-    print("euler %s (%d,%d): %s" % (args.family, m, n, verdict))
-    return 0 if verdict == 1 else 1
+        failure, verdict = leveled.opet_failure(m, n), "isomorphism verified"
+    elif args.check == "thmc":
+        classes, failure = propterms.theorem_c_witness(m, n)
+        verdict = "%d classes, kernels agree" % classes
+    elif args.check == "propd":
+        head, failure, verdict = "propd m=%d" % m, multipli.prop_d_map(m)[1], "posets isomorphic"
+    else:  # the choices admit no other check: this is euler.  Face posets
+        # are graded by their faces' dimensions: a bad cover or rank is a verdict
+        build, _, dimension = FAMILY[args.family]
+        dims = []
+        p = build(m, n, lambda *face: dims.append(dimension(*face)))
+        failure = p.grading_failure() or next((
+            "%s has rank %d but dimension %d" % (key, r, d)
+            for key, r, d in zip(p.elements, p.ranks(), dims, strict=True) if r != d), None)
+        head, verdict = "euler %s (%d,%d)" % (args.family, m, n), failure or p.euler()
+    print("%s: %s" % (head, verdict if failure is None else "FAILED: " + failure))
+    return 0 if failure is None and (args.check != "euler" or verdict == 1) else 1
 
 
 def main() -> None:

@@ -15,8 +15,8 @@ one builder of its face poset, and it keeps no cache.
 Every walk carries a pair as its parts (up shape, down shape, up
 levels, down levels): pair_key and pair_json write its key and JSON
 text, and opet_step maps parts to parts.  A ComplementaryPair is built
-only from outside input (from_key, from_json, gamma_decode, the CLI's
-pair options) and in the tests' reference enumerate_leveled_pairs.
+only from outside input (from_key, which reads the CLI's pair options,
+from_json, gamma_decode) and in the tests' enumerate_leveled_pairs.
 """
 
 from __future__ import annotations
@@ -40,30 +40,11 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ComplementaryPair:
-    """(U, D, level function); levels stored per tree in vertex path order."""
+class TreePair:
+    """What ComplementaryPair and ZonePair share: an up tree and a down
+    tree with a level or zone per vertex, leaf counts, key and check."""
 
-    up: PlanarTree
-    down: PlanarTree
-    up_levels: tuple
-    down_levels: tuple
-
-    def __post_init__(self):
-        if self.up.orientation != "up" or self.down.orientation != "down":
-            raise ValueError("pair needs an up tree and a down tree")
-        ul, dl = self.up_levels, self.down_levels
-        if len(ul) != len(self.up.vertices()) or len(dl) != len(self.down.vertices()):
-            raise ValueError("level tuple length mismatch")
-        levels = set(ul) | set(dl)
-        h = max(levels, default=0)
-        if levels != set(range(1, h + 1)):
-            raise ValueError("levels must be exactly 1..h with no gaps")
-        # levels are strict: no edge may go the wrong way or tie
-        if edge_ties(shape_edges(self.up.shape), ul, True) != ():
-            raise ValueError("up-tree levels must increase away from root")
-        if edge_ties(shape_edges(self.down.shape), dl, False) != ():
-            raise ValueError("down-tree levels must decrease away from root")
+    __slots__ = ()
 
     @property
     def m(self) -> int:
@@ -72,6 +53,40 @@ class ComplementaryPair:
     @property
     def n(self) -> int:
         return self.down.leaves
+
+    def key(self) -> str:
+        return pair_key(*self.parts)
+
+    def check_values(self, name, top) -> None:
+        """An up tree and a down tree, one value per vertex, and values
+        exactly the ints 1..max: a bool or a float is no value."""
+        a, b = self.parts[2:]
+        if self.up.orientation != "up" or self.down.orientation != "down":
+            raise ValueError("pair needs an up tree and a down tree")
+        if len(a) != len(self.up.vertices()) or len(b) != len(self.down.vertices()):
+            raise ValueError("%s tuple length mismatch" % name)
+        values = (*a, *b)
+        if (any(type(v) is not int for v in values)
+                or set(values) != set(range(1, max(values, default=0) + 1))):
+            raise ValueError("%ss must be exactly 1..%s with no gaps" % (name, top))
+
+
+@dataclass(frozen=True, slots=True)
+class ComplementaryPair(TreePair):
+    """(U, D, level function); levels stored per tree in vertex path order."""
+
+    up: PlanarTree
+    down: PlanarTree
+    up_levels: tuple
+    down_levels: tuple
+
+    def __post_init__(self):
+        self.check_values("level", "h")
+        # levels are strict: no edge may go the wrong way or tie
+        if edge_ties(shape_edges(self.up.shape), self.up_levels, True) != ():
+            raise ValueError("up-tree levels must increase away from root")
+        if edge_ties(shape_edges(self.down.shape), self.down_levels, False) != ():
+            raise ValueError("down-tree levels must decrease away from root")
 
     @property
     def h(self) -> int:
@@ -82,18 +97,10 @@ class ComplementaryPair:
         """The pair as the walks carry it: (up, down, up_levels, down_levels)."""
         return self.up.shape, self.down.shape, self.up_levels, self.down_levels
 
-    def key(self) -> str:
-        return pair_key(*self.parts)
-
     @classmethod
     def from_key(cls, key: str) -> "ComplementaryPair":
         ut, dt, ul, dl = key.split(";")
-        return cls(
-            PlanarTree.from_text(ut, "up"),
-            PlanarTree.from_text(dt, "down"),
-            tuple(int(x) for x in ul.split(",") if x),
-            tuple(int(x) for x in dl.split(",") if x),
-        )
+        return cls._from_texts(ut, dt, *((int(x) for x in s.split(",") if x) for s in (ul, dl)))
 
     def to_json(self) -> str:
         return pair_json(*self.parts)
@@ -101,12 +108,13 @@ class ComplementaryPair:
     @classmethod
     def from_json(cls, data: str) -> "ComplementaryPair":
         obj = json.loads(data)
-        return cls(
-            PlanarTree.from_text(obj["up"], "up"),
-            PlanarTree.from_text(obj["down"], "down"),
-            tuple(obj["up_levels"]),
-            tuple(obj["down_levels"]),
-        )
+        return cls._from_texts(obj["up"], obj["down"], obj["up_levels"], obj["down_levels"])
+
+    @classmethod
+    def _from_texts(cls, up: str, down: str, up_levels, down_levels) -> "ComplementaryPair":
+        """The pair of two tree texts and their levels, read in that order."""
+        return cls(PlanarTree.from_text(up, "up"), PlanarTree.from_text(down, "down"),
+                   tuple(up_levels), tuple(down_levels))
 
 
 @cache
@@ -430,10 +438,32 @@ def tau(code) -> tuple:
     return code[::-1]
 
 
+def _label_sides(m: int, n: int) -> tuple:
+    """The gap labels of an (m, n) pair: up 1..m-1, then down m..m+n-2."""
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
+    return range(1, m), range(m, m + n - 1)
+
+
+def check_code(code, m: int, n: int) -> tuple:
+    """code, when it is the gap code of an (m, n) pair: no block is
+    empty, and the blocks hold the bit of each label 1..m+n-2 once (they
+    share no bit iff their OR is their sum)."""
+    full = sum(1 << (i - 1) for side in _label_sides(m, n) for i in side)
+    union = total = 0
+    for b in code:
+        if not b:
+            raise ValueError("block empty on both sides")
+        union, total = union | b, total + b
+    if union != full or total != full:
+        raise ValueError("bipartition does not match (m, n) = (%d, %d)" % (m, n))
+    return code
+
+
 def gamma_text(code, m: int, n: int) -> str:
     """The paper's text of the gap code of an (m, n) pair: per block its
     up labels, then, when n > 1, "/" and its down labels: "(12/4|3/)"."""
-    sides = (range(1, m), range(m, m + n - 1))[: 1 + (n > 1)]
+    sides = _label_sides(m, n)[: 1 + (n > 1)]
     return "(%s)" % "|".join(
         "/".join(_labels_text([i for i in side if b >> (i - 1) & 1]) for side in sides)
         for b in code
@@ -448,10 +478,9 @@ def _labels_text(labels) -> str:
 
 
 def gamma_parse(text: str, m: int, n: int) -> tuple:
-    """The gap code of an (m, n) pair from its gamma_text.  Each block's
-    labels are sorted and not all empty, a block with no "/" holds up
-    labels only, and the up labels are 1..m-1 and the down labels
-    m..m+n-2, each once."""
+    """The gap code of an (m, n) pair from its gamma_text, which is
+    parenthesized, with each block's labels sorted, on their side of "/"
+    (up labels only in a block with none) and once; then check_code."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError("bipartition text must be parenthesized")
@@ -461,17 +490,14 @@ def gamma_parse(text: str, m: int, n: int) -> tuple:
     for part in inner.split("|") if inner.strip() else ():
         u, d = part.split("/") if "/" in part else (part, "")
         blocks.append((_labels_parse(u), _labels_parse(d)))
-    for us, ds in blocks:
-        if not us and not ds:
-            raise ValueError("block empty on both sides")
-        if sorted(us) != us or sorted(ds) != ds:
-            raise ValueError("block labels must be sorted")
-    if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1")
-    for side, labels in enumerate((range(1, m), range(m, m + n - 1))):
-        if sorted(chain.from_iterable(b[side] for b in blocks)) != list(labels):
-            raise ValueError("bipartition does not match (m, n) = (%d, %d)" % (m, n))
-    return tuple(sum(1 << (i - 1) for i in us + ds) for us, ds in blocks)
+    if any(sorted(labels) != labels for block in blocks for labels in block):
+        raise ValueError("block labels must be sorted")
+    sides = _label_sides(m, n)
+    # sorted labels are each once and on their side iff the side lists them
+    if any(labels != [i for i in side if i in labels]
+           for block in blocks for side, labels in zip(sides, block)):
+        raise ValueError("bipartition does not match (m, n) = (%d, %d)" % (m, n))
+    return check_code(tuple(sum(1 << (i - 1) for i in us + ds) for us, ds in blocks), m, n)
 
 
 def _labels_parse(s: str) -> list:
@@ -483,11 +509,11 @@ def _labels_parse(s: str) -> list:
 
 def gamma_decode(code, m: int, n: int) -> ComplementaryPair:
     """The validated (m, n) pair whose gap code is `code`, as gap_code or
-    gamma_parse return it: the checks on the labels are gamma_parse's."""
+    gamma_parse return it, once check_code accepts it."""
     # the depth of each gap, from 0: a vertex lies deeper than its
     # parent, so a U gap's depth is its level and a D gap's is minus it
     depths = [0] * (m + n - 2)
-    for j, b in enumerate(code, start=1):
+    for j, b in enumerate(check_code(code, m, n), start=1):
         for i in range(m + n - 2):
             if b >> i & 1:
                 depths[i] = j if i < m - 1 else -j

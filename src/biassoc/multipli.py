@@ -39,6 +39,7 @@ from .trees import (
     edge_ties,
     leaf_count,
     shape_edges,
+    shape_from_text,
     shape_prefix,
     shape_text,
     shape_vertices,
@@ -64,7 +65,7 @@ class DiaphragmTree:
         verts = self.tree.vertices()
         if len(self.zeta) != len(verts):
             raise ValueError("zeta length mismatch")
-        if any(v not in (ABOVE, AT, BELOW) for v in self.zeta):
+        if any(type(v) is not int or v not in (ABOVE, AT, BELOW) for v in self.zeta):
             raise ValueError("bad zeta value")
         ties = edge_ties(shape_edges(self.tree.shape), self.zeta, True)
         if ties is None:
@@ -143,11 +144,7 @@ class PaintedTree:
 
     @classmethod
     def from_text(cls, text: str) -> "PaintedTree":
-        text = "".join(text.split())  # whitespace only separates tokens
-        shape, pos = _painted_parse(text, 0)
-        if pos != len(text):
-            raise ValueError("trailing garbage in painted tree text")
-        return cls(shape)
+        return cls(shape_from_text(text, _painted_parse, "painted tree"))
 
     def key(self) -> str:
         return self.text()
@@ -260,8 +257,6 @@ def enumerate_painted(m: int) -> tuple:
     vertex-type rules (independent of the zone enumeration).  Production
     builds the faces from shape_diaphragms; this is the reference the
     tests compare them with."""
-    if m < 1:
-        raise ValueError("need m >= 1")
     return tuple(sorted(map(PaintedTree, _black_parts(m)), key=PaintedTree.text))
 
 

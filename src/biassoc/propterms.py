@@ -661,13 +661,12 @@ def theorem_c_check(m: int, n: int) -> bool:
 
 
 def theorem_c_witness(m: int, n: int) -> tuple:
-    """(classes, witness) for the (m, n) pairs, walked one tree pair at
+    """(classes, failure) for the (m, n) pairs, walked one tree pair at
     a time: the number of zone classes met, and None when the term and
-    zone partitions coincide, else a counterexample (key1, key2, shared):
-    two pair keys whose terms are equal and zones differ (shared ==
-    "term"), or whose zones are equal and terms differ (shared ==
-    "zone").  A witness ends the walk, so `classes` then counts only the
-    tree pairs walked."""
+    zone partitions coincide, else a counterexample as text: two pair
+    keys whose terms are equal and zones differ, or whose zones are
+    equal and terms differ.  A counterexample ends the walk, so
+    `classes` then counts only the tree pairs walked."""
     from .zones import zone_group
 
     # the partitions coincide iff term code <-> zone class is a bijection.
@@ -684,10 +683,12 @@ def theorem_c_witness(m: int, n: int) -> tuple:
             z = base + k
             i1, z1 = by_term.setdefault(t, (i, z))
             if z1 != z:
-                return classes, (_pair_key(m, n, i1), pair_key(up, down, *v), "term")
+                return classes, "%s and %s have equal terms but different zones" % (
+                    _pair_key(m, n, i1), pair_key(up, down, *v))
             i1, t1 = by_zone.setdefault(z, (i, t))
             if t1 != t:
-                return classes, (_pair_key(m, n, i1), pair_key(up, down, *v), "zone")
+                return classes, "%s and %s have equal zones but different terms" % (
+                    _pair_key(m, n, i1), pair_key(up, down, *v))
             i += 1
     return classes, None
 

@@ -107,11 +107,13 @@ def shape_prefix(text, pos=0):
     return children, pos
 
 
-def shape_from_text(text: str):
-    text = "".join(text.split())  # whitespace only separates tokens
-    shape, pos = shape_prefix(text)
+def shape_from_text(text: str, read=shape_prefix, name="tree"):
+    """The shape all of text holds, read by read(text, pos) once the
+    whitespace, which only separates tokens, is dropped."""
+    text = "".join(text.split())
+    shape, pos = read(text, 0)
     if pos != len(text):
-        raise ValueError("trailing garbage in tree text")
+        raise ValueError("trailing garbage in %s text" % name)
     return shape
 
 

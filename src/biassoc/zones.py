@@ -26,11 +26,11 @@ from math import inf
 
 from .leveled import (
     ComplementaryPair,
+    TreePair,
     coarsening_poset,
     enumerate_level_functions,
     enumerate_leveled_pairs,
     key_order,
-    pair_key,
 )
 from .trees import (
     PlanarTree,
@@ -44,7 +44,7 @@ from .trees import (
 
 
 @dataclass(frozen=True, slots=True)
-class ZonePair:
+class ZonePair(TreePair):
     """(U, D, zone function); zones stored per tree in vertex path order."""
 
     up: PlanarTree
@@ -53,16 +53,9 @@ class ZonePair:
     down_zones: tuple
 
     def __post_init__(self):
-        if self.up.orientation != "up" or self.down.orientation != "down":
-            raise ValueError("pair needs an up tree and a down tree")
+        self.check_values("zone", "l")
         uz, dz = self.up_zones, self.down_zones
-        if len(uz) != len(self.up.vertices()) or len(dz) != len(self.down.vertices()):
-            raise ValueError("zone tuple length mismatch")
         uset, dset = set(uz), set(dz)
-        zones = uset | dset
-        l = max(zones, default=0)
-        if zones != set(range(1, l + 1)):
-            raise ValueError("zones must be exactly 1..l with no gaps")
         # a zone shared across an edge is a barrier when the other tree
         # meets it
         ties = edge_ties(shape_edges(self.up.shape), uz, True)
@@ -75,17 +68,9 @@ class ZonePair:
             raise ValueError("down-tree zones must not increase upward")
         if not uset.isdisjoint(ties):
             raise ValueError("comparable vertices share a barrier")
-        t = _kinds(uz, dz, l)
+        t = self.type()
         if "UU" in t or "DD" in t:
             raise ValueError("adjacent zones of the same type")
-
-    @property
-    def m(self) -> int:
-        return self.up.leaves
-
-    @property
-    def n(self) -> int:
-        return self.down.leaves
 
     @property
     def l(self) -> int:
@@ -99,9 +84,6 @@ class ZonePair:
     def parts(self) -> tuple:
         """The pair as the walks carry it: (up, down, up_zones, down_zones)."""
         return self.up.shape, self.down.shape, self.up_zones, self.down_zones
-
-    def key(self) -> str:
-        return pair_key(*self.parts)
 
     def to_json(self) -> str:
         return zone_json(*self.parts)

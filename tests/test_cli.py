@@ -442,6 +442,7 @@ DECODE_EDGES = [
     (["(21|3)", "-m", "4"], 2, "error: block labels must be sorted"),
     (["(|12)", "-m", "3"], 2, "error: block empty on both sides"),
     (["(1|1|2)", "-m", "3"], 2, "error: bipartition does not match (m, n) = (3, 1)"),
+    (["(11|1)", "-m", "3"], 2, "error: bipartition does not match (m, n) = (3, 1)"),
     (["(1/2)", "-m", "2"], 2, "error: bipartition does not match (m, n) = (2, 1)"),
     (["(1)", "-m", "3"], 2, "error: bipartition does not match (m, n) = (3, 1)"),
     (["(bad)", "-m", "3"], 2, "error: invalid literal for int() with base 10: 'b'"),

@@ -163,6 +163,17 @@ def test_validation():
     ComplementaryPair(up2, dnested, (1,), (3, 2))
     with pytest.raises(ValueError):  # down-tree root must sit lowest
         ComplementaryPair(up2, dnested, (3,), (1, 2))
+    # a level is an int: a bool or a float equal to one is no level,
+    # whether built or read from JSON
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="levels must be exactly 1..h"):
+            ComplementaryPair(up2, dstar, (bad,), ())
+    with pytest.raises(ValueError, match="levels must be exactly 1..h"):
+        ComplementaryPair.from_json(
+            '{"up": "(* *)", "down": "*", "up_levels": [true], "down_levels": []}')
+    with pytest.raises(ValueError, match="levels must be exactly 1..h"):
+        ComplementaryPair.from_json(
+            '{"up": "(* *)", "down": "*", "up_levels": [1.5], "down_levels": []}')
 
 
 def test_key_and_json_roundtrip():
@@ -383,6 +394,17 @@ def test_gamma_decode_rejects_bad_labels():
         decode("(/0)", 0, 2)
     with pytest.raises(ValueError, match="need m, n >= 1"):
         decode("(1/)", 2, 0)
+    # an int code gets gamma_parse's message for the text that spells
+    # it: labels above m+n-2, a label in two blocks, an empty block
+    for text, code, m, n, message in (
+        ("(123)", (7,), 2, 1, "bipartition does not match (m, n) = (2, 1)"),
+        ("(12|1)", (3, 1), 3, 1, "bipartition does not match (m, n) = (3, 1)"),
+        ("(1||2)", (1, 0, 2), 3, 1, "block empty on both sides"),
+    ):
+        for read in (lambda: L.gamma_parse(text, m, n), lambda: L.gamma_decode(code, m, n)):
+            with pytest.raises(ValueError) as error:
+                read()
+            assert str(error.value) == message, (text, code)
 
 
 def test_bipartition_text_forms():

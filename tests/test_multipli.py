@@ -98,6 +98,10 @@ def test_diaphragm_validation():
         DiaphragmTree(tree, (AT,))
     with pytest.raises(ValueError):
         DiaphragmTree(PlanarTree.from_text("(* *)", "down"), (AT,))
+    # a mark is an int: True equals BELOW and 0.0 equals AT, but neither is a mark
+    for bad in ((ABOVE, True), (0.0, BELOW), (ABOVE, 1.0)):
+        with pytest.raises(ValueError, match="bad zeta value"):
+            DiaphragmTree(tree, bad)
 
 
 def test_zone_diaphragm_roundtrip():

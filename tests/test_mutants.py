@@ -1,0 +1,76 @@
+"""Mutants that the checks must catch.
+
+Each row names one production function and one textual edit of its
+source that makes a plausible wrong version of it, and the check that
+must then fail: a named test of this suite, run with the mutant in
+place, which must pass without it and fail, by an assertion or an
+error, with it.  The mutant is compiled from the function's own source
+in its module's namespace, so a name that no longer resolves, or an
+edit that no longer applies, fails its row instead of passing it.
+Every check runs at m + n <= 6.  A change that adds a fast path or an
+oracle adds its row here.
+"""
+
+import importlib
+import inspect
+import textwrap
+
+import pytest
+
+# (function, source text, its wrong version, catching test); a name is
+# "module:attribute.attribute"
+MUTANTS = [
+    # the code check lets a label through that two blocks hold
+    ("biassoc.leveled:check_code", "if union != full or total != full:", "if union != full:",
+     "test_leveled:test_gamma_decode_rejects_bad_labels"),
+    # the shared pair check without the exact-int rule: True is an int
+    ("biassoc.leveled:TreePair.check_values", "type(v) is not int", "not isinstance(v, int)",
+     "test_leveled:test_validation"),
+    # a verdict line without "FAILED: "
+    ("biassoc.cli:_verify", '"FAILED: " + failure', "failure",
+     "test_cli:test_verify_euler_on_a_non_graded_poset_names_a_cover"),
+    # g's inputs not offset past f's: both read the first legs
+    ("biassoc.propterms:hcompose", "range(f.m, f.m + g.m)", "range(g.m)",
+     "test_propterms:test_interchange_law"),
+    # permute_outputs without its permutation check
+    ("biassoc.propterms:permute_outputs", "if sorted(images) != list(range(1, t.n + 1)):",
+     "if False:", "test_propterms:test_permute_outputs_rejects_non_permutations"),
+    # the first vertex holding a gap, the root, not the last one
+    ("biassoc.leveled:_gap_vertices", "if a < i < b][-1]", "if a < i < b][0]",
+     "test_leveled:test_gap_vertices_are_leaf_meets"),
+]
+
+
+def resolve(name):
+    """The owner of the last attribute of name, and that attribute's name."""
+    module, path = name.split(":")
+    *owners, attribute = path.split(".")
+    owner = importlib.import_module(module)
+    for step in owners:
+        owner = getattr(owner, step)
+    return owner, attribute
+
+
+def mutant(function, old, new):
+    """function recompiled from its source with old replaced by new."""
+    function = inspect.unwrap(function)
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, (function, old)
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
+
+
+@pytest.mark.parametrize("target, old, new, test", MUTANTS, ids=[row[0] for row in MUTANTS])
+def test_mutant_is_caught(target, old, new, test, capsys, monkeypatch):
+    # the catching test gets this test's fixtures; the mutant is patched
+    # in a context of its own, which the test cannot undo
+    owner, attribute = resolve(target)
+    check = getattr(*resolve(test))
+    fixtures = {"capsys": capsys, "monkeypatch": monkeypatch}
+    arguments = [fixtures[p] for p in inspect.signature(check).parameters]
+    check(*arguments)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, attribute, mutant(getattr(owner, attribute), old, new))
+        with pytest.raises((Exception, pytest.fail.Exception)):
+            check(*arguments)

@@ -85,6 +85,12 @@ def test_validation():
         ZonePair(up2, down3, (2,), (1, 2))
     # plain (non-barrier) zones may repeat along a chain
     ZonePair(nested, down2, (1, 1), (2,))
+    # a zone is an int: a bool or a float equal to one is no zone
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="zones must be exactly 1..l"):
+            ZonePair(up2, down2, (bad,), (1,))
+        with pytest.raises(ValueError, match="zones must be exactly 1..l"):
+            ZonePair(up2, down2, (1,), (bad,))
 
 
 def _error(cls, *args):
