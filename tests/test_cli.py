@@ -457,6 +457,48 @@ def test_decode_edges(capsys):
         assert (code, (out if code == 0 else err).splitlines()[-1]) == (want_code, want), argv
 
 
+# (argv, exit code, last stderr line) of the (m, n) range errors
+RANGE_EDGES = [
+    ("enumerate --family perm -m 0", 2, "error: need m, n >= 1"),
+    ("fvector --family perm -m 0", 2, "error: need m + n >= 2"),
+    ("hasse --family perm -m 0", 2, "error: need m + n >= 2"),
+    ("enumerate --family biperm -m 0", 2, "error: need m, n >= 1"),
+    ("fvector --family biperm -m 0", 2, "error: need m + n >= 2"),
+    ("hasse --family biperm -m 0", 2, "error: need m + n >= 2"),
+    ("enumerate --family assoc -m 0", 2, "error: leaf count must be >= 1"),
+    ("fvector --family assoc -m 0", 2, "error: need m >= 1"),
+    ("hasse --family assoc -m 0", 2, "error: need m >= 1"),
+    ("enumerate --family biassoc -m 0", 2, "error: need m, n >= 1"),
+    ("fvector --family biassoc -m 0", 2, "error: need m + n >= 2"),
+    ("hasse --family biassoc -m 0", 2, "error: need m + n >= 2"),
+    ("enumerate --family multipl -m 0", 2, "error: need m >= 1"),
+    ("fvector --family multipl -m 0", 2, "error: need m >= 1"),
+    ("hasse --family multipl -m 0", 2, "error: need m >= 1"),
+    ("enumerate --family biperm -m 1 -n 0", 2, "error: need m, n >= 1"),
+    ("fvector --family biperm -m 1 -n 0", 2, "error: need m + n >= 2"),
+    ("hasse --family biperm -m 1 -n 0", 2, "error: need m + n >= 2"),
+    ("enumerate --family biperm -m 2 -n 0", 2, "error: need m, n >= 1"),
+    ("fvector --family biperm -m 2 -n 0", 2, "error: need m, n >= 1"),
+    ("hasse --family biperm -m 2 -n 0", 2, "error: need m, n >= 1"),
+    ("enumerate --family biassoc -m 1 -n 0", 2, "error: need m, n >= 1"),
+    ("fvector --family biassoc -m 1 -n 0", 2, "error: need m + n >= 2"),
+    ("hasse --family biassoc -m 1 -n 0", 2, "error: need m + n >= 2"),
+    ("enumerate --family biassoc -m 2 -n 0", 2, "error: need m, n >= 1"),
+    ("fvector --family biassoc -m 2 -n 0", 2, "error: need m, n >= 1"),
+    ("hasse --family biassoc -m 2 -n 0", 2, "error: need m, n >= 1"),
+    ("verify euler --family biassoc -m 1 -n 0", 2, "error: need m + n >= 2"),
+    ("verify opet -m 0 -n 1", 2, "error: need m, n >= 1"),
+    ("verify thmc -m 1 -n 0", 2, "error: need m, n >= 1"),
+    ("verify propd -m 1", 2, "error: need m >= 2"),
+]
+
+
+def test_range_edges(capsys):
+    for argv, want_code, want in RANGE_EDGES:
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out, err.splitlines()[-1]) == (want_code, "", want), argv
+
+
 def test_varpi_command(capsys):
     code, out, _ = run(
         capsys, "varpi", "--up", "((* *) *)", "--down", "(* *)",
