@@ -287,8 +287,6 @@ def coarsening_poset(m: int, n: int, classify, each_class=None):
     here (the tests check it for m + n <= 7), so the closure of the
     image is the image of the order.
     """
-    if m + n < 2:
-        raise ValueError("need m + n >= 2")
     keys, image = [], {}  # per pair, only its gap code and class number
     for up, down, levels in pair_groups(m, n):
         classes, numbers = classify(up, down, levels)
@@ -313,8 +311,8 @@ def coarsening_faces(m: int, n: int, classes):
     """Every face of a quotient of the (m, n) bipermutahedron as its
     parts, in no set order, with no poset, key or sort: per tree pair,
     (up, down, a, b) for each (a, b) of classes(its level tuples)."""
-    if m < 1 or n < 1:  # the messages of coarsening_poset
-        raise ValueError("need m + n >= 2" if m + n < 2 else "need m, n >= 1")
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
     return ((up, down, *c) for up in _shapes(m) for down in _shapes(n)
             for c in classes(enumerate_level_functions(up, down)))
 
@@ -461,12 +459,13 @@ def check_code(code, m: int, n: int) -> tuple:
 
 
 def gamma_text(code, m: int, n: int) -> str:
-    """The paper's text of the gap code of an (m, n) pair: per block its
-    up labels, then, when n > 1, "/" and its down labels: "(12/4|3/)"."""
+    """The paper's text of the gap code of an (m, n) pair, once check_code
+    accepts it: per block its up labels, then, when n > 1, "/" and its
+    down labels: "(12/4|3/)"."""
     sides = _label_sides(m, n)[: 1 + (n > 1)]
     return "(%s)" % "|".join(
         "/".join(_labels_text([i for i in side if b >> (i - 1) & 1]) for side in sides)
-        for b in code
+        for b in check_code(code, m, n)
     )
 
 

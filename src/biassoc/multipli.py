@@ -77,12 +77,6 @@ class DiaphragmTree:
     def m(self) -> int:
         return self.tree.leaves
 
-    def key(self) -> str:
-        return "%s;%s" % (
-            self.tree.text(),
-            ",".join(str(z) for z in self.zeta),
-        )
-
 
 def zone_to_diaphragm(z: ZonePair) -> DiaphragmTree:
     """Read off the membrane marking from a zone pair whose down tree

@@ -424,14 +424,10 @@ class Expr:
         args = [e.simplify() for e in self.args]
         if self.op == "v":
             args = [e for e in args if not e.is_identity()] or args[:1]
-            flat = []
-            for e in args:
-                flat.extend(e.args if e.op == "v" else [e])
-            return flat[0] if len(flat) == 1 else Expr("v", tuple(flat))
-        flat = []
+        flat = []  # a V in a V, or an H in an H, is spliced in
         for e in args:
-            flat.extend(e.args if e.op == "h" else [e])
-        return flat[0] if len(flat) == 1 else Expr("h", tuple(flat))
+            flat.extend(e.args if e.op == self.op else [e])
+        return flat[0] if len(flat) == 1 else Expr(self.op, tuple(flat))
 
     def text(self) -> str:
         if self.op == "gen":
@@ -490,32 +486,21 @@ def efrac(nums, dens):
 
 
 @cache
-def _iota_up_expr(shape) -> Expr:
-    """Operadic embedding of an up tree: vertices become x[1,a] (61
-    shapes after theorem_c_witness(5, 5))."""
+def _iota_expr(shape, up: bool) -> Expr:
+    """Embedding of a tree: operadic for an up tree, whose vertices
+    become x[1,a] above their children, co-operadic for a down tree,
+    whose vertices become x[a,1] below them (61 + 61 entries after
+    theorem_c_witness(5, 5))."""
     if shape == LEAF:
         return eunit()
-    a = len(shape)
-    children = [_iota_up_expr(c) for c in shape]
-    return ev(egen(1, a), eh(*children))
-
-
-@cache
-def _iota_down_expr(shape) -> Expr:
-    """Co-operadic embedding of a down tree: vertices become x[a,1] (61
-    shapes after theorem_c_witness(5, 5))."""
-    if shape == LEAF:
-        return eunit()
-    a = len(shape)
-    children = [_iota_down_expr(c) for c in shape]
-    return ev(eh(*children), egen(a, 1))
+    children = eh(*(_iota_expr(c, up) for c in shape))
+    return ev(egen(1, len(shape)), children) if up else ev(children, egen(len(shape), 1))
 
 
 def iota_embed(t: PlanarTree) -> PropTerm:
     """Embed a plain tree as a term; up trees map their vertices to
     single-output generators, down trees to single-input ones."""
-    iota = _iota_up_expr if t.orientation == "up" else _iota_down_expr
-    return iota(t.shape).to_term()
+    return _iota_expr(t.shape, t.orientation == "up").to_term()
 
 
 def varpi_expr(up, down, up_levels, down_levels) -> Expr:
@@ -539,15 +524,15 @@ def varpi_expr(up, down, up_levels, down_levels) -> Expr:
       corolla.
     """
     if down == LEAF:
-        return _iota_up_expr(up)
+        return _iota_expr(up, True)
     if up == LEAF:
-        return _iota_down_expr(down)
+        return _iota_expr(down, False)
     root_u, root_d = up_levels[0], down_levels[0]
     if root_d < root_u:
-        return ev(_iota_down_expr(down), _iota_up_expr(up))
+        return ev(_iota_expr(down, False), _iota_expr(up, True))
     if root_d == root_u:
-        ups = [_iota_up_expr(c) for c in up]
-        downs = [_iota_down_expr(c) for c in down]
+        ups = [_iota_expr(c, True) for c in up]
+        downs = [_iota_expr(c, False) for c in down]
         return ev(eh(*downs), egen(len(down), len(up)), eh(*ups))
     # D's root hangs below U's root: cut U at D's root level
     top, top_levels, dens = _up_side(up, up_levels, root_d, len(down))

@@ -251,8 +251,6 @@ def _compositions(total: int, parts: int):
 
 def enumerate_trees(m: int, orientation: str = "up") -> tuple:
     """All planar rooted trees with m leaves and every vertex of arity >= 2."""
-    if m < 1:
-        raise ValueError("leaf count must be >= 1")
     return tuple(PlanarTree(orientation, s) for s in _shapes(m))
 
 

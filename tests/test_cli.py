@@ -377,6 +377,23 @@ def test_verify_euler_on_a_non_graded_poset_names_a_cover(capsys, monkeypatch):
     )
 
 
+def test_verify_euler_on_a_bad_sum_names_the_fvector(capsys, monkeypatch):
+    # three points: graded, each of rank 0 = its dimension, but their
+    # alternating sum is 3; that is a verdict, printed as every other is
+    antichain = FinitePoset(("a", "b", "c"), [])
+
+    def stand_in(m, each=None):
+        for _ in antichain.elements if each else ():
+            each(trees.LEAF)  # the one-leaf tree has dimension 0
+        return antichain
+
+    monkeypatch.setattr(trees, "face_poset_associahedron", stand_in)
+    code, out, err = run(capsys, "verify", "euler", "--family", "assoc", "-m", "3")
+    assert (code, out, err) == (
+        1, "euler assoc (3,1): FAILED: f-vector 3 has alternating sum 3, not 1\n", ""
+    )
+
+
 def test_perm_forces_one_down_leaf(capsys):
     # the permutahedron is the (m, 1) bipermutahedron, whatever -n says
     code, out, _ = run(capsys, "fvector", "--family", "perm", "-m", "3", "-n", "2")
@@ -460,33 +477,33 @@ def test_decode_edges(capsys):
 # (argv, exit code, last stderr line) of the (m, n) range errors
 RANGE_EDGES = [
     ("enumerate --family perm -m 0", 2, "error: need m, n >= 1"),
-    ("fvector --family perm -m 0", 2, "error: need m + n >= 2"),
-    ("hasse --family perm -m 0", 2, "error: need m + n >= 2"),
+    ("fvector --family perm -m 0", 2, "error: need m, n >= 1"),
+    ("hasse --family perm -m 0", 2, "error: need m, n >= 1"),
     ("enumerate --family biperm -m 0", 2, "error: need m, n >= 1"),
-    ("fvector --family biperm -m 0", 2, "error: need m + n >= 2"),
-    ("hasse --family biperm -m 0", 2, "error: need m + n >= 2"),
-    ("enumerate --family assoc -m 0", 2, "error: leaf count must be >= 1"),
+    ("fvector --family biperm -m 0", 2, "error: need m, n >= 1"),
+    ("hasse --family biperm -m 0", 2, "error: need m, n >= 1"),
+    ("enumerate --family assoc -m 0", 2, "error: need m >= 1"),
     ("fvector --family assoc -m 0", 2, "error: need m >= 1"),
     ("hasse --family assoc -m 0", 2, "error: need m >= 1"),
     ("enumerate --family biassoc -m 0", 2, "error: need m, n >= 1"),
-    ("fvector --family biassoc -m 0", 2, "error: need m + n >= 2"),
-    ("hasse --family biassoc -m 0", 2, "error: need m + n >= 2"),
+    ("fvector --family biassoc -m 0", 2, "error: need m, n >= 1"),
+    ("hasse --family biassoc -m 0", 2, "error: need m, n >= 1"),
     ("enumerate --family multipl -m 0", 2, "error: need m >= 1"),
     ("fvector --family multipl -m 0", 2, "error: need m >= 1"),
     ("hasse --family multipl -m 0", 2, "error: need m >= 1"),
     ("enumerate --family biperm -m 1 -n 0", 2, "error: need m, n >= 1"),
-    ("fvector --family biperm -m 1 -n 0", 2, "error: need m + n >= 2"),
-    ("hasse --family biperm -m 1 -n 0", 2, "error: need m + n >= 2"),
+    ("fvector --family biperm -m 1 -n 0", 2, "error: need m, n >= 1"),
+    ("hasse --family biperm -m 1 -n 0", 2, "error: need m, n >= 1"),
     ("enumerate --family biperm -m 2 -n 0", 2, "error: need m, n >= 1"),
     ("fvector --family biperm -m 2 -n 0", 2, "error: need m, n >= 1"),
     ("hasse --family biperm -m 2 -n 0", 2, "error: need m, n >= 1"),
     ("enumerate --family biassoc -m 1 -n 0", 2, "error: need m, n >= 1"),
-    ("fvector --family biassoc -m 1 -n 0", 2, "error: need m + n >= 2"),
-    ("hasse --family biassoc -m 1 -n 0", 2, "error: need m + n >= 2"),
+    ("fvector --family biassoc -m 1 -n 0", 2, "error: need m, n >= 1"),
+    ("hasse --family biassoc -m 1 -n 0", 2, "error: need m, n >= 1"),
     ("enumerate --family biassoc -m 2 -n 0", 2, "error: need m, n >= 1"),
     ("fvector --family biassoc -m 2 -n 0", 2, "error: need m, n >= 1"),
     ("hasse --family biassoc -m 2 -n 0", 2, "error: need m, n >= 1"),
-    ("verify euler --family biassoc -m 1 -n 0", 2, "error: need m + n >= 2"),
+    ("verify euler --family biassoc -m 1 -n 0", 2, "error: need m, n >= 1"),
     ("verify opet -m 0 -n 1", 2, "error: need m, n >= 1"),
     ("verify thmc -m 1 -n 0", 2, "error: need m, n >= 1"),
     ("verify propd -m 1", 2, "error: need m >= 2"),
@@ -547,8 +564,8 @@ def test_fvector_at_the_smallest_split_and_below(capsys):
                           ("biassoc", "-m 1 -n 1"), ("assoc", "-m 1"),
                           ("multipl", "-m 1")):
         assert run(capsys, "fvector", "--family", family, *split.split()) == (0, "1\n", "")
-    for family, message in (("perm", "need m + n >= 2"), ("biperm", "need m + n >= 2"),
-                            ("biassoc", "need m + n >= 2"), ("assoc", "need m >= 1"),
+    for family, message in (("perm", "need m, n >= 1"), ("biperm", "need m, n >= 1"),
+                            ("biassoc", "need m, n >= 1"), ("assoc", "need m >= 1"),
                             ("multipl", "need m >= 1")):
         code, out, err = run(capsys, "fvector", "--family", family, "-m", "0")
         assert (code, out, err) == (2, "", "error: %s\n" % message), family

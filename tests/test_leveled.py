@@ -395,16 +395,21 @@ def test_gamma_decode_rejects_bad_labels():
     with pytest.raises(ValueError, match="need m, n >= 1"):
         decode("(1/)", 2, 0)
     # an int code gets gamma_parse's message for the text that spells
-    # it: labels above m+n-2, a label in two blocks, an empty block
+    # it, from gamma_decode and gamma_text alike: labels above m+n-2, a
+    # label in two blocks, an empty block
     for text, code, m, n, message in (
         ("(123)", (7,), 2, 1, "bipartition does not match (m, n) = (2, 1)"),
         ("(12|1)", (3, 1), 3, 1, "bipartition does not match (m, n) = (3, 1)"),
         ("(1||2)", (1, 0, 2), 3, 1, "block empty on both sides"),
     ):
-        for read in (lambda: L.gamma_parse(text, m, n), lambda: L.gamma_decode(code, m, n)):
+        for read in (lambda: L.gamma_parse(text, m, n), lambda: L.gamma_decode(code, m, n),
+                     lambda: L.gamma_text(code, m, n)):
             with pytest.raises(ValueError) as error:
                 read()
             assert str(error.value) == message, (text, code)
+    # no text is written for a code with label 1 in two blocks
+    with pytest.raises(ValueError, match="does not match"):
+        L.gamma_text((1, 1, 2), 3, 1)
 
 
 def test_bipartition_text_forms():
