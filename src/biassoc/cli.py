@@ -43,7 +43,8 @@ def _check_size(m, n, limit):
 # patched builder runs; its faces' parts from the walk of enumerate, with
 # no poset or sort; and a face's dimension from its parts.
 _PERM = (lambda m, n, each: leveled.bipermutahedron_poset(m, n, each),
-         lambda m, n: leveled.coarsening_faces(m, n, lambda levels: levels),
+         lambda m, n: ((up, down, *v) for up, down, levels in leveled.level_groups(m, n)
+                       for v in levels),
          leveled.level_dimension)
 FAMILY = {
     "perm": _PERM,
@@ -51,8 +52,8 @@ FAMILY = {
     "assoc": (lambda m, n, each: trees.face_poset_associahedron(m, each),
               lambda m, n: ((s,) for s in trees._shapes(m)), trees.tree_dimension),
     "biassoc": (lambda m, n, each: zones.biassociahedron_poset(m, n, each),
-                lambda m, n: leveled.coarsening_faces(
-                    m, n, lambda levels: {zones._zone_tuples(*v) for v in levels}),
+                lambda m, n: ((up, down, *z) for up, down, levels in leveled.level_groups(m, n)
+                              for z in {zones._zone_tuples(*v) for v in levels}),
                 zones.zone_dimension),
     "multipl": (lambda m, n, each: multipli.multiplihedron_poset(m, each),
                 lambda m, n: multipli.shape_diaphragms(m), multipli.diaphragm_dimension),

@@ -59,7 +59,8 @@ class TreePair:
 
     def check_values(self, name, top) -> None:
         """An up tree and a down tree, one value per vertex, and values
-        exactly the ints 1..max: a bool or a float is no value."""
+        exactly the ints 1..max: a bool or a float is no value.  The
+        check is sized by how many values there are, not by the largest."""
         a, b = self.parts[2:]
         if self.up.orientation != "up" or self.down.orientation != "down":
             raise ValueError("pair needs an up tree and a down tree")
@@ -67,7 +68,7 @@ class TreePair:
             raise ValueError("%s tuple length mismatch" % name)
         values = (*a, *b)
         if (any(type(v) is not int for v in values)
-                or set(values) != set(range(1, max(values, default=0) + 1))):
+                or set(values) != set(range(1, len(set(values)) + 1))):
             raise ValueError("%ss must be exactly 1..%s with no gaps" % (name, top))
 
 
@@ -136,18 +137,12 @@ def pair_json(up, down, up_levels, down_levels) -> str:
                        "up_levels": list(up_levels), "down_levels": list(down_levels)})
 
 
-@cache
-def _head_text(values) -> str:
-    """values_text(values) and the ";" that ends it in a key."""
-    return values_text(values) + ";"
-
-
 def key_order(v) -> tuple:
     """A sort key of one tree pair's level or zone tuples v = (a, b)
     that orders them as their pair_key strings, without writing them.
     The keys share the two tree texts and go on "a;b", and no tuple's
     text holds a ";", so comparing a + ";" and then b compares the keys."""
-    return _head_text(v[0]), values_text(v[1])
+    return values_text(v[0]) + ";", values_text(v[1])
 
 
 def pair_objects(up, down, values) -> list:
@@ -212,21 +207,24 @@ def enumerate_level_functions(up, down) -> list:
     return results
 
 
-def pair_groups(m: int, n: int):
+def level_groups(m: int, n: int):
     """Per tree pair with m up-leaves and n down-leaves, in key order,
-    (up shape, down shape, its level tuples sorted by key), one at a
+    (up shape, down shape, its level tuples in no set order), one at a
     time, so a caller holds one tree pair's level tuples, not all."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
+    return ((up, down, enumerate_level_functions(up, down))
+            for up in _shapes(m) for down in _shapes(n))
+
+
+def pair_groups(m: int, n: int):
+    """level_groups with each tree pair's level tuples sorted by key."""
     # a key starts with the two tree texts, no tree text is a prefix of
     # another and _shapes lists them in text order, so sorting each tree
     # pair's keys sorts them all; key_order sorts as the keys do ("1,23;"
     # is before "1,2;") without writing them
-    return (
-        (up, down, sorted(enumerate_level_functions(up, down), key=key_order))
-        for up in _shapes(m)
-        for down in _shapes(n)
-    )
+    return ((up, down, sorted(levels, key=key_order))
+            for up, down, levels in level_groups(m, n))
 
 
 @cache
@@ -305,16 +303,6 @@ def coarsening_poset(m: int, n: int, classify, each_class=None):
             for k in range(len(code) - 1)
         ),
     )
-
-
-def coarsening_faces(m: int, n: int, classes):
-    """Every face of a quotient of the (m, n) bipermutahedron as its
-    parts, in no set order, with no poset, key or sort: per tree pair,
-    (up, down, a, b) for each (a, b) of classes(its level tuples)."""
-    if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1")
-    return ((up, down, *c) for up in _shapes(m) for down in _shapes(n)
-            for c in classes(enumerate_level_functions(up, down)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +433,16 @@ def _label_sides(m: int, n: int) -> tuple:
 
 def check_code(code, m: int, n: int) -> tuple:
     """code, when it is the gap code of an (m, n) pair: no block is
-    empty, and the blocks hold the bit of each label 1..m+n-2 once (they
-    share no bit iff their OR is their sum)."""
-    full = sum(1 << (i - 1) for side in _label_sides(m, n) for i in side)
+    empty, and the blocks hold the bit of each label 1..m+n-2 once: they
+    share no bit (their OR is their sum) and their sum is m+n-2 one
+    bits, read off the blocks and not written out for a large m."""
+    k = sum(map(len, _label_sides(m, n)))
     union = total = 0
     for b in code:
         if not b:
             raise ValueError("block empty on both sides")
         union, total = union | b, total + b
-    if union != full or total != full:
+    if union != total or union < 0 or not total.bit_count() == total.bit_length() == k:
         raise ValueError("bipartition does not match (m, n) = (%d, %d)" % (m, n))
     return code
 
@@ -492,8 +481,7 @@ def gamma_parse(text: str, m: int, n: int) -> tuple:
     if any(sorted(labels) != labels for block in blocks for labels in block):
         raise ValueError("block labels must be sorted")
     sides = _label_sides(m, n)
-    # sorted labels are each once and on their side iff the side lists them
-    if any(labels != [i for i in side if i in labels]
+    if any(len(set(labels)) < len(labels) or any(i not in side for i in labels)
            for block in blocks for side, labels in zip(sides, block)):
         raise ValueError("bipartition does not match (m, n) = (%d, %d)" % (m, n))
     return check_code(tuple(sum(1 << (i - 1) for i in us + ds) for us, ds in blocks), m, n)

@@ -33,11 +33,12 @@ each subtree hanging below it paired with the down root's corolla.
 Many pairs share their pieces, so the pieces' expressions, their
 terms and the parts of fractions are memoized for the life of the
 process; each cached function names what it holds and how many entries
-``theorem_c_witness(5, 5)`` leaves.  By tracemalloc they then hold 135
-MB, 11 MB of it in the up cuts and sides, the down branches and the
-lower halves.  The numerators of a fraction and a pair's expression,
-term and code are not cached; Theorem C codes each distinct expression
-of one tree pair once.
+``theorem_c_witness(5, 5)`` leaves.  By tracemalloc they then hold 133
+MB, 7.7 MB of it in the up sides, the down branches and the lower
+halves.  A fraction's up side makes its cuts itself: they are needed
+only when the up side is not cached.  The numerators of a fraction and
+a pair's expression, term and code are not cached; Theorem C codes each
+distinct expression of one tree pair once.
 """
 
 from __future__ import annotations
@@ -544,23 +545,15 @@ def varpi_expr(up, down, up_levels, down_levels) -> Expr:
 @cache
 def _up_side(shape, levels, root_d, k) -> tuple:
     """The up side of a fraction whose down root, at level root_d, has
-    k branches: the top piece of _up_cut, its levels, and the
-    denominators, which pair each subtree hanging off it with the down
-    root's corolla (15,126 entries after theorem_c_witness(5, 5))."""
-    top, top_levels, hanging = _up_cut(shape, levels, root_d)
-    corolla = (LEAF,) * k
-    dens = tuple(_piece(sub, corolla, levels, (root_d,)) for sub, levels in hanging)
-    return top, top_levels, dens
-
-
-@cache
-def _up_cut(shape, levels, root_d) -> tuple:
-    """The cut of an up tree at level root_d: the part above root_d
-    (its shape and levels) and each subtree hanging off that part (its
-    shape and levels), from left to right (8,930 entries after
+    k branches: the part of the up tree above root_d, its levels, and
+    the denominators, which pair each subtree hanging off that part
+    with the down root's corolla (15,126 entries after
     theorem_c_witness(5, 5))."""
     top, top_levels, hanging = _cut(shape, levels, (), lambda lvl: lvl < root_d)
-    return top, top_levels, tuple(_cut(shape, levels, p)[:2] for p in hanging)
+    pieces = (_cut(shape, levels, p)[:2] for p in hanging)
+    corolla = (LEAF,) * k
+    dens = tuple(_piece(sub, corolla, sub_levels, (root_d,)) for sub, sub_levels in pieces)
+    return top, top_levels, dens
 
 
 @cache

@@ -186,7 +186,6 @@ def vertex_order(t: PlanarTree) -> frozenset:
     )
 
 
-@cache
 def edge_ties(edges, values, up: bool):
     """Given the edges of a shape (shape_edges) and one value per vertex
     in path order: the values shared by the two ends of an edge, or None
@@ -194,10 +193,7 @@ def edge_ties(edges, values, up: bool):
     an up root, nor increase away from a down root).  A monotone rule
     holds on all ancestor pairs iff it holds on the edges, and so does a
     ban on ties, since a comparable pair with equal monotone values
-    forces a tie on an edge between them.  An edge tuple and a value
-    tuple recur across many pairs, so each distinct part is checked
-    once; the cache holds the edge tuple of shape_edges, one per
-    distinct shape, and not the shapes of the objects checked."""
+    forces a tie on an edge between them."""
     ties = set()
     for p, c in edges:
         a, b = values[p], values[c]

@@ -108,22 +108,13 @@ def zone_json(up, down, up_zones, down_zones) -> str:
 
 
 @cache
-def _tagged_paths(shape, tag) -> tuple:
-    """Per vertex of shape in path order, its tagged dotted path as a
-    JSON string: "u:0.1"."""
-    return tuple(
-        '"%s:%s"' % (tag, ".".join(map(str, p))) for p in shape_vertices(shape)
-    )
-
-
-@cache
 def _zone_members(shape, zones, tag) -> tuple:
-    """Per zone 1..max(zones), the JSON strings of the tagged paths of
-    the vertices of shape in that zone, comma-separated ("" for none).
-    A zone holding one vertex shares that vertex's string."""
+    """Per zone 1..max(zones), the JSON strings of the tagged dotted
+    paths of the vertices of shape in that zone ("u:0.1"),
+    comma-separated ("" for none)."""
     members = [[] for _ in range(max(zones, default=0))]
-    for text, z in zip(_tagged_paths(shape, tag), zones):
-        members[z - 1].append(text)
+    for p, z in zip(shape_vertices(shape), zones):
+        members[z - 1].append('"%s:%s"' % (tag, ".".join(map(str, p))))
     return tuple(map(", ".join, members))
 
 

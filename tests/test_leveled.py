@@ -1,4 +1,5 @@
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -129,6 +130,17 @@ def test_pairs_come_sorted_by_key():
         for m in range(1, total):
             keys = [x.key() for x in L.enumerate_leveled_pairs(m, total - m)]
             assert keys == sorted(set(keys))
+
+
+def test_key_order_sorts_two_digit_levels_as_keys():
+    # no pair with m + n <= 8 has a level above 6; "1,23;" is before
+    # "1,2;" in a key, so key_order must compare the ";" too
+    tuples = [t for k in range(4) for t in permutations((2, 10, 23), k)]
+    shapes = (("*", "*"), "*")
+    values = list(product(tuples, tuples))
+    by_key = sorted(values, key=lambda v: L.pair_key(*shapes, *v))
+    assert sorted(values, key=L.key_order) == by_key
+    assert by_key.index(((2, 23), ())) < by_key.index(((2,), ()))
 
 
 def test_banquet_counts():
@@ -401,6 +413,7 @@ def test_gamma_decode_rejects_bad_labels():
         ("(123)", (7,), 2, 1, "bipartition does not match (m, n) = (2, 1)"),
         ("(12|1)", (3, 1), 3, 1, "bipartition does not match (m, n) = (3, 1)"),
         ("(1||2)", (1, 0, 2), 3, 1, "block empty on both sides"),
+        ("(1|1|1)", (1, 1, 1), 3, 1, "bipartition does not match (m, n) = (3, 1)"),
     ):
         for read in (lambda: L.gamma_parse(text, m, n), lambda: L.gamma_decode(code, m, n),
                      lambda: L.gamma_text(code, m, n)):
@@ -410,6 +423,29 @@ def test_gamma_decode_rejects_bad_labels():
     # no text is written for a code with label 1 in two blocks
     with pytest.raises(ValueError, match="does not match"):
         L.gamma_text((1, 1, 2), 3, 1)
+
+
+def refusal_peak(read) -> int:
+    """The tracemalloc peak, in bytes, of read(), which must raise ValueError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_outside_input_is_refused_in_memory_sized_by_the_input():
+    # a check sized by the numbers typed in, not by how many there are,
+    # asks for memory and time that grow with them
+    up2, dstar = PlanarTree.from_text("(* *)", "up"), PlanarTree.from_text("*", "down")
+    assert refusal_peak(lambda: ComplementaryPair(up2, dstar, (10**5,), ())) < 100_000
+    assert refusal_peak(lambda: L.check_code((1,), 10**5, 1)) < 8_000
+    assert refusal_peak(lambda: L.gamma_parse("(1)", 10**5, 1)) < 8_000
+    # a negative block is no set of labels, though the blocks' OR is their sum
+    with pytest.raises(ValueError, match="does not match"):
+        L.check_code((1, -2), 2, 1)
 
 
 def test_bipartition_text_forms():

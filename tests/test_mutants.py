@@ -21,7 +21,7 @@ import pytest
 # "module:attribute.attribute"
 MUTANTS = [
     # the code check lets a label through that two blocks hold
-    ("biassoc.leveled:check_code", "if union != full or total != full:", "if union != full:",
+    ("biassoc.leveled:check_code", "union != total or ", "",
      "test_leveled:test_gamma_decode_rejects_bad_labels"),
     # the shared pair check without the exact-int rule: True is an int
     ("biassoc.leveled:TreePair.check_values", "type(v) is not int", "not isinstance(v, int)",
@@ -59,6 +59,35 @@ MUTANTS = [
     # gamma_text writes a code that check_code refuses
     ("biassoc.leveled:gamma_text", "for b in check_code(code, m, n)", "for b in code",
      "test_leveled:test_gamma_decode_rejects_bad_labels"),
+    # a fraction's up side pairs one hanging subtree fewer with the corolla
+    ("biassoc.propterms:_up_side", "for p in hanging)", "for p in hanging[1:])",
+     "test_propterms:test_expressions_golden"),
+    # the JSON zone members tagged "u.0" for "u:0"
+    ("biassoc.zones:_zone_members", """'"%s:%s"'""", """'"%s.%s"'""",
+     "test_zones:test_json_text_matches_json_dumps"),
+    # the down trees walked with m leaves
+    ("biassoc.leveled:level_groups", "for down in _shapes(n)", "for down in _shapes(m)",
+     "test_leveled:test_bipermutahedron_fvectors_and_grading"),
+    # the sort key without the ";": "1,2" sorts before "1,23"
+    ("biassoc.leveled:key_order", 'values_text(v[0]) + ";"', "values_text(v[0])",
+     "test_leveled:test_key_order_sorts_two_digit_levels_as_keys"),
+    # the pair check sized by the largest value, not by how many there are
+    ("biassoc.leveled:TreePair.check_values", "len(set(values))", "max(values, default=0)",
+     "test_leveled:test_outside_input_is_refused_in_memory_sized_by_the_input"),
+    # the block-merge posets miss the merge of the last two blocks
+    ("biassoc.leveled:coarsening_poset", "range(len(code) - 1)", "range(len(code) - 2)",
+     "test_leveled:test_bipermutahedron_fvectors_and_grading"),
+    # the projection merges two adjacent barriers into one zone
+    ("biassoc.zones:_zone_tuples", 'kind != prev or kind == "B"', "kind != prev",
+     "test_zones:test_relative_heights"),
+    # the isomorphism check compares no cover rows: verify opet, then propd
+    ("biassoc.posets:isomorphism_failure", "enumerate(p._covers)", "enumerate(())",
+     "test_leveled:test_opet_iso_rejects_broken_steps"),
+    ("biassoc.posets:isomorphism_failure", "enumerate(p._covers)", "enumerate(())",
+     "test_cli:test_isomorphism_failures_print_a_counterexample"),
+    # verify thmc without its equal-zones check
+    ("biassoc.propterms:theorem_c_witness", "if t1 != t:", "if False:",
+     "test_cli:test_thmc_failure_prints_a_witness"),
 ]
 
 

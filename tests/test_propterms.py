@@ -676,23 +676,23 @@ def test_every_cut_piece_is_a_valid_pair(monkeypatch):
 
 def test_theorem_c_computes_each_side_piece_once():
     # cold, at (4,4): the zones of each distinct pair of level tuples,
-    # the cut of each distinct up side and the lower half of each
-    # distinct denominator tuple are each computed once.  The fractions
-    # of the 4,683 pairs need 420 cuts and 69 lower halves; the rest
-    # serve fractions inside cut pieces
+    # each distinct up side and the lower half of each distinct
+    # denominator tuple are each computed once.  The fractions of the
+    # 4,683 pairs need 646 up sides and 69 lower halves; the rest serve
+    # fractions inside cut pieces
     clear_caches(P, Z)
     assert P.theorem_c_check(4, 4)
     assert Z._zone_tuples.cache_info().misses == 555
-    assert P._up_cut.cache_info().misses == 420 + 26
+    assert P._up_side.cache_info().misses == 646 + 34
     assert P._lower.cache_info().misses == 69 + 12
-    cuts, lowers = set(), set()
+    sides, lowers = set(), set()
     for x in enumerate_leveled_pairs(4, 4):
         if x.up.exceptional or x.down.exceptional:
             continue
         root_d = x.down_levels[0]
         if root_d > x.up_levels[0]:
-            cuts.add((x.up.shape, x.up_levels, root_d))
+            sides.add((x.up.shape, x.up_levels, root_d, len(x.down.shape)))
             lowers.add(P.varpi_expr(*x.parts).args[1])
-    assert (len(cuts), len(lowers)) == (420, 69)
+    assert (len(sides), len(lowers)) == (646, 69)
 
 
