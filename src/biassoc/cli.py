@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-import traceback
 from collections import Counter
 
 from . import leveled, multipli, propterms, trees, zones
@@ -177,6 +176,8 @@ def run(argv) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback  # here, not at the top: only a crash pays for it
+
         traceback.print_exc()
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3

@@ -22,7 +22,6 @@ from_json, gamma_decode) and in the tests' enumerate_leveled_pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
@@ -40,7 +39,7 @@ from .trees import (
 )
 
 
-class TreePair:
+class TreePair(posets._Record):
     """What ComplementaryPair and ZonePair share: an up tree and a down
     tree with a level or zone per vertex, leaf counts, key and check."""
 
@@ -72,16 +71,16 @@ class TreePair:
             raise ValueError("%ss must be exactly 1..%s with no gaps" % (name, top))
 
 
-@dataclass(frozen=True, slots=True)
 class ComplementaryPair(TreePair):
     """(U, D, level function); levels stored per tree in vertex path order."""
 
-    up: PlanarTree
-    down: PlanarTree
-    up_levels: tuple
-    down_levels: tuple
+    __slots__ = _fields = ("up", "down", "up_levels", "down_levels")
 
-    def __post_init__(self):
+    def __init__(self, up: PlanarTree, down: PlanarTree, up_levels: tuple, down_levels: tuple):
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "up_levels", up_levels)
+        object.__setattr__(self, "down_levels", down_levels)
         self.check_values("level", "h")
         # levels are strict: no edge may go the wrong way or tie
         if edge_ties(shape_edges(self.up.shape), self.up_levels, True) != ():
@@ -481,8 +480,10 @@ def gamma_parse(text: str, m: int, n: int) -> tuple:
     if any(sorted(labels) != labels for block in blocks for labels in block):
         raise ValueError("block labels must be sorted")
     sides = _label_sides(m, n)
-    if any(len(set(labels)) < len(labels) or any(i not in side for i in labels)
-           for block in blocks for side, labels in zip(sides, block)):
+    # m+n-2 labels, counted before the bits, which grow with the labels
+    if sum(len(us) + len(ds) for us, ds in blocks) != m + n - 2 or any(
+            len(set(labels)) < len(labels) or any(i not in side for i in labels)
+            for block in blocks for side, labels in zip(sides, block)):
         raise ValueError("bipartition does not match (m, n) = (%d, %d)" % (m, n))
     return check_code(tuple(sum(1 << (i - 1) for i in us + ds) for us, ds in blocks), m, n)
 

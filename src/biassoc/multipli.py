@@ -24,7 +24,6 @@ contractions; diaphragm_leq is the reference order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 
 from . import posets
@@ -52,14 +51,14 @@ AT = 0
 BELOW = 1
 
 
-@dataclass(frozen=True)
-class DiaphragmTree:
+class DiaphragmTree(posets._Record):
     """An up tree with a membrane marking per vertex (path order)."""
 
-    tree: PlanarTree
-    zeta: tuple  # values in {ABOVE, AT, BELOW} per vertex, lex path order
+    _fields = ("tree", "zeta")
 
-    def __post_init__(self):
+    def __init__(self, tree: PlanarTree, zeta: tuple):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "zeta", zeta)  # in {ABOVE, AT, BELOW}, lex path order
         if self.tree.orientation != "up":
             raise ValueError("diaphragms live on up trees")
         verts = self.tree.vertices()
@@ -122,12 +121,12 @@ def painted_validate(shape):
         (validate_shape if kind == "!" else painted_validate)(c)
 
 
-@dataclass(frozen=True)
-class PaintedTree:
-    shape: object
+class PaintedTree(posets._Record):
+    _fields = ("shape",)
 
-    def __post_init__(self):
-        painted_validate(self.shape)
+    def __init__(self, shape):
+        painted_validate(shape)
+        object.__setattr__(self, "shape", shape)
 
     @property
     def m(self) -> int:

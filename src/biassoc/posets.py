@@ -17,23 +17,61 @@ the generic search `isomorphic` is a reference only the tests call.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from operator import attrgetter
 
 
 class PosetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class _Record:
+    """The base of the library's immutable records: a subclass names its
+    fields in _fields, and its own __init__ checks and stores them with
+    object.__setattr__.  == and hash see the fields (or `compare`), only
+    within one class; set and del raise AttributeError.  dataclasses does
+    this too, but its import costs each CLI call 1 MB and a dozen modules."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, compare=None):
+        if cls._fields:  # TreePair, a shared base, has none
+            # not a method: self._key(self) is what == and hash compare
+            cls._key = attrgetter(*(compare or cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __setstate__(self, state):
+        """copy and pickle: a __dict__, or (None, slots) for a slotted record."""
+        for name, value in (state[1] if isinstance(state, tuple) else state).items():
+            object.__setattr__(self, name, value)
+
+
+class FinitePoset(_Record, compare=("elements", "_covers")):
     """relation: index pairs (i, j) with elements[i] <= elements[j].
     == and hash see the elements and the covers, which fix the ranks."""
 
-    elements: tuple
-    relation: InitVar[object]
-    _index: dict = field(init=False, repr=False, compare=False)
-    _covers: tuple = field(init=False, repr=False)
-    _ranks: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("elements",)
+
+    def __init__(self, elements, relation):
+        object.__setattr__(self, "elements", elements)
+        self.__post_init__(relation)  # looked up on self, so a patch runs
 
     def __post_init__(self, relation):
         n = len(self.elements)

@@ -44,27 +44,26 @@ distinct expression of one tree pair once.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from operator import le
 
 from .leveled import ComplementaryPair, pair_groups, pair_key
+from .posets import _Record
 from .trees import LEAF, PlanarTree, shape_vertices, subshape
 
 # sources are ("g", i) for global input leg i, or ("v", vi, port)
 
 
-@dataclass(frozen=True)
-class PropTerm:
-    m: int  # global inputs
-    n: int  # global outputs
-    verts: tuple  # (b, a) per vertex
-    ins: tuple  # per vertex, tuple of a sources
-    outs: tuple  # per global output leg, its source
+class PropTerm(_Record):
+    _fields = ("m", "n", "verts", "ins", "outs")
 
-    def __post_init__(self):
-        verts, ins, outs = self.verts, self.ins, self.outs
+    def __init__(self, m: int, n: int, verts: tuple, ins: tuple, outs: tuple):
+        object.__setattr__(self, "m", m)  # global inputs
+        object.__setattr__(self, "n", n)  # global outputs
+        object.__setattr__(self, "verts", verts)  # (b, a) per vertex
+        object.__setattr__(self, "ins", ins)  # per vertex, tuple of a sources
+        object.__setattr__(self, "outs", outs)  # per global output leg, its source
         nv = len(verts)
         if len(outs) != self.n or len(ins) != nv:
             raise ValueError("malformed term")
@@ -192,12 +191,14 @@ def hfold(terms) -> PropTerm:
     return out
 
 
-@dataclass(frozen=True)
-class BlockPermutation:
+class BlockPermutation(_Record):
     """The interleaving permutation of {1..kl} used by fractions."""
 
-    l: int
-    k: int
+    _fields = ("l", "k")
+
+    def __init__(self, l: int, k: int):
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "k", k)
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= self.k * self.l:
@@ -364,11 +365,13 @@ def is_special(t: PropTerm) -> bool:
 # expression layer (printable construction trees)
 
 
-@dataclass(frozen=True)
-class Expr:
-    op: str  # 'gen', 'unit', 'v', 'h', 'frac'
-    args: tuple = ()
-    biarity: tuple = ()  # (b, a) for generators
+class Expr(_Record):
+    _fields = ("op", "args", "biarity")
+
+    def __init__(self, op: str, args: tuple = (), biarity: tuple = ()):
+        object.__setattr__(self, "op", op)  # 'gen', 'unit', 'v', 'h', 'frac'
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "biarity", biarity)  # (b, a) for generators
 
     def __hash__(self) -> int:
         """The field hash, computed once: a cache lookup on a deep

@@ -18,7 +18,6 @@ by edge contraction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -129,17 +128,17 @@ def _shape_from_jsonable(obj):
     return tuple(_shape_from_jsonable(c) for c in obj)
 
 
-@dataclass(frozen=True, slots=True)
-class PlanarTree:
-    """A planar rooted tree with an orientation flag."""
+class PlanarTree(posets._Record):
+    """A planar rooted tree with an orientation flag, 'up' or 'down'."""
 
-    orientation: str  # 'up' or 'down'
-    shape: object
+    __slots__ = _fields = ("orientation", "shape")
 
-    def __post_init__(self):
-        if self.orientation not in ("up", "down"):
+    def __init__(self, orientation: str, shape):
+        if orientation not in ("up", "down"):
             raise ValueError("orientation must be 'up' or 'down'")
-        validate_shape(self.shape)
+        validate_shape(shape)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "shape", shape)
 
     @property
     def exceptional(self) -> bool:

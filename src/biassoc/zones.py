@@ -19,7 +19,6 @@ are one object (460 at (5,5)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
 from math import inf
@@ -43,16 +42,16 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True, slots=True)
 class ZonePair(TreePair):
     """(U, D, zone function); zones stored per tree in vertex path order."""
 
-    up: PlanarTree
-    down: PlanarTree
-    up_zones: tuple
-    down_zones: tuple
+    __slots__ = _fields = ("up", "down", "up_zones", "down_zones")
 
-    def __post_init__(self):
+    def __init__(self, up: PlanarTree, down: PlanarTree, up_zones: tuple, down_zones: tuple):
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "up_zones", up_zones)
+        object.__setattr__(self, "down_zones", down_zones)
         self.check_values("zone", "l")
         uz, dz = self.up_zones, self.down_zones
         uset, dset = set(uz), set(dz)

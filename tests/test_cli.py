@@ -204,9 +204,9 @@ def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
     built, walked = Counter(), []
     for cls in (ComplementaryPair, zones.ZonePair):
         monkeypatch.setattr(
-            cls, "__post_init__",
-            lambda x, validate=cls.__post_init__: built.update([type(x).__name__])
-            or validate(x),
+            cls, "__init__",
+            lambda x, *parts, init=cls.__init__: built.update([type(x).__name__])
+            or init(x, *parts),
         )
     def count(argv):
         built.clear()
@@ -525,25 +525,34 @@ def test_varpi_command(capsys):
     assert out.strip() == "F{ x[1,2] x[1,2] / V(x[2,1],x[1,2]) x[2,1] }"
 
 
+# (argv, exit code, last stderr line) of the usage errors, recorded
+# before the CLI's traceback import moved into its handler; with no verb
+# the usage goes to stdout and stderr is empty
+CHOICES = "(choose from 'perm', 'biperm', 'assoc', 'biassoc', 'multipl')"
+USAGE_ERRORS = [
+    ("", 2, ""),
+    ("fvector --family assoc", 2, "error: need -m"),
+    ("fvector --family biperm -m 5 -n 4", 2,
+     "error: size m+n = 9 exceeds the tractability bound 8 (raise it with --max-size)"),
+    ("fvector --family nope -m 2", 2,
+     "biassoc fvector: error: argument --family: invalid choice: 'nope' " + CHOICES),
+    ("enumerate --family nope -m 2", 2,
+     "biassoc enumerate: error: argument --family: invalid choice: 'nope' " + CHOICES),
+    ("verify opet -m 2 -n 2 --family nope", 2,
+     "biassoc verify: error: argument --family: invalid choice: 'nope' " + CHOICES),
+    ("varpi --up '(* *)'", 2, "error: need --up and --up-levels"),
+    ("varpi --down '(* *)'", 2, "error: need --up and --up-levels"),
+    ("varpi --up '(* *)' --up-levels '1;2'", 2, "error: too many values to unpack (expected 4)"),
+    ("encode --up '(* *)' --up-levels 1", 2, "error: only --gamma encoding is available"),
+    ("encode --gamma --decode '(1)'", 2, "error: need -m (and -n) to decode"),
+]
+
+
 def test_usage_errors(capsys):
-    code, _, _ = run(capsys)
-    assert code == 2
-    code, _, err = run(capsys, "enumerate", "--family", "nope", "-m", "2")
-    assert code == 2
-    code, _, err = run(capsys, "fvector", "--family", "assoc")
-    assert code == 2 and "need -m" in err
-    code, _, err = run(capsys, "verify", "opet", "-m", "2", "-n", "2", "--family", "nope")
-    assert code == 2 and "invalid choice: 'nope'" in err
-    code, _, err = run(capsys, "encode", "--up", "(* *)", "--up-levels", "1")
-    assert code == 2  # --gamma is required
-    code, _, err = run(capsys, "varpi", "--down", "(* *)")
-    assert code == 2
-    code, _, err = run(capsys, "encode", "--gamma", "--decode", "(bad)", "-m", "3")
-    assert code == 2
-    code, _, err = run(
-        capsys, "encode", "--gamma", "--decode", "(1/)", "-m", "2", "-n", "0"
-    )
-    assert code == 2 and "need m, n >= 1" in err
+    for argv, want_code, want in USAGE_ERRORS:
+        code, out, err = run(capsys, *shlex.split(argv))
+        assert (code, (err.splitlines() or [""])[-1]) == (want_code, want), argv
+        assert out.startswith("usage: biassoc ") if not argv else out == "", argv
 
 
 def test_assoc_at_one_leaf_is_the_one_point_poset(capsys):
@@ -650,7 +659,51 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(multipli, "prop_d_map", boom)
     code, out, err = run(capsys, "verify", "propd", "-m", "3")
     assert code == 3 and out == ""
-    assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
+    # the traceback is how the benchmark's runner tells a crash from a verdict
+    lines = err.splitlines()
+    assert "Traceback (most recent call last):" in lines
+    assert lines[-2:] == ["RuntimeError: boom", "internal error: RuntimeError: boom"]
+
+
+# one call of each verb at its smallest size, and of each family's
+# poset and enumerate verbs
+COLD_START_CALLS = [
+    *("%s --family %s %s" % (verb, family, "-m 1" if family in ("perm", "assoc", "multipl")
+                             else "-m 1 -n 1")
+      for verb in ("fvector", "hasse", "hasse --dot", "enumerate --format json")
+      for family in cli.FAMILY),
+    "verify opet -m 1 -n 1", "verify thmc -m 1 -n 1", "verify propd -m 2",
+    "verify euler --family biperm -m 1 -n 1",
+    "encode --gamma --decode () -m 1", "encode --gamma --up (**) --up-levels 1",
+    "varpi --up (**) --up-levels 1",
+]
+
+
+def test_cold_start_imports_no_dataclasses_or_traceback():
+    # every call pays for the library's imports, and these modules are
+    # large: the records are no dataclasses, and traceback is imported
+    # only on an internal error.  A bare interpreter is the base, since
+    # site hooks differ between hosts
+    script = """
+import runpy, sys
+for argv in %r:
+    sys.argv = ["biassoc", *argv.split()]
+    try:
+        runpy.run_module("biassoc.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+print(" ".join(sorted(sys.modules)))
+""" % (COLD_START_CALLS,)
+
+    def modules(code):
+        out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
+                             text=True, check=True).stdout
+        return set(out.splitlines()[-1].split())
+
+    new = modules(script) - modules("import sys; print(' '.join(sorted(sys.modules)))")
+    assert "biassoc.leveled" in new
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "traceback"}
+    assert not new & heavy, sorted(new & heavy)
 
 
 def test_thmc_failure_prints_a_witness(capsys, monkeypatch):

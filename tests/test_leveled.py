@@ -443,6 +443,8 @@ def test_outside_input_is_refused_in_memory_sized_by_the_input():
     assert refusal_peak(lambda: ComplementaryPair(up2, dstar, (10**5,), ())) < 100_000
     assert refusal_peak(lambda: L.check_code((1,), 10**5, 1)) < 8_000
     assert refusal_peak(lambda: L.gamma_parse("(1)", 10**5, 1)) < 8_000
+    # one large label: refused by the label count before its bit is made
+    assert refusal_peak(lambda: L.gamma_parse("(99999999,)", 10**8, 1)) < 8_000
     # a negative block is no set of labels, though the blocks' OR is their sum
     with pytest.raises(ValueError, match="does not match"):
         L.check_code((1, -2), 2, 1)

@@ -296,9 +296,9 @@ def test_prop_d_projects_each_pair_once(monkeypatch):
     Z.enumerate_zone_pairs.cache_clear()
     # and no ZonePair is built: the painter reads each class's zones
     calls, built = [], []
-    zone_tuples, validate = Z._zone_tuples, Z.ZonePair.__post_init__
+    zone_tuples, init = Z._zone_tuples, Z.ZonePair.__init__
     monkeypatch.setattr(Z, "_zone_tuples", lambda *v: calls.append(v) or zone_tuples(*v))
-    monkeypatch.setattr(Z.ZonePair, "__post_init__", lambda z: built.append(z) or validate(z))
+    monkeypatch.setattr(Z.ZonePair, "__init__", lambda z, *parts: built.append(z) or init(z, *parts))
     assert M.prop_d_check(5) is not None
     assert built == []
     assert len(calls) == len(L.enumerate_leveled_pairs(5, 2))

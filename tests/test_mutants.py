@@ -85,6 +85,12 @@ MUTANTS = [
      "test_leveled:test_opet_iso_rejects_broken_steps"),
     ("biassoc.posets:isomorphism_failure", "enumerate(p._covers)", "enumerate(())",
      "test_cli:test_isomorphism_failures_print_a_counterexample"),
+    # the records' == without its class check: a pair equals a zone pair
+    ("biassoc.posets:_Record.__eq__", "if other.__class__ is not self.__class__:", "if False:",
+     "test_posets:test_records_are_immutable_values"),
+    # the records' assignment stores the value
+    ("biassoc.posets:_Record.__setattr__", 'raise AttributeError("cannot assign to field %r" % name)',
+     "object.__setattr__(self, name, value)", "test_posets:test_records_are_immutable_values"),
     # verify thmc without its equal-zones check
     ("biassoc.propterms:theorem_c_witness", "if t1 != t:", "if False:",
      "test_cli:test_thmc_failure_prints_a_witness"),

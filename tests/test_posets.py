@@ -1,12 +1,14 @@
+import copy
 import inspect
 import json
+import pickle
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biassoc import leveled, multipli, trees, zones
+from biassoc import cli, leveled, multipli, propterms, trees, zones
 from biassoc.posets import (
     FinitePoset,
     PosetError,
@@ -59,6 +61,63 @@ def test_equality_and_hash_see_the_order():
     assert chain == again and hash(chain) == hash(again)
     assert len({chain, antichain, again}) == 2
     assert FinitePoset(("y", "x"), [(1, 0)]) != chain
+
+
+def record_rows():
+    """Per record class: its field names as repr shows them, its
+    constructor's arguments, and the index and new value of one argument
+    that makes an unequal record."""
+    up2 = trees.PlanarTree.from_text("(* *)", "up")
+    down2 = trees.PlanarTree.from_text("(* *)", "down")
+    return [
+        (trees.PlanarTree, ("orientation", "shape"), ("up", ("*", "*")), 1, ("*", "*", "*")),
+        (FinitePoset, ("elements",), (("x", "y"), [(0, 1)]), 1, []),
+        (leveled.ComplementaryPair, ("up", "down", "up_levels", "down_levels"),
+         (up2, down2, (1,), (2,)), 1, trees.PlanarTree.from_text("(* * *)", "down")),
+        (zones.ZonePair, ("up", "down", "up_zones", "down_zones"),
+         (up2, down2, (1,), (2,)), 3, (1,)),
+        (multipli.DiaphragmTree, ("tree", "zeta"), (up2, (multipli.AT,)), 1, (multipli.BELOW,)),
+        (multipli.PaintedTree, ("shape",), (("!", ("*", "*")),), 0, ("!", (("*", "*"),))),
+        (propterms.PropTerm, ("m", "n", "verts", "ins", "outs"),
+         (1, 2, ((2, 1),), ((("g", 0),),), (("v", 0, 0), ("v", 0, 1))),
+         4, (("v", 0, 1), ("v", 0, 0))),
+        (propterms.BlockPermutation, ("l", "k"), (2, 3), 1, 4),
+        (propterms.Expr, ("op", "args", "biarity"), ("gen", (), (1, 2)), 2, (2, 1)),
+    ]
+
+
+def test_records_are_immutable_values(monkeypatch):
+    # == and hash on the fields (a poset's on its covers), and only
+    # within one class; repr shows the fields; no field can be set or
+    # deleted; the slotted records carry no __dict__
+    pair = leveled.ComplementaryPair.from_key("(* *);(* *);1;2")
+    zone_pair = zones.ZonePair(pair.up, pair.down, (1,), (2,))
+    assert pair.parts == zone_pair.parts and pair != zone_pair and zone_pair != pair
+    slotted = (trees.PlanarTree, leveled.ComplementaryPair, zones.ZonePair)
+    for cls, names, args, i, value in record_rows():
+        a, b = cls(*args), cls(*args)
+        c = cls(*args[:i], value, *args[i + 1:])
+        assert a == b and hash(a) == hash(b) and not a != b, cls
+        assert a != c and not a == c, cls
+        assert a != object() and a != args, cls
+        assert copy.copy(a) == a == pickle.loads(pickle.dumps(a)), cls
+        assert repr(a) == "%s(%s)" % (cls.__name__, ", ".join(
+            "%s=%r" % (name, getattr(a, name)) for name in names)), cls
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(a, name, value)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == b, cls
+        assert hasattr(a, "__dict__") == (cls not in slotted), cls
+    # the validation is a method of its own, and a wrapper on it sees
+    # every build, direct or by a family's builder
+    built = []
+    validate = FinitePoset.__post_init__
+    monkeypatch.setattr(FinitePoset, "__post_init__",
+                        lambda p, relation: built.append(len(p.elements)) or validate(p, relation))
+    sizes = [len(chain(3))] + [len(cli.FAMILY[f][0](3, 2, None)) for f in cli.FAMILY]
+    assert built == sizes
 
 
 def test_cycles_are_rejected():

@@ -608,7 +608,7 @@ def test_theorem_c_builds_each_piece_once(monkeypatch):
     clear_caches(P)
     exprs = validations = pieces = leaves = 0
     varpi_expr = P.varpi_expr
-    validate = P.PropTerm.__post_init__
+    validate = P.PropTerm.__init__
     generator, unit = P.generator, P.unit
 
     def counted_expr(up, down, *levels):
@@ -617,10 +617,10 @@ def test_theorem_c_builds_each_piece_once(monkeypatch):
         pieces += (leaf_count(up), leaf_count(down)) != (4, 3)
         return varpi_expr(up, down, *levels)
 
-    def counted_validate(self):
+    def counted_validate(self, *fields):
         nonlocal validations
         validations += 1
-        validate(self)
+        validate(self, *fields)
 
     def counted_leaf(build):
         def run(*args):
@@ -631,7 +631,7 @@ def test_theorem_c_builds_each_piece_once(monkeypatch):
         return run
 
     monkeypatch.setattr(P, "varpi_expr", counted_expr)
-    monkeypatch.setattr(P.PropTerm, "__post_init__", counted_validate)
+    monkeypatch.setattr(P.PropTerm, "__init__", counted_validate)
     monkeypatch.setattr(P, "generator", counted_leaf(generator))
     monkeypatch.setattr(P, "unit", counted_leaf(unit))
     assert P.theorem_c_check(4, 3)
