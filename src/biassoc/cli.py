@@ -5,12 +5,12 @@ perm (permutahedron, n forced to 1), biperm, assoc, biassoc, multipl.
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 internal error (an unexpected exception; never a verdict).
 
-`enumerate` writes its lines as they are made, from each pair's parts
-with no pair object, one tree pair at a time for perm, biperm and
-biassoc, so its memory does not grow with the number of lines.  `main`
-restores the default SIGPIPE action: when the reader closes stdout
-early (as `head` does), the tool ends quietly, as `cat` does, with no
-traceback.  `run` leaves the signal alone.
+`enumerate` sorts each block of its family's walk by the keys its faces
+print as and writes it at most 1024 lines at a time, so its memory grows
+with one block, one tree pair's faces for perm, biperm and biassoc.
+`main` restores the default SIGPIPE action: when the reader closes
+stdout early (as `head` does), the tool ends quietly, as `cat` does,
+with no traceback.  `run` leaves the signal alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 
 from . import leveled, multipli, propterms, trees, zones
 
@@ -37,48 +37,38 @@ def _check_size(m, n, limit):
         )
 
 
-# Per family: its poset builder, which calls each(*face) per element in
-# element order when each is given, looked up when called so that a
-# patched builder runs; its faces' parts from the walk of enumerate, with
-# no poset or sort; and a face's dimension from its parts.
-_PERM = (lambda m, n, each: leveled.bipermutahedron_poset(m, n, each),
-         lambda m, n: ((up, down, *v) for up, down, levels in leveled.level_groups(m, n)
-                       for v in levels),
-         leveled.level_dimension)
+# Per family, the one table every verb reads: legs, 1 for the families
+# whose -n is forced to 1; build(m, n, each), its poset builder, which
+# calls each(*face) per element in element order when each is given;
+# faces(m, n), its one walk, with no poset or sort, in blocks of faces'
+# parts (one tree pair's for perm, biperm and biassoc, one of all faces
+# for assoc and multipl); and from a face's parts its dimension, key
+# text and JSON text.  Builders and writers are looked up when called,
+# so that a patched one runs.
+_Family = namedtuple("Family", "legs build faces dimension key json")
+_BIPERM = _Family(
+    2, lambda m, n, each: leveled.bipermutahedron_poset(m, n, each),
+    lambda m, n: ([(up, down, *v) for v in levels]
+                  for up, down, levels in leveled.level_groups(m, n)),
+    leveled.level_dimension, lambda *x: leveled.pair_key(*x), lambda *x: leveled.pair_json(*x))
 FAMILY = {
-    "perm": _PERM,
-    "biperm": _PERM,
-    "assoc": (lambda m, n, each: trees.face_poset_associahedron(m, each),
-              lambda m, n: ((s,) for s in trees._shapes(m)), trees.tree_dimension),
-    "biassoc": (lambda m, n, each: zones.biassociahedron_poset(m, n, each),
-                lambda m, n: ((up, down, *z) for up, down, levels in leveled.level_groups(m, n)
-                              for z in {zones._zone_tuples(*v) for v in levels}),
-                zones.zone_dimension),
-    "multipl": (lambda m, n, each: multipli.multiplihedron_poset(m, each),
-                lambda m, n: multipli.shape_diaphragms(m), multipli.diaphragm_dimension),
+    "perm": _BIPERM._replace(legs=1),
+    "biperm": _BIPERM,
+    "assoc": _Family(
+        1, lambda m, n, each: trees.face_poset_associahedron(m, each),
+        lambda m, n: [((s,) for s in trees._shapes(m))], trees.tree_dimension,
+        lambda s: trees.shape_text(s), lambda s: trees.PlanarTree("up", s).to_json()),
+    "biassoc": _Family(
+        2, lambda m, n, each: zones.biassociahedron_poset(m, n, each),
+        lambda m, n: ([(up, down, *z) for z in {zones._zone_tuples(*v) for v in levels}]
+                      for up, down, levels in leveled.level_groups(m, n)),
+        zones.zone_dimension, lambda *x: leveled.pair_key(*x), lambda *x: zones.zone_json(*x)),
+    "multipl": _Family(
+        1, lambda m, n, each: multipli.multiplihedron_poset(m, each),
+        lambda m, n: [multipli.shape_diaphragms(m)], multipli.diaphragm_dimension,
+        lambda s, z: multipli._painted_text(multipli.painted_shape(s, z)),
+        lambda s, z: multipli.painted_json(multipli.painted_shape(s, z))),
 }
-
-
-def _blocks(family, m, n, fmt):
-    """The lines of `enumerate` in blocks: one tree pair's elements for
-    perm, biperm and biassoc, which are walked one tree pair at a time,
-    and one line per block for assoc and multipl."""
-    if family in ("perm", "biperm", "biassoc"):
-        write = leveled.pair_key
-        if fmt == "json":
-            write = zones.zone_json if family == "biassoc" else leveled.pair_json
-        for up, down, values in leveled.pair_groups(m, n):
-            if family == "biassoc":
-                values = zones.zone_group(up, down, values)[0]
-            yield [write(up, down, *v) for v in values]
-    elif family == "assoc":
-        for x in trees.enumerate_trees(m, "up"):
-            yield [x.to_json() if fmt == "json" else x.text()]
-    else:  # the choices admit no other family: this is multipl
-        for key, shape, zeta in multipli.painted_faces(m):
-            if fmt == "json":
-                key = multipli.painted_json(multipli.painted_shape(shape, zeta))
-            yield [key]
 
 
 def _pair_from_args(args) -> leveled.ComplementaryPair:
@@ -131,24 +121,29 @@ def run(argv) -> int:
                 raise UsageError("need -m")
             if args.verb == "verify" and args.check == "propd":
                 args.n = 2  # Prop D is about the (m, 2) pairs
-            elif args.verb != "verify" or args.check == "euler":
-                if args.family in ("perm", "assoc", "multipl"):
-                    args.n = 1  # one-legged families: the (m, 1) faces
+            elif (args.verb != "verify" or args.check == "euler") and FAMILY[args.family].legs == 1:
+                args.n = 1  # one-legged families: the (m, 1) faces
             _check_size(args.m, args.n, args.max_size)
 
         if args.verb == "enumerate":
-            for block in _blocks(args.family, args.m, args.n, args.format):
-                sys.stdout.write("\n".join(block) + "\n")
+            row = FAMILY[args.family]
+            key = lambda face: row.key(*face)
+            line = str if args.format == "text" else lambda face: row.json(*face)
+            for block in row.faces(args.m, args.n):
+                block = sorted(map(key, block)) if line is str else sorted(block, key=key)
+                for i in range(0, len(block), 1024):
+                    sys.stdout.write("".join([line(x) + "\n" for x in block[i : i + 1024]]))
             return 0
 
         if args.verb == "fvector":
-            _, faces, dimension = FAMILY[args.family]
-            counts = Counter(dimension(*face) for face in faces(args.m, args.n))
+            row = FAMILY[args.family]
+            counts = Counter(row.dimension(*face)
+                             for block in row.faces(args.m, args.n) for face in block)
             print(" ".join(str(counts[d]) for d in range(max(counts) + 1)))
             return 0
 
         if args.verb == "hasse":
-            p = FAMILY[args.family][0](args.m, args.n, None)
+            p = FAMILY[args.family].build(args.m, args.n, None)
             print(p.dot() if args.dot else p.to_json())
             return 0
 
@@ -197,9 +192,8 @@ def _verify(args) -> int:
         head, failure, verdict = "propd m=%d" % m, multipli.prop_d_map(m)[1], "posets isomorphic"
     else:  # the choices admit no other check: this is euler.  Face posets
         # are graded by their faces' dimensions: a bad cover or rank is a verdict
-        build, _, dimension = FAMILY[args.family]
-        dims = []
-        p = build(m, n, lambda *face: dims.append(dimension(*face)))
+        row, dims = FAMILY[args.family], []
+        p = row.build(m, n, lambda *face: dims.append(row.dimension(*face)))
         failure = p.grading_failure() or next((
             "%s has rank %d but dimension %d" % (key, r, d)
             for key, r, d in zip(p.elements, p.ranks(), dims, strict=True) if r != d), None)

@@ -99,7 +99,10 @@ class ComplementaryPair(TreePair):
 
     @classmethod
     def from_key(cls, key: str) -> "ComplementaryPair":
-        ut, dt, ul, dl = key.split(";")
+        parts = key.split(";")
+        if len(parts) != 4:
+            raise ValueError("pair key needs 4 ';'-separated parts, not %d" % len(parts))
+        ut, dt, ul, dl = parts
         return cls._from_texts(ut, dt, *((int(x) for x in s.split(",") if x) for s in (ul, dl)))
 
     def to_json(self) -> str:
@@ -134,14 +137,6 @@ def pair_json(up, down, up_levels, down_levels) -> str:
     """The one writer of a pair's JSON text, from its parts."""
     return json.dumps({"up": shape_text(up), "down": shape_text(down),
                        "up_levels": list(up_levels), "down_levels": list(down_levels)})
-
-
-def key_order(v) -> tuple:
-    """A sort key of one tree pair's level or zone tuples v = (a, b)
-    that orders them as their pair_key strings, without writing them.
-    The keys share the two tree texts and go on "a;b", and no tuple's
-    text holds a ";", so comparing a + ";" and then b compares the keys."""
-    return values_text(v[0]) + ";", values_text(v[1])
 
 
 def pair_objects(up, down, values) -> list:
@@ -209,28 +204,22 @@ def enumerate_level_functions(up, down) -> list:
 def level_groups(m: int, n: int):
     """Per tree pair with m up-leaves and n down-leaves, in key order,
     (up shape, down shape, its level tuples in no set order), one at a
-    time, so a caller holds one tree pair's level tuples, not all."""
+    time, so a caller holds one tree pair's level tuples, not all.  A
+    key starts with the two tree texts, no tree text is a prefix of
+    another and _shapes lists them in text order, so sorting each tree
+    pair's keys sorts them all."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     return ((up, down, enumerate_level_functions(up, down))
             for up in _shapes(m) for down in _shapes(n))
 
 
-def pair_groups(m: int, n: int):
-    """level_groups with each tree pair's level tuples sorted by key."""
-    # a key starts with the two tree texts, no tree text is a prefix of
-    # another and _shapes lists them in text order, so sorting each tree
-    # pair's keys sorts them all; key_order sorts as the keys do ("1,23;"
-    # is before "1,2;") without writing them
-    return ((up, down, sorted(levels, key=key_order))
-            for up, down, levels in level_groups(m, n))
-
-
 @cache
 def enumerate_leveled_pairs(m: int, n: int) -> tuple:
     """All complementary pairs with m up-leaves and n down-leaves, in
     key order, each validated: a reference that no verb reads."""
-    return tuple(chain.from_iterable(pair_objects(*group) for group in pair_groups(m, n)))
+    pairs = chain.from_iterable(pair_objects(*group) for group in level_groups(m, n))
+    return tuple(sorted(pairs, key=ComplementaryPair.key))
 
 
 def pair_leq(x1: ComplementaryPair, x2: ComplementaryPair) -> bool:
@@ -271,29 +260,32 @@ def bipermutahedron_poset(m: int, n: int, each_class=None):
 
 def coarsening_poset(m: int, n: int, classify, each_class=None):
     """The face poset of a quotient of the (m, n) bipermutahedron, built
-    in one walk of pair_groups on plain tuples, with no pair object.
-    classify(up, down, levels) returns one tree pair's classes in key
-    order, as tuple pairs keyed by pair_key, and per level tuple the
-    number of its class; the tree pairs come in key order, so the keys
-    are the sorted elements.  When given, each_class(up, down, a, b) is
-    called once per class, in key order, with its parts, from the walk
-    that builds the poset.  The relation is the image of the one-step
-    moves, merging two adjacent blocks of the gap code (an OR of their
-    masks); their closure is the block-merge order, pair_leq.  The image
-    of the whole order is already transitive for every quotient built
-    here (the tests check it for m + n <= 7), so the closure of the
-    image is the image of the order.
+    in one walk of level_groups on plain tuples, with no pair object.
+    classify(up, down, levels) returns one tree pair's classes, as tuple
+    pairs keyed by pair_key, and per level tuple the number of its
+    class; each tree pair's classes are sorted by the keys they print
+    as, so the keys are the sorted elements.  When given,
+    each_class(up, down, a, b) is called once per class, in key order,
+    with its parts, from the walk that builds the poset.  The relation
+    is the image of the one-step moves, merging two adjacent blocks of
+    the gap code (an OR of their masks); their closure is the
+    block-merge order, pair_leq.  The image of the whole order is
+    already transitive for every quotient built here (the tests check it
+    for m + n <= 7), so the closure of the image is the image of the
+    order.
     """
     keys, image = [], {}  # per pair, only its gap code and class number
-    for up, down, levels in pair_groups(m, n):
+    for up, down, levels in level_groups(m, n):
         classes, numbers = classify(up, down, levels)
-        if each_class is not None:
-            for c in classes:
-                each_class(up, down, *c)
-        index = [len(keys) + k for k in range(len(classes))]  # one int per class
+        written = [pair_key(up, down, *c) for c in classes]
+        index = [0] * len(classes)  # per class, its element number
+        for k in sorted(range(len(classes)), key=written.__getitem__):
+            index[k] = len(keys)
+            keys.append(written[k])
+            if each_class is not None:
+                each_class(up, down, *classes[k])
         codes = [gap_code(up, down, *v) for v in levels]
         image.update(zip(codes, [index[k] for k in numbers]))
-        keys.extend([pair_key(up, down, *c) for c in classes])
     return posets.FinitePoset(
         tuple(keys),
         (

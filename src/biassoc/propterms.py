@@ -48,7 +48,7 @@ from functools import cache
 from itertools import islice
 from operator import le
 
-from .leveled import ComplementaryPair, pair_groups, pair_key
+from .leveled import ComplementaryPair, level_groups, pair_key
 from .posets import _Record
 from .trees import LEAF, PlanarTree, shape_vertices, subshape
 
@@ -653,10 +653,10 @@ def theorem_c_witness(m: int, n: int) -> tuple:
     # the partitions coincide iff term code <-> zone class is a bijection.
     # A zone class lies in one tree pair, so by_zone is kept per tree
     # pair; by_term spans them all and holds numbers, not pairs: pair i
-    # in key order, zone class z in key order
+    # and zone class z in the order of the walk
     by_term = {}
     i = classes = 0
-    for up, down, levels in pair_groups(m, n):
+    for up, down, levels in level_groups(m, n):
         found, numbers = zone_group(up, down, levels)
         base, classes = classes, classes + len(found)
         by_zone = {}
@@ -675,6 +675,6 @@ def theorem_c_witness(m: int, n: int) -> tuple:
 
 
 def _pair_key(m: int, n: int, i: int) -> str:
-    """The key of the i-th (m, n) pair in key order."""
-    keys = (pair_key(u, d, *v) for u, d, levels in pair_groups(m, n) for v in levels)
+    """The key of the i-th (m, n) pair in the order of level_groups."""
+    keys = (pair_key(u, d, *v) for u, d, levels in level_groups(m, n) for v in levels)
     return next(islice(keys, i, None))

@@ -29,7 +29,6 @@ from .leveled import (
     coarsening_poset,
     enumerate_level_functions,
     enumerate_leveled_pairs,
-    key_order,
 )
 from .trees import (
     PlanarTree,
@@ -207,12 +206,11 @@ def enumerate_zone_pairs(m: int, n: int) -> tuple:
 
 
 def zone_group(up, down, levels) -> tuple:
-    """One tree pair's distinct zone tuples, sorted by key, and per
-    level tuple of `levels` the number of its zones among them."""
-    met = [_zone_tuples(*v) for v in levels]
-    classes = sorted(set(met), key=key_order)
-    number = {z: k for k, z in enumerate(classes)}
-    return classes, [number[z] for z in met]
+    """One tree pair's distinct zone tuples, in the order first met, and
+    per level tuple of `levels` the number of its zones among them."""
+    number = {}
+    met = [number.setdefault(_zone_tuples(*v), len(number)) for v in levels]
+    return list(number), met
 
 
 def zone_dimension(up, down, up_zones, down_zones) -> int:

@@ -225,7 +225,7 @@ def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
     assert not built
     count("varpi --up '(* *)' --up-levels 1")
     assert built == {"ComplementaryPair": 1}
-    groups = leveled.pair_groups
+    groups = leveled.level_groups
 
     def counted_groups(m, n):
         for group in groups(m, n):
@@ -233,7 +233,7 @@ def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
             yield group
 
     for module in (leveled, propterms):
-        monkeypatch.setattr(module, "pair_groups", counted_groups)
+        monkeypatch.setattr(module, "level_groups", counted_groups)
     # opet walks each split once, building its poset and stepping its
     # pairs in the same walk: (3, 2) and (4, 1)
     count("verify opet -m 3 -n 2")
@@ -245,8 +245,8 @@ def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
 
 
 def test_text_enumerate_writes_each_key_once(capsys, monkeypatch):
-    # the walks sort on the tuples' texts, so a key is written only for
-    # its line
+    # the text lines are sorted as they are written, so a key is
+    # written only for its line
     calls = []
     pair_key = leveled.pair_key
     monkeypatch.setattr(leveled, "pair_key", lambda *parts: calls.append(parts) or pair_key(*parts))
@@ -542,7 +542,8 @@ USAGE_ERRORS = [
      "biassoc verify: error: argument --family: invalid choice: 'nope' " + CHOICES),
     ("varpi --up '(* *)'", 2, "error: need --up and --up-levels"),
     ("varpi --down '(* *)'", 2, "error: need --up and --up-levels"),
-    ("varpi --up '(* *)' --up-levels '1;2'", 2, "error: too many values to unpack (expected 4)"),
+    ("varpi --up '(* *)' --up-levels '1;2'", 2,
+     "error: pair key needs 4 ';'-separated parts, not 5"),
     ("encode --up '(* *)' --up-levels 1", 2, "error: only --gamma encoding is available"),
     ("encode --gamma --decode '(1)'", 2, "error: need -m (and -n) to decode"),
 ]
@@ -583,9 +584,9 @@ def test_fvector_at_the_smallest_split_and_below(capsys):
 
 
 def family_splits(family, top=8):
-    """Every split of the family with m + n <= top; perm, assoc and
-    multipl have n = 1."""
-    if family in ("biperm", "biassoc"):
+    """Every split of the family with m + n <= top; the one-legged
+    families have n = 1."""
+    if cli.FAMILY[family].legs == 2:
         return [(m, k - m) for k in range(2, top + 1) for m in range(1, k)]
     return [(m, 1) for m in range(1, top)]
 
@@ -597,7 +598,7 @@ def fvector_mismatches(capsys, families):
     for family in families:
         for m, n in family_splits(family):
             code, line, _ = run(capsys, "fvector", "--family", family, "-m", str(m), "-n", str(n))
-            want = " ".join(map(str, cli.FAMILY[family][0](m, n, None).fvector())) + "\n"
+            want = " ".join(map(str, cli.FAMILY[family].build(m, n, None).fvector())) + "\n"
             if (code, line) != (0, want):
                 out.append((family, m, n))
     return out
@@ -607,10 +608,10 @@ def test_each_face_dimension_is_its_longest_chain_rank():
     # the ranks come from the Kahn pass over each builder's moves, the
     # dimensions from each face's own parts, in the order the builder's
     # hook walks them: every split with m + n <= 8, assoc up to m = 8
-    for family, (build, _, dimension) in cli.FAMILY.items():
+    for family, row in cli.FAMILY.items():
         for m, n in family_splits(family, 9 if family == "assoc" else 8):
             dims = []
-            p = build(m, n, lambda *face: dims.append(dimension(*face)))
+            p = row.build(m, n, lambda *face: dims.append(row.dimension(*face)))
             assert p.ranks() == dims, (family, m, n)
 
 
@@ -622,12 +623,12 @@ def test_a_dimension_off_on_barriers_fails_both_checks(capsys, monkeypatch):
     # a mutant zone_dimension that counts one barrier zone twice: the
     # streamed f-vectors differ from the posets', and verify euler names
     # the first face in key order whose rank is not its dimension
-    build, faces, dimension = cli.FAMILY["biassoc"]
+    row = cli.FAMILY["biassoc"]
 
     def twice(up, down, up_zones, down_zones):
-        return dimension(up, down, up_zones, down_zones) - bool(set(up_zones) & set(down_zones))
+        return row.dimension(up, down, up_zones, down_zones) - bool(set(up_zones) & set(down_zones))
 
-    monkeypatch.setitem(cli.FAMILY, "biassoc", (build, faces, twice))
+    monkeypatch.setitem(cli.FAMILY, "biassoc", row._replace(dimension=twice))
     assert ("biassoc", 2, 2) in fvector_mismatches(capsys, ["biassoc"])
     code, out, err = run(capsys, "verify", "euler", "--family", "biassoc", "-m", "2", "-n", "2")
     p = zones.biassociahedron_poset(2, 2)
@@ -668,7 +669,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
 # one call of each verb at its smallest size, and of each family's
 # poset and enumerate verbs
 COLD_START_CALLS = [
-    *("%s --family %s %s" % (verb, family, "-m 1" if family in ("perm", "assoc", "multipl")
+    *("%s --family %s %s" % (verb, family, "-m 1" if cli.FAMILY[family].legs == 1
                              else "-m 1 -n 1")
       for verb in ("fvector", "hasse", "hasse --dot", "enumerate --format json")
       for family in cli.FAMILY),
@@ -789,6 +790,18 @@ def test_poset_output_byte_identical(capsys):
         code, out, _ = run(capsys, *shlex.split(argv))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_small_enumerations_byte_identical(capsys):
+    # the goldens of enumerate with m + n <= 4, every family and format:
+    # few enough to check each mutant of its order, as the whole table
+    # above is not
+    for argv, digest in GOLDENS.items():
+        split = re.fullmatch(r"enumerate .* -m (\d+) -n (\d+)", argv)
+        if split and sum(map(int, split.groups())) <= 4:
+            code, out, _ = run(capsys, *shlex.split(argv))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_library_imports_no_numpy():

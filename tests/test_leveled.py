@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import combinations, permutations, product
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -132,17 +132,6 @@ def test_pairs_come_sorted_by_key():
             assert keys == sorted(set(keys))
 
 
-def test_key_order_sorts_two_digit_levels_as_keys():
-    # no pair with m + n <= 8 has a level above 6; "1,23;" is before
-    # "1,2;" in a key, so key_order must compare the ";" too
-    tuples = [t for k in range(4) for t in permutations((2, 10, 23), k)]
-    shapes = (("*", "*"), "*")
-    values = list(product(tuples, tuples))
-    by_key = sorted(values, key=lambda v: L.pair_key(*shapes, *v))
-    assert sorted(values, key=L.key_order) == by_key
-    assert by_key.index(((2, 23), ())) < by_key.index(((2,), ()))
-
-
 def test_banquet_counts():
     assert (
         len(L.enumerate_leveled_pairs(4, 1))
@@ -192,6 +181,10 @@ def test_key_and_json_roundtrip():
     for x in L.enumerate_leveled_pairs(3, 2):
         assert ComplementaryPair.from_key(x.key()) == x
         assert ComplementaryPair.from_json(x.to_json()) == x
+    # a key has four ";"-separated parts, no fewer and no more
+    for key, count in (("(* *);*;1", 3), ("(* *);*;1;;2", 5)):
+        with pytest.raises(ValueError, match="needs 4 ';'-separated parts, not %d" % count):
+            ComplementaryPair.from_key(key)
 
 
 # ---------------------------------------------------------------------------

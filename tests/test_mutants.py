@@ -2,11 +2,12 @@
 
 Each row names one production function and one textual edit of its
 source that makes a plausible wrong version of it, and the check that
-must then fail: a named test of this suite, run with the mutant in
-place, which must pass without it and fail, by an assertion or an
-error, with it.  The mutant is compiled from the function's own source
-in its module's namespace, so a name that no longer resolves, or an
-edit that no longer applies, fails its row instead of passing it.
+must then fail: a named test of this suite ("test[id]" names one case
+of a parametrized test), run with the mutant in place, which must pass
+without it and fail, by an assertion or an error, with it.  The mutant
+is compiled from the function's own source in its module's namespace,
+so a name that no longer resolves, or an edit that no longer applies,
+fails its row instead of passing it.
 Every check runs at m + n <= 8, the whole table in a few seconds.  A
 change that adds a fast path or an oracle adds its row here.
 """
@@ -68,15 +69,21 @@ MUTANTS = [
     # the down trees walked with m leaves
     ("biassoc.leveled:level_groups", "for down in _shapes(n)", "for down in _shapes(m)",
      "test_leveled:test_bipermutahedron_fvectors_and_grading"),
-    # the sort key without the ";": "1,2" sorts before "1,23"
-    ("biassoc.leveled:key_order", 'values_text(v[0]) + ";"', "values_text(v[0])",
-     "test_leveled:test_key_order_sorts_two_digit_levels_as_keys"),
     # the pair check sized by the largest value, not by how many there are
     ("biassoc.leveled:TreePair.check_values", "len(set(values))", "max(values, default=0)",
      "test_leveled:test_outside_input_is_refused_in_memory_sized_by_the_input"),
     # the block-merge posets miss the merge of the last two blocks
     ("biassoc.leveled:coarsening_poset", "range(len(code) - 1)", "range(len(code) - 2)",
      "test_leveled:test_bipermutahedron_fvectors_and_grading"),
+    # the block-merge posets keep each tree pair's classes in walk order
+    ("biassoc.leveled:coarsening_poset", "sorted(range(len(classes)), key=written.__getitem__)",
+     "range(len(classes))",
+     "test_zones:test_poset_calls_each_class_once_per_class_in_key_order[bipermutahedron_poset]"),
+    # enumerate writes each block's lines in walk order: text, then JSON
+    ("biassoc.cli:run", "sorted(map(key, block))", "list(map(key, block))",
+     "test_cli:test_small_enumerations_byte_identical"),
+    ("biassoc.cli:run", "sorted(block, key=key)", "list(block)",
+     "test_cli:test_small_enumerations_byte_identical"),
     # the projection merges two adjacent barriers into one zone
     ("biassoc.zones:_zone_tuples", 'kind != prev or kind == "B"', "kind != prev",
      "test_zones:test_relative_heights"),
@@ -117,6 +124,17 @@ def mutant(function, old, new):
     return namespace[function.__name__]
 
 
+def parameters(check, case) -> dict:
+    """The arguments of the case of the parametrized test check whose id
+    is case."""
+    out = {}
+    for mark in getattr(check, "pytestmark", ()):
+        if mark.name == "parametrize":
+            names = [name.strip() for name in mark.args[0].split(",")]
+            out.update(zip(names, mark.args[1][mark.kwargs["ids"].index(case)]))
+    return out
+
+
 # a row's id is its target; a later row on the same target adds its test
 IDS = [target if all(target != row[0] for row in MUTANTS[:i]) else "%s>%s" % (target, test)
        for i, (target, _, _, test) in enumerate(MUTANTS)]
@@ -127,8 +145,11 @@ def test_mutant_is_caught(target, old, new, test, capsys, monkeypatch):
     # the catching test gets this test's fixtures; the mutant is patched
     # in a context of its own, which the test cannot undo
     owner, attribute = resolve(target)
-    check = getattr(*resolve(test))
+    name, _, case = test.partition("[")
+    check = getattr(*resolve(name))
     fixtures = {"capsys": capsys, "monkeypatch": monkeypatch}
+    if case:
+        fixtures.update(parameters(check, case.removesuffix("]")))
     arguments = [fixtures[p] for p in inspect.signature(check).parameters]
     check(*arguments)
     with pytest.MonkeyPatch.context() as patch:

@@ -116,7 +116,7 @@ def test_records_are_immutable_values(monkeypatch):
     validate = FinitePoset.__post_init__
     monkeypatch.setattr(FinitePoset, "__post_init__",
                         lambda p, relation: built.append(len(p.elements)) or validate(p, relation))
-    sizes = [len(chain(3))] + [len(cli.FAMILY[f][0](3, 2, None)) for f in cli.FAMILY]
+    sizes = [len(chain(3))] + [len(cli.FAMILY[f].build(3, 2, None)) for f in cli.FAMILY]
     assert built == sizes
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biassoc import propterms as P, zones as Z
-from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs, pair_groups, pair_key
+from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs, level_groups, pair_key
 from biassoc.trees import PlanarTree, leaf_count
 from gen_helpers import (
     nonspecial_gadget,
@@ -508,7 +508,7 @@ def test_term_codes_golden(m, n):
     )
     walk = sorted(
         "%s\t%s\n" % (pair_key(up, down, *v), code.hex())
-        for up, down, levels in pair_groups(m, n)
+        for up, down, levels in level_groups(m, n)
         for v, code in zip(levels, P._term_codes(up, down, levels), strict=True)
     )
     assert walk == rows
@@ -660,7 +660,7 @@ def test_every_cut_piece_is_a_valid_pair(monkeypatch):
             P, "_piece_expr", lambda *x: seen.add(x) or piece_expr(*x))
         for s in range(2, 8):
             for m in range(1, s):
-                for up, down, levels in pair_groups(m, s - m):
+                for up, down, levels in level_groups(m, s - m):
                     for v in levels:
                         P.varpi_expr(up, down, *v)
         monkeypatch.undo()
