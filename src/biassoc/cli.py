@@ -5,9 +5,9 @@ perm (permutahedron, n forced to 1), biperm, assoc, biassoc, multipl.
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 internal error (an unexpected exception; never a verdict).
 
-`enumerate` sorts each block of its family's walk by the keys its faces
-print as and writes it at most 1024 lines at a time, so its memory grows
-with one block, one tree pair's faces for perm, biperm and biassoc.
+`enumerate` sorts each block of its family's walk by key and writes the
+keys, or their JSON rewrites, at most 1024 lines at a time, so its memory
+grows with one block, one tree pair's faces for perm, biperm and biassoc.
 `main` restores the default SIGPIPE action: when the reader closes
 stdout early (as `head` does), the tool ends quietly, as `cat` does,
 with no traceback.  `run` leaves the signal alone.
@@ -42,32 +42,31 @@ def _check_size(m, n, limit):
 # calls each(*face) per element in element order when each is given;
 # faces(m, n), its one walk, with no poset or sort, in blocks of faces'
 # parts (one tree pair's for perm, biperm and biassoc, one of all faces
-# for assoc and multipl); and from a face's parts its dimension, key
-# text and JSON text.  Builders and writers are looked up when called,
-# so that a patched one runs.
+# for assoc and multipl); from a face's parts its dimension and key
+# text; and from a key its JSON text.  Builders and writers are looked
+# up when called, so that a patched one runs.
 _Family = namedtuple("Family", "legs build faces dimension key json")
 _BIPERM = _Family(
     2, lambda m, n, each: leveled.bipermutahedron_poset(m, n, each),
     lambda m, n: ([(up, down, *v) for v in levels]
                   for up, down, levels in leveled.level_groups(m, n)),
-    leveled.level_dimension, lambda *x: leveled.pair_key(*x), lambda *x: leveled.pair_json(*x))
+    leveled.level_dimension, lambda *x: leveled.pair_key(*x), lambda key: leveled.pair_json(key))
 FAMILY = {
     "perm": _BIPERM._replace(legs=1),
     "biperm": _BIPERM,
     "assoc": _Family(
         1, lambda m, n, each: trees.face_poset_associahedron(m, each),
         lambda m, n: [((s,) for s in trees._shapes(m))], trees.tree_dimension,
-        lambda s: trees.shape_text(s), lambda s: trees.PlanarTree("up", s).to_json()),
+        lambda s: trees.shape_text(s), lambda key: trees.tree_json("up", key)),
     "biassoc": _Family(
         2, lambda m, n, each: zones.biassociahedron_poset(m, n, each),
         lambda m, n: ([(up, down, *z) for z in {zones._zone_tuples(*v) for v in levels}]
                       for up, down, levels in leveled.level_groups(m, n)),
-        zones.zone_dimension, lambda *x: leveled.pair_key(*x), lambda *x: zones.zone_json(*x)),
+        zones.zone_dimension, lambda *x: leveled.pair_key(*x), lambda key: zones.zone_json(key)),
     "multipl": _Family(
         1, lambda m, n, each: multipli.multiplihedron_poset(m, each),
         lambda m, n: [multipli.shape_diaphragms(m)], multipli.diaphragm_dimension,
-        lambda s, z: multipli._painted_text(multipli.painted_shape(s, z)),
-        lambda s, z: multipli.painted_json(multipli.painted_shape(s, z))),
+        lambda s, z: multipli.painted_key(s, z), lambda key: multipli.painted_json(key)),
 }
 
 
@@ -127,10 +126,9 @@ def run(argv) -> int:
 
         if args.verb == "enumerate":
             row = FAMILY[args.family]
-            key = lambda face: row.key(*face)
-            line = str if args.format == "text" else lambda face: row.json(*face)
+            line = str if args.format == "text" else row.json
             for block in row.faces(args.m, args.n):
-                block = sorted(map(key, block)) if line is str else sorted(block, key=key)
+                block = sorted([row.key(*face) for face in block])
                 for i in range(0, len(block), 1024):
                     sys.stdout.write("".join([line(x) + "\n" for x in block[i : i + 1024]]))
             return 0

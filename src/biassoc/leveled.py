@@ -13,8 +13,8 @@ the (m, n) bipermutahedron; the n = 1 case is the classical
 permutahedron on ordered set partitions.  bipermutahedron_poset is the
 one builder of its face poset, and it keeps no cache.
 Every walk carries a pair as its parts (up shape, down shape, up
-levels, down levels): pair_key and pair_json write its key and JSON
-text, and opet_step maps parts to parts.  A ComplementaryPair is built
+levels, down levels): pair_key writes its key, pair_json rewrites it
+as JSON, and opet_step maps parts to parts.  A ComplementaryPair is built
 only from outside input (from_key, which reads the CLI's pair options,
 from_json, gamma_decode) and in the tests' enumerate_leveled_pairs.
 """
@@ -106,7 +106,7 @@ class ComplementaryPair(TreePair):
         return cls._from_texts(ut, dt, *((int(x) for x in s.split(",") if x) for s in (ul, dl)))
 
     def to_json(self) -> str:
-        return pair_json(*self.parts)
+        return pair_json(self.key())
 
     @classmethod
     def from_json(cls, data: str) -> "ComplementaryPair":
@@ -133,10 +133,11 @@ def pair_key(up, down, a, b) -> str:
         shape_text(up), shape_text(down), values_text(a), values_text(b))
 
 
-def pair_json(up, down, up_levels, down_levels) -> str:
-    """The one writer of a pair's JSON text, from its parts."""
-    return json.dumps({"up": shape_text(up), "down": shape_text(down),
-                       "up_levels": list(up_levels), "down_levels": list(down_levels)})
+def pair_json(key) -> str:
+    """A pair's JSON text, rewritten from its key: tree text holds no ","
+    and nothing in a key needs escaping."""
+    return '{"up": "%s", "down": "%s", "up_levels": [%s], "down_levels": [%s]}' % tuple(
+        key.replace(",", ", ").split(";"))
 
 
 def pair_objects(up, down, values) -> list:

@@ -13,8 +13,9 @@ through the functions of trees (text, leaf count, validation, parser).
 
 The multiplihedron face poset, whose one builder multiplihedron_poset
 keeps no cache, is built from the markings of each plain shape
-(shape_diaphragms), without zone pairs, each named by the text that
-painted_shape paints from it, with no tree object; enumerate_painted,
+(shape_diaphragms), without zone pairs, each named by painted_key, the
+text of the painted tree that painted_shape paints from it, with no tree
+object; painted_json rewrites that text as JSON.  enumerate_painted,
 which generates painted trees from their vertex rules, is the reference
 the tests compare them with.  Its relation is the one-step moves of the
 diaphragms (diaphragm_moves), as the associahedron's is its edge
@@ -23,7 +24,6 @@ contractions; diaphragm_leq is the reference order.
 
 from __future__ import annotations
 
-import json
 from functools import cache
 
 from . import posets
@@ -143,7 +143,7 @@ class PaintedTree(posets._Record):
         return self.text()
 
     def to_json(self) -> str:
-        return painted_json(self.shape)
+        return painted_json(self.text())
 
 
 def _painted_leaves(shape):
@@ -170,25 +170,13 @@ def _painted_parse(text, pos):
     return (".", children), pos
 
 
-def painted_json(shape) -> str:
-    """The one writer of a painted tree's JSON text, from its painted
-    shape: enumerate writes each face's from painted_shape, with no
-    PaintedTree."""
-    return json.dumps(_painted_jsonable(shape))
-
-
-def _painted_jsonable(shape):
-    kind, children = shape
-    if kind == "!":
-        return {"type": "application", "children": list(map(_white_jsonable, children))}
-    return {"type": "plain", "children": list(map(_painted_jsonable, children))}
-
-
-def _white_jsonable(shape):
-    """A white part, in the JSON of a painted tree."""
-    if shape == LEAF:
-        return LEAF
-    return {"type": "plain", "children": list(map(_white_jsonable, shape))}
+def painted_json(text) -> str:
+    """A painted tree's JSON text, rewritten from its text: each vertex
+    an object {"type": "application" for "!(", else "plain", "children":
+    [...]}, each leaf "*".  The text holds nothing that needs escaping."""
+    text = text.replace("*", '"*"').replace(" ", ", ").replace(")", "]}")
+    text = text.replace("!(", '{"type": "application", "children": [')
+    return text.replace("(", '{"type": "plain", "children": [')
 
 
 def painted_shape(shape, zeta):
@@ -213,6 +201,12 @@ def painted_shape(shape, zeta):
     return black(shape)
 
 
+def painted_key(shape, zeta) -> str:
+    """The text of the painted tree of the diaphragm (shape, zeta): the
+    one call that names a diaphragm, with no tree object."""
+    return _painted_text(painted_shape(shape, zeta))
+
+
 def diaphragm_to_painted(d: DiaphragmTree) -> PaintedTree:
     """The painted tree of a diaphragm (see painted_shape)."""
     return PaintedTree(painted_shape(d.tree.shape, d.zeta))
@@ -235,13 +229,6 @@ def shape_diaphragms(m: int):
             zetas = [z + (c,) for z in zetas for c in _CHILD_MARKS[z[p]]]
         for zeta in zetas:
             yield shape, zeta
-
-
-def painted_faces(m: int) -> list:
-    """(painted-tree key, shape, zeta) for each diaphragm of
-    shape_diaphragms, sorted by key as enumerate_painted is.  A key is
-    the text of painted_shape: no tree object or painted shape is kept."""
-    return sorted((_painted_text(painted_shape(s, z)), s, z) for s, z in shape_diaphragms(m))
 
 
 @cache
@@ -310,8 +297,9 @@ def diaphragm_dimension(shape, zeta) -> int:
 
 
 def multiplihedron_poset(m: int, each_face=None):
-    """Face poset of the multiplihedron on the painted-tree keys of
-    painted_faces, ordered by diaphragm_leq on their diaphragms.
+    """Face poset of the multiplihedron on the painted_key of each
+    diaphragm of shape_diaphragms, sorted by key as enumerate_painted
+    is, ordered by diaphragm_leq on their diaphragms.
     The relation is each diaphragm's diaphragm_moves, looked up by
     (shape, zeta); the tests compare its closure with diaphragm_leq.
     Only the keys and the (shape, zeta) index are held while it is
@@ -322,7 +310,7 @@ def multiplihedron_poset(m: int, each_face=None):
     merges, so prop_d_check compares two independently built posets.
     """
     keys, index = [], {}
-    for key, shape, zeta in painted_faces(m):
+    for key, shape, zeta in sorted((painted_key(s, z), s, z) for s, z in shape_diaphragms(m)):
         index[shape, zeta] = len(keys)
         keys.append(key)
         if each_face is not None:
@@ -358,7 +346,7 @@ def prop_d_map(m: int) -> tuple:
 
     def paint(up, down, up_zones, down_zones):
         zeta = membrane_marks(up_zones, down_zones[0])
-        painted.append(_painted_text(painted_shape(up, zeta)))
+        painted.append(painted_key(up, zeta))
 
     p = biassociahedron_poset(m, 2, paint)
     f = dict(zip(p.elements, painted, strict=True))  # no key string held twice

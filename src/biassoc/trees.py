@@ -116,10 +116,11 @@ def shape_from_text(text: str, read=shape_prefix, name="tree"):
     return shape
 
 
-def _shape_to_jsonable(shape):
-    if shape == LEAF:
-        return LEAF
-    return [_shape_to_jsonable(c) for c in shape]
+def tree_json(orientation, text) -> str:
+    """A tree's JSON text, its shape as nested lists of "*", rewritten
+    from its tree text: nothing in it needs escaping."""
+    tree = text.replace(" ", ", ").replace("*", '"*"').replace("(", "[").replace(")", "]")
+    return '{"orientation": "%s", "tree": %s}' % (orientation, tree)
 
 
 def _shape_from_jsonable(obj):
@@ -155,9 +156,7 @@ class PlanarTree(posets._Record):
         return shape_text(self.shape)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"orientation": self.orientation, "tree": _shape_to_jsonable(self.shape)}
-        )
+        return tree_json(self.orientation, self.text())
 
     @classmethod
     def from_json(cls, data: str) -> "PlanarTree":

@@ -9,8 +9,8 @@ share a barrier).  The zone pairs with m up-leaves and n down-leaves
 index the faces of the step-one biassociahedron; biassociahedron_poset
 is the one builder of its face poset, and it keeps no cache.
 Its walk, zone_group, projects level tuples to zone tuples; every walk
-carries a zone pair as its parts, and pair_key and zone_json write its
-key and JSON text.  A ZonePair is built only in the tests' references.
+carries a zone pair as its parts; zone_json rewrites its pair_key as
+JSON.  A ZonePair is built only in the tests' references.
 The projection of a pair of level tuples is memoized on the two tuples,
 which recur across tree pairs (3,032 entries for the 47,293 pairs at
 (5,4), 19,702 (3.0 MB) for the 545,835 at (5,5)); equal zone tuples
@@ -36,7 +36,7 @@ from .trees import (
     edge_ties,
     leaf_count,
     shape_edges,
-    shape_text,
+    shape_from_text,
     shape_vertices,
 )
 
@@ -84,14 +84,14 @@ class ZonePair(TreePair):
         return self.up.shape, self.down.shape, self.up_zones, self.down_zones
 
     def to_json(self) -> str:
-        return zone_json(*self.parts)
+        return zone_json(self.key())
 
 
-def zone_json(up, down, up_zones, down_zones) -> str:
-    """The one writer of a zone pair's JSON text, from its parts: the
-    text json.dumps gives the object {"up": ..., "down": ..., "zones":
-    per zone its tagged vertex paths, "type": ...}; no part of it needs
-    escaping."""
+def zone_json(key) -> str:
+    """A zone pair's JSON text, from its key: the text json.dumps gives
+    the object {"up": ..., "down": ..., "zones": per zone its tagged
+    vertex paths, "type": ...}; no part of it needs escaping."""
+    up, down, up_zones, down_zones = key.split(";")
     zones, kinds = [], []
     for u, d in zip_longest(_zone_members(up, up_zones, "u"),
                             _zone_members(down, down_zones, "d"), fillvalue=""):
@@ -102,16 +102,17 @@ def zone_json(up, down, up_zones, down_zones) -> str:
             zones.append("[%s]" % (u or d))
             kinds.append("U" if u else "D")
     return '{"up": "%s", "down": "%s", "zones": [%s], "type": "%s"}' % (
-        shape_text(up), shape_text(down), ", ".join(zones), "".join(kinds))
+        up, down, ", ".join(zones), "".join(kinds))
 
 
 @cache
-def _zone_members(shape, zones, tag) -> tuple:
-    """Per zone 1..max(zones), the JSON strings of the tagged dotted
-    paths of the vertices of shape in that zone ("u:0.1"),
-    comma-separated ("" for none)."""
+def _zone_members(text, zones, tag) -> tuple:
+    """Per zone 1..max, the JSON strings of the tagged dotted paths of
+    the vertices of the tree text in that zone ("u:0.1"), comma-separated
+    ("" for none), from the zones as a key writes them ("1,3,2")."""
+    zones = [int(z) for z in zones.split(",") if z]
     members = [[] for _ in range(max(zones, default=0))]
-    for p, z in zip(shape_vertices(shape), zones):
+    for p, z in zip(shape_vertices(shape_from_text(text)), zones):
         members[z - 1].append('"%s:%s"' % (tag, ".".join(map(str, p))))
     return tuple(map(", ".join, members))
 

@@ -15,6 +15,9 @@ level-function enumerator that the library's bitmask enumerator
 replaced, kept as its reference, and the edge-by-edge validation of
 level and zone functions that the cached per-part verdicts replaced,
 and the greedy linear extension that pi_section's one sort replaced.
+The recursive JSON objects of trees, pairs and painted trees, which the
+library wrote through json.dumps before it came to rewrite each key as
+its JSON text, are the references for those rewrites.
 """
 
 import json
@@ -319,9 +322,44 @@ def diaphragm_to_zone(d: M.DiaphragmTree) -> Z.ZonePair:
     )
 
 
+def shape_jsonable(shape):
+    """A tree shape as JSON nests it: a leaf "*", a vertex the list of
+    its children."""
+    if shape == LEAF:
+        return LEAF
+    return [shape_jsonable(c) for c in shape]
+
+
+def tree_jsonable(t: PlanarTree) -> dict:
+    """The JSON object of a tree, the reference for PlanarTree.to_json."""
+    return {"orientation": t.orientation, "tree": shape_jsonable(t.shape)}
+
+
+def pair_jsonable(x: ComplementaryPair) -> dict:
+    """The JSON object of a pair, the reference for pair_json."""
+    return {"up": x.up.text(), "down": x.down.text(),
+            "up_levels": list(x.up_levels), "down_levels": list(x.down_levels)}
+
+
+def painted_jsonable(shape) -> dict:
+    """The JSON object of a painted shape, the reference for
+    painted_json: each vertex {"type": ..., "children": [...]}."""
+    kind, children = shape
+    if kind == "!":
+        return {"type": "application", "children": list(map(white_jsonable, children))}
+    return {"type": "plain", "children": list(map(painted_jsonable, children))}
+
+
+def white_jsonable(shape):
+    """A white part, in the JSON object of a painted tree."""
+    if shape == LEAF:
+        return LEAF
+    return {"type": "plain", "children": list(map(white_jsonable, shape))}
+
+
 def zone_pair_json(z: Z.ZonePair) -> str:
     """The JSON text of a zone pair through json.dumps, the reference
-    for ZonePair.to_json, which joins cached per-part strings."""
+    for zone_json, which joins cached per-part strings."""
     by_zone = [[] for _ in range(z.l)]
     for p, k in zip(z.up.vertices(), z.up_zones):
         by_zone[k - 1].append("u:" + ".".join(map(str, p)))

@@ -1,12 +1,14 @@
 """Record, or check, cli_goldens_8.json: the sha256 of the stdout of
-`enumerate` (text and JSON), `hasse` and `hasse --dot` for biperm and
-biassoc at every split with m + n = 8, and for perm, assoc and multipl
-at m = 7, leaving out every command that cli_goldens.json already pins.
+`enumerate` (text and JSON), `hasse`, `hasse --dot`, `fvector` and
+`verify euler` for biperm and biassoc at every split with m + n = 8 and
+for perm, assoc and multipl at m = 7; of `verify opet` and `verify thmc`
+at every split with m + n = 8; and of `verify propd -m 6`, leaving out
+every command that cli_goldens.json already pins.
 
     PYTHONPATH=src python3 tests/record_goldens_8.py           # record
     PYTHONPATH=src python3 tests/record_goldens_8.py --check   # compare
 
-Every command runs in this one process, through cli.run, in about 5 s
+Every command runs in this one process, through cli.run, in about 8 s
 in all.  Record only on a commit whose output is known good: every
 later commit must reproduce these bytes, and --check exits 1 on the
 first command that does not.
@@ -26,7 +28,8 @@ from biassoc import cli
 
 HERE = Path(__file__).resolve().parent
 PATH = HERE / "cli_goldens_8.json"
-VERBS = ("enumerate", "enumerate --format json", "hasse", "hasse --dot")
+VERBS = ("enumerate", "enumerate --format json", "hasse", "hasse --dot", "fvector",
+         "verify euler")
 
 
 def commands() -> list:
@@ -38,11 +41,12 @@ def commands() -> list:
     for family, m, n in splits:
         for verb in VERBS:
             head, _, option = verb.partition(" --format")
-            argv = "%s --family %s%s -m %d -n %d" % (
-                head, family, " --format" + option if option else "", m, n)
-            if argv not in pinned:
-                out.append(argv)
-    return out
+            out.append("%s --family %s%s -m %d -n %d" % (
+                head, family, " --format" + option if option else "", m, n))
+    out += ["verify %s -m %d -n %d" % (check, m, 8 - m)
+            for check in ("opet", "thmc") for m in range(1, 8)]
+    out.append("verify propd -m 6")
+    return [argv for argv in out if argv not in pinned]
 
 
 def digest(argv: str) -> str:

@@ -9,10 +9,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from biassoc import cli, leveled, multipli, propterms, trees, zones
 from biassoc.leveled import ComplementaryPair, enumerate_leveled_pairs
 from biassoc.multipli import PaintedTree
 from biassoc.posets import FinitePoset
+from oracles import pair_jsonable, painted_jsonable, tree_jsonable, zone_pair_json
 
 # the environment of a CLI subprocess: this checkout's src first
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -83,6 +86,40 @@ def test_enumerate_streams_the_cached_families(capsys):
                     )
                     want = [x.to_json() if fmt == "json" else x.key() for x in items]
                     assert code == 0 and out.splitlines() == want, (family, m, n)
+
+
+# per family, its splits with m + n <= 7 (assoc and multipl to m = 7)
+# and the JSON object of each face of a split in key order, from the
+# references: the recursive objects of oracles, and for zone pairs the
+# object that zone_pair_json dumps
+JSON_ORACLES = {
+    "perm": ([(m, 1) for m in range(1, 7)],
+             lambda m, n: map(pair_jsonable, enumerate_leveled_pairs(m, n))),
+    "biperm": ([(m, t - m) for t in range(2, 8) for m in range(1, t)],
+               lambda m, n: map(pair_jsonable, enumerate_leveled_pairs(m, n))),
+    "assoc": ([(m, 1) for m in range(1, 8)],
+              lambda m, n: map(tree_jsonable, trees.enumerate_trees(m))),
+    "biassoc": ([(m, t - m) for t in range(2, 8) for m in range(1, t)],
+                lambda m, n: (json.loads(zone_pair_json(z))
+                              for z in zones.enumerate_zone_pairs(m, n))),
+    "multipl": ([(m, 1) for m in range(1, 8)],
+                lambda m, n: (painted_jsonable(p.shape) for p in multipli.enumerate_painted(m))),
+}
+
+
+@pytest.mark.parametrize("family", list(JSON_ORACLES), ids=list(JSON_ORACLES))
+def test_json_lines_are_the_oracle_objects(family, capsys):
+    # each JSON line is its face's key rewritten: it must be the text
+    # json.dumps gives the face's reference object, and read back as it
+    splits, objects = JSON_ORACLES[family]
+    for m, n in splits:
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--format", "json",
+                           "-m", str(m), "-n", str(n))
+        want = list(objects(m, n))
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == len(want), (m, n)
+        for line, obj in zip(lines, want):
+            assert line == json.dumps(obj) and json.loads(line) == obj, (m, n)
 
 
 def test_enumerate_caches_nothing(capsys):
@@ -173,27 +210,30 @@ def test_multipl_verbs_build_no_painted_trees_from_vertex_rules(capsys):
 
 
 def test_multipl_verbs_paint_each_face_once_from_shape_and_zeta(capsys, monkeypatch):
-    # every tree class bound in multipli is counted: the poset verbs,
-    # the text keys and the JSON lines paint (shape, zeta) with no tree
-    # object; JSON is written from the painted shape by painted_json
-    built = []
+    # every tree class bound in multipli and every painted_shape call is
+    # counted: the poset verbs, the text keys and the JSON lines paint
+    # each of the 67 faces at m = 4 once from (shape, zeta), with no tree
+    # object, and JSON is rewritten from the key; fvector paints none,
+    # and propd paints each face once per side
+    built, painted = [], []
     for name in ("PlanarTree", "DiaphragmTree", "PaintedTree"):
         cls = getattr(multipli, name)
         monkeypatch.setattr(
             multipli, name, lambda *args, cls=cls: built.append(cls.__name__) or cls(*args)
         )
-    for argv in (
-        "fvector --family multipl -m 4",
-        "hasse --family multipl -m 4",
-        "enumerate --family multipl -m 4",
+    paint = multipli.painted_shape
+    monkeypatch.setattr(multipli, "painted_shape", lambda *x: painted.append(x) or paint(*x))
+    for argv, paints in (
+        ("fvector --family multipl -m 4", 0),
+        ("hasse --family multipl -m 4", 67),
+        ("enumerate --family multipl -m 4", 67),
+        ("enumerate --family multipl --format json -m 4", 67),
+        ("verify propd -m 4", 134),
     ):
         built.clear()
+        painted.clear()
         code, out, _ = run(capsys, *argv.split())
-        assert code == 0 and out and built == [], argv
-    built.clear()
-    code, out, _ = run(capsys, *"enumerate --family multipl --format json -m 4".split())
-    assert code == 0 and len(out.splitlines()) == 67
-    assert built == []
+        assert code == 0 and out and built == [] and len(painted) == paints, argv
 
 
 def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
@@ -245,15 +285,17 @@ def test_pair_verbs_build_pair_objects_only_at_the_edges(capsys, monkeypatch):
 
 
 def test_text_enumerate_writes_each_key_once(capsys, monkeypatch):
-    # the text lines are sorted as they are written, so a key is
-    # written only for its line
+    # the keys are sorted once and written as they are, or rewritten as
+    # JSON, so a key is written only for its line in either format
     calls = []
     pair_key = leveled.pair_key
     monkeypatch.setattr(leveled, "pair_key", lambda *parts: calls.append(parts) or pair_key(*parts))
-    for family in ("perm", "biperm", "biassoc"):
+    for family, fmt in (("perm", "text"), ("biperm", "text"), ("biassoc", "text"),
+                        ("biperm", "json"), ("biassoc", "json")):
         calls.clear()
-        code, out, _ = run(capsys, "enumerate", "--family", family, "-m", "3", "-n", "3")
-        assert code == 0 and len(calls) == out.count("\n") > 1, family
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--format", fmt,
+                           "-m", "3", "-n", "3")
+        assert code == 0 and len(calls) == out.count("\n") > 1, (family, fmt)
 
 
 def test_isomorphism_failures_print_a_counterexample(capsys, monkeypatch):

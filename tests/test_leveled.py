@@ -285,6 +285,29 @@ def test_opet_step_keeps_the_gap_code():
     assert count == 3051
 
 
+# per m + n, the number of pairs with n >= 2: 31,149 in all to m + n = 8
+PAIRS_WITH_N_AT_LEAST_2 = {3: 1, 4: 6, 5: 39, 6: 300, 7: 2705, 8: 28098}
+
+
+@pytest.mark.parametrize("total", list(PAIRS_WITH_N_AT_LEAST_2),
+                         ids=list(map(str, PAIRS_WITH_N_AT_LEAST_2)))
+def test_opet_step_on_parts_is_the_gap_code_read_one_leaf_over(total):
+    # every pair with m + n = total and n >= 2, walked as parts with no
+    # poset or pair object: the step keeps the gap code, and is that
+    # code decoded as an (m + 1, n - 1) pair.  opet_step itself stays
+    # the paper's tree operation; this is an observed fact about it
+    count = 0
+    for m in range(1, total - 1):
+        n = total - m
+        for up, down, levels in L.level_groups(m, n):
+            for a, b in levels:
+                code, step = L.gap_code(up, down, a, b), L.opet_step(up, down, a, b)
+                assert L.gap_code(*step) == code, (up, down, a, b)
+                assert step == L.gamma_decode(code, m + 1, n - 1).parts, (up, down, a, b)
+                count += 1
+    assert count == PAIRS_WITH_N_AT_LEAST_2[total]
+
+
 def test_opet_iso_small():
     assert L.opet_iso_check(2, 2)
     assert L.opet_iso_check(1, 3)

@@ -79,11 +79,25 @@ MUTANTS = [
     ("biassoc.leveled:coarsening_poset", "sorted(range(len(classes)), key=written.__getitem__)",
      "range(len(classes))",
      "test_zones:test_poset_calls_each_class_once_per_class_in_key_order[bipermutahedron_poset]"),
-    # enumerate writes each block's lines in walk order: text, then JSON
-    ("biassoc.cli:run", "sorted(map(key, block))", "list(map(key, block))",
-     "test_cli:test_small_enumerations_byte_identical"),
-    ("biassoc.cli:run", "sorted(block, key=key)", "list(block)",
-     "test_cli:test_small_enumerations_byte_identical"),
+    # enumerate writes each block's keys in walk order
+    ("biassoc.cli:run", "sorted([row.key(*face) for face in block])",
+     "[row.key(*face) for face in block]", "test_cli:test_small_enumerations_byte_identical"),
+    # the JSON rewrites of the keys: a pair's levels as "[1,3]", a tree's
+    # children with no ", ", a zone's members with no space after the up
+    # ones, every application vertex written as a plain one
+    ("biassoc.leveled:pair_json", 'key.replace(",", ", ")', "key",
+     "test_cli:test_json_lines_are_the_oracle_objects[perm]"),
+    ("biassoc.trees:tree_json", '.replace(" ", ", ")', "",
+     "test_cli:test_json_lines_are_the_oracle_objects[assoc]"),
+    ("biassoc.zones:zone_json", '"[%s, %s]"', '"[%s,%s]"',
+     "test_cli:test_json_lines_are_the_oracle_objects[biassoc]"),
+    ("biassoc.multipli:painted_json", '\'{"type": "application", "children": [\'',
+     '\'{"type": "plain", "children": [\'',
+     "test_multipli:test_painted_text_json_roundtrip"),
+    # the leaf shift's new up vertex takes only the last up leaf, not the
+    # highest right-spine subtree below v's level
+    ("biassoc.leveled:opet_step", "start = min(start, a)", "start = max(start, a)",
+     "test_leveled:test_opet_step_on_parts_is_the_gap_code_read_one_leaf_over[6]"),
     # the projection merges two adjacent barriers into one zone
     ("biassoc.zones:_zone_tuples", 'kind != prev or kind == "B"', "kind != prev",
      "test_zones:test_relative_heights"),
@@ -131,7 +145,8 @@ def parameters(check, case) -> dict:
     for mark in getattr(check, "pytestmark", ()):
         if mark.name == "parametrize":
             names = [name.strip() for name in mark.args[0].split(",")]
-            out.update(zip(names, mark.args[1][mark.kwargs["ids"].index(case)]))
+            values = mark.args[1][mark.kwargs["ids"].index(case)]
+            out.update(zip(names, values if len(names) > 1 else (values,)))
     return out
 
 

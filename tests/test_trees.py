@@ -1,4 +1,5 @@
 import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ from biassoc import trees as T
 from biassoc.leveled import ComplementaryPair
 from biassoc.multipli import ABOVE, AT, BELOW, DiaphragmTree, PaintedTree
 from biassoc.zones import ZonePair
-from oracles import associahedron_up_sets, block_merge_up_sets, closure
+from oracles import associahedron_up_sets, block_merge_up_sets, closure, tree_jsonable
 
 
 def binary_shapes(m):
@@ -209,6 +210,16 @@ def test_text_roundtrip(m, pick):
     t = ts[pick % len(ts)]
     assert T.PlanarTree.from_text(t.text()).shape == t.shape
     assert T.PlanarTree.from_json(t.to_json()) == t
+
+
+def test_tree_json_is_the_oracle_object():
+    # an up or a down tree's JSON text is its tree text rewritten: the
+    # text json.dumps gives its reference object, read back as it
+    for m in range(1, 8):
+        for orientation in ("up", "down"):
+            for t in T.enumerate_trees(m, orientation):
+                obj = tree_jsonable(t)
+                assert t.to_json() == json.dumps(obj) and json.loads(t.to_json()) == obj
 
 
 def test_tree_text_whitespace_only_separates_tokens():
